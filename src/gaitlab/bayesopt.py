@@ -94,27 +94,23 @@ class OptBudget:
             raise InvalidInputError("sim_bias_weight must be >= 1")
 
 
-def rq_kernel(x1, x2, p: RqKernelParams) -> float:
-    """Rational-quadratic covariance between two gain vectors."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if x1.shape != x2.shape:
-        raise InvalidInputError(f"dimension mismatch: {x1.shape} vs {x2.shape}")
-    r2 = float(np.sum((x1 - x2) ** 2))
-    return p.variance * (1.0 + r2 / (2.0 * p.shape * p.length_scale**2)) ** (-p.shape)
-
-
 def _rq_matrix(xa: np.ndarray, xb: np.ndarray, p: RqKernelParams) -> np.ndarray:
+    if xa.shape[1] != xb.shape[1]:  # broadcasting would pair mismatched vectors silently
+        raise InvalidInputError(f"dimension mismatch: {xa.shape[1]} vs {xb.shape[1]}")
     r2 = np.sum((xa[:, None, :] - xb[None, :, :]) ** 2, axis=2)
     return p.variance * (1.0 + r2 / (2.0 * p.shape * p.length_scale**2)) ** (-p.shape)
 
 
+def rq_kernel(x1, x2, p: RqKernelParams) -> float:
+    """Rational-quadratic covariance between two gain vectors (a 1x1 gram)."""
+    rows = [np.asarray(x, dtype=float).reshape(1, -1) for x in (x1, x2)]
+    return float(_rq_matrix(*rows, p)[0, 0])
+
+
 def composite_kernel(a1: AugmentedPoint, a2: AugmentedPoint, k: CompositeKernel) -> float:
-    """Composite covariance; the error term gates on both points being real."""
-    val = rq_kernel(a1.x, a2.x, k.k_sim)
-    if a1.delta == REAL and a2.delta == REAL:
-        val += rq_kernel(a1.x, a2.x, k.k_eps)
-    return val
+    """Composite covariance (a 1x1 gram); the error term gates on both points being real."""
+    real_a, real_b = np.array([a1.delta == REAL]), np.array([a2.delta == REAL])
+    return float(composite_gram(a1.x.reshape(1, -1), real_a, a2.x.reshape(1, -1), real_b, k)[0, 0])
 
 
 def composite_gram(

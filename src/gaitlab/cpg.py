@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_nonnegative
 from .pose import AbstractPose, AbstractLimb, AbstractArm
 
 
@@ -69,12 +69,12 @@ class CpgParams:
             "lateral_sway_amplitude",
             "arm_swing_amplitude",
         ):
-            if getattr(self, name) < 0:
-                raise InvalidInputError(f"{name} must be >= 0")
+            check_nonnegative(name, getattr(self, name))
         if not 0.0 <= self.double_support_fraction < 0.5:
             raise InvalidInputError("double_support_fraction must be in [0, 0.5)")
-        if self.frequency <= 0:
-            raise InvalidInputError("frequency must be > 0")
+        check_nonnegative("frequency", self.frequency, positive=True)
+        if not np.all(np.isfinite(self.halt_pose.to_array())):
+            raise InvalidInputError("halt pose must be finite")
 
     def to_array(self) -> np.ndarray:
         out = np.empty(24)

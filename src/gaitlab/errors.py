@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the range check that raises them."""
+
+import math
 
 
 class GaitlabError(Exception):
@@ -35,3 +37,11 @@ class NumericalConditioningError(GaitlabError, RuntimeError):
 
 class BudgetExhaustedError(GaitlabError, RuntimeError):
     """The optimizer was asked to select a point with no budget left."""
+
+
+def check_nonnegative(name: str, value: float, positive: bool = False) -> None:
+    """Raise InvalidInputError unless value is finite and >= 0 (> 0 if positive)."""
+    if not (0.0 < value < math.inf if positive else 0.0 <= value < math.inf):
+        raise InvalidInputError(
+            f"{name} must be finite and {'> 0' if positive else '>= 0'}, got {value}"
+        )

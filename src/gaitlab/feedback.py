@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_nonnegative
 from .pose import AbstractPose, LegGeometry
 
 
@@ -24,8 +24,8 @@ class PidGains:
     ki: float = 0.0
 
     def __post_init__(self):
-        if self.kp < 0 or self.kd < 0 or self.ki < 0:
-            raise InvalidInputError("gains must be >= 0")
+        for name in ("kp", "kd", "ki"):
+            check_nonnegative(f"gain {name}", getattr(self, name))
 
 
 @dataclass
@@ -43,10 +43,9 @@ class FeedbackGains:
     min_timing_factor: float = 0.1
 
     def __post_init__(self):
-        if self.timing_speed_up < 0 or self.timing_slow_down < 0:
-            raise InvalidInputError("timing gains must be >= 0")
-        if self.min_timing_factor <= 0:
-            raise InvalidInputError("min_timing_factor must be > 0")
+        check_nonnegative("timing_speed_up", self.timing_speed_up)
+        check_nonnegative("timing_slow_down", self.timing_slow_down)
+        check_nonnegative("min_timing_factor", self.min_timing_factor, positive=True)
 
     def to_array(self) -> np.ndarray:
         return np.array(
@@ -90,8 +89,9 @@ class FilterParams:
     leak_rate: float = 0.2
 
     def __post_init__(self):
-        if self.smoothing_time <= 0 or self.leak_rate <= 0 or self.deadband < 0:
-            raise InvalidInputError("filter constants must be positive (deadband >= 0)")
+        check_nonnegative("smoothing_time", self.smoothing_time, positive=True)
+        check_nonnegative("deadband", self.deadband)
+        check_nonnegative("leak_rate", self.leak_rate, positive=True)
 
     def to_array(self) -> np.ndarray:
         return np.array([self.smoothing_time, self.deadband, self.leak_rate])

@@ -15,17 +15,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._kernels import wrap_pi as wrap_angle  # wraps an angle into (-pi, pi]
 from .errors import InvalidInputError
 
 _UNIT_TOL = 1e-9
-
-
-def wrap_angle(a: float) -> float:
-    """Wrap an angle into (-pi, pi]."""
-    x = (a + math.pi) % (2.0 * math.pi)
-    if x == 0.0:
-        x = 2.0 * math.pi
-    return x - math.pi
 
 
 @dataclass

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .cpg import CpgParams, GaitCommand
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_nonnegative
 from .feedback import Activations, FeedbackGains, FilterParams
 from .pose import LegGeometry
 
@@ -83,12 +83,15 @@ class PlantParams:
         self.action_effectiveness = np.asarray(self.action_effectiveness, dtype=float)
         if self.action_effectiveness.shape != (2, 6):
             raise InvalidInputError("action_effectiveness must have shape (2, 6)")
-        if self.damping < 0:
-            raise InvalidInputError("damping must be >= 0")
-        if self.noise_std < 0:
-            raise InvalidInputError("noise_std must be >= 0")
-        if self.effective_inertia <= 0:
-            raise InvalidInputError("effective_inertia must be > 0")
+        if not np.all(np.isfinite(self.action_effectiveness)):
+            raise InvalidInputError("action_effectiveness must be finite")
+        for plane, freq in zip(("pitch", "roll"), self.natural_freq):
+            check_nonnegative(f"{plane} natural_freq", freq, positive=True)
+        check_nonnegative("damping", self.damping)
+        check_nonnegative("gait_coupling", self.gait_coupling)
+        check_nonnegative("noise_std", self.noise_std)
+        check_nonnegative("effective_inertia", self.effective_inertia, positive=True)
+        check_nonnegative("fall_threshold", self.fall_threshold, positive=True)
 
     def to_array(self) -> np.ndarray:
         return np.array(
@@ -197,11 +200,6 @@ def step_plant(
     return TorsoState(pitch, roll, pitch_rate, roll_rate, fallen)
 
 
-def gait_excitation(mu: float, cmd: GaitCommand, p: PlantParams) -> tuple[float, float]:
-    """Phase-locked torso excitation of the stepping gait."""
-    return _kernels.gait_excitation(float(mu), cmd.vx, cmd.vy, cmd.wz, p.gait_coupling)
-
-
 @dataclass
 class RunTrace:
     """Closed-loop time series at uniform spacing dt.
@@ -255,7 +253,8 @@ def _segment_commands(seq, dt: float) -> np.ndarray:
     if total <= 0:
         raise InvalidInputError("total sequence duration must be > 0")
     chunks = []
-    for cmd, duration in seq:
+    for i, (cmd, duration) in enumerate(seq):
+        check_nonnegative(f"segment {i} duration", duration, positive=True)
         n = int(round(duration / dt))
         chunks.append(np.tile([cmd.vx, cmd.vy, cmd.wz], (n, 1)))
     return np.concatenate(chunks, axis=0)

@@ -86,6 +86,22 @@ def test_gait_run_unknown_config_key(tmp_path, capsys):
     assert "arm_angle_y.kq" in capsys.readouterr().err
 
 
+def test_gait_run_nan_gain_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("gains.arm_angle_y.kp = nan\n")
+    assert run_cli("gait", "run", "--gains", cfg, "--out", tmp_path) == 1
+    assert "kp must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_gait_run_negative_fall_threshold_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text("plant.fall_threshold = -0.5\n")
+    assert run_cli("gait", "run", "--gains", cfg, "--out", tmp_path) == 1
+    assert "fall_threshold" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_optimize_zero_real_budget(tmp_path, capsys):
     code = run_cli(
         "gait", "optimize", "--max-real", 0, "--max-total", 6, "--out", tmp_path, "--seed", 3,

@@ -119,3 +119,13 @@ def test_params_validation():
         CpgParams(double_support_fraction=0.5)
     with pytest.raises(InvalidInputError):
         CpgParams(frequency=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_params_reject_non_finite(bad):
+    for name in ("lift_amplitude", "swing_amplitude", "lateral_sway_amplitude",
+                 "arm_swing_amplitude", "double_support_fraction", "frequency"):
+        with pytest.raises(InvalidInputError):
+            CpgParams(**{name: bad})
+    with pytest.raises(InvalidInputError):
+        CpgParams(halt_pose=default_halt_pose(eta=bad))

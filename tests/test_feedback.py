@@ -227,3 +227,20 @@ def test_gain_validation():
         Activations(timing_factor=0.0)
     with pytest.raises(InvalidInputError):
         compute_activations(PdiTerms(), PdiTerms(), FeedbackGains(), 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_gains_and_filter_constants_rejected(bad):
+    for make in (
+        lambda: PidGains(kp=bad),
+        lambda: PidGains(kd=bad),
+        lambda: PidGains(ki=bad),
+        lambda: FeedbackGains(timing_speed_up=bad),
+        lambda: FeedbackGains(timing_slow_down=bad),
+        lambda: FeedbackGains(min_timing_factor=bad),
+        lambda: FilterParams(smoothing_time=bad),
+        lambda: FilterParams(deadband=bad),
+        lambda: FilterParams(leak_rate=bad),
+    ):
+        with pytest.raises(InvalidInputError, match="finite"):
+            make()

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -113,16 +114,52 @@ def test_components_separated_by_background_row():
     assert len(connected_components(m)) == 2
 
 
+def serpentine(n):
+    """n x n snake of 3-px bands joined at alternating ends: one long component."""
+    m = np.zeros((n, n), np.uint8)
+    for k, r in enumerate(range(0, n - 2, 4)):
+        m[r : r + 3] = 1
+        if r + 6 < n:
+            m[r + 3, slice(0, 3) if k % 2 else slice(n - 3, n)] = 1
+    return m
+
+
+def random_masks(rng, count):
+    for _ in range(count):
+        shape = (rng.integers(1, 32), rng.integers(1, 32))
+        yield (rng.random(shape) < rng.uniform(0.05, 0.8)).astype(np.uint8)
+
+
+def structured_masks(rng):
+    yield serpentine(29)
+    yield np.rot90(serpentine(24))
+    cells = rng.random((12, 14)) < 0.55  # dense noise made of 2x2 cells
+    yield np.kron(cells, np.ones((2, 2), np.uint8))[:23, :27]
+    for n in (1, 2, 17):  # 1 x N and N x 1
+        yield (rng.random((1, n)) < 0.6).astype(np.uint8)
+        yield (rng.random((n, 1)) < 0.6).astype(np.uint8)
+    yield np.ones((1, 9), np.uint8)
+    yield np.ones((9, 1), np.uint8)
+    yield np.ones((13, 21), np.uint8)
+
+
 def test_components_match_flood_fill_oracle():
     rng = np.random.default_rng(2)
-    for _ in range(300):
-        shape = (rng.integers(1, 32), rng.integers(1, 32))
-        m = (rng.random(shape) < rng.uniform(0.05, 0.8)).astype(np.uint8)
+    for m in (*random_masks(rng, 300), *structured_masks(rng)):
         got = connected_components(m)
         want = flood_fill_components(m)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+def test_labeling_cost_is_bounded_on_long_serpentine():
+    snake = serpentine(256).astype(float)
+    start = time.perf_counter()
+    dets = detect_blobs(snake, t=0.5)
+    elapsed = time.perf_counter() - start
+    assert len(dets) == 1 and dets[0].pixel_count == snake.sum()
+    assert elapsed < 3.0, f"detect_blobs took {elapsed:.2f} s on a 256x256 serpentine"
 
 
 def test_single_pixel_centroid():
@@ -294,6 +331,24 @@ def test_pgm_round_trip(tmp_path):
 def test_pgm_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bad.pgm"
     path.write_bytes(b"P2\n2 2\n255\n0 0 0 0\n")
+    with pytest.raises(InvalidInputError):
+        read_pgm(path)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"P5\n4 3\n255\n" + bytes(11),  # one pixel byte short
+        b"P5\n4 3\n255",  # header only
+        b"P5\n0 3\n255\n",
+        b"P5\n4 -3\n255\n" + bytes(12),
+        b"P5\n4.5 3\n255\n" + bytes(12),
+        b"P5\n4 3\nmax\n" + bytes(12),
+    ],
+)
+def test_pgm_rejects_bad_header_or_payload(tmp_path, data):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(data)
     with pytest.raises(InvalidInputError):
         read_pgm(path)
 

@@ -27,6 +27,35 @@ def quiet_plant(**kwargs):
     return PlantParams(**defaults)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(natural_freq=(0.0, 4.0)),
+        dict(natural_freq=(1.2, -4.0)),
+        dict(natural_freq=(math.nan, 4.0)),
+        dict(fall_threshold=-0.5),
+        dict(fall_threshold=0.0),
+        dict(fall_threshold=math.inf),
+        dict(gait_coupling=-0.1),
+        dict(gait_coupling=math.nan),
+        dict(damping=math.nan),
+        dict(noise_std=math.inf),
+        dict(effective_inertia=math.nan),
+        dict(action_effectiveness=np.full((2, 6), math.nan)),
+    ],
+)
+def test_plant_params_reject_out_of_range(kwargs):
+    with pytest.raises(InvalidInputError):
+        PlantParams(**kwargs)
+
+
+@pytest.mark.parametrize("duration", [-1.0, 0.0, math.nan, math.inf])
+def test_bad_segment_duration_rejected(duration):
+    seq = [(GaitCommand(vx=0.5), 2.0), (GaitCommand(), duration)]
+    with pytest.raises(InvalidInputError, match="segment 1 duration"):
+        run_sequence(zero_gains(), CpgParams(), seq, quiet_plant())
+
+
 def test_upright_equilibrium_is_exact():
     p = quiet_plant()
     s = TorsoState()
