@@ -1,9 +1,29 @@
 """Hot numeric kernels shared by the gait, feedback, and plant modules.
 
-Everything here operates on plain floats and flat float64 arrays so the
-functions compile under numba; the public modules wrap them with dataclass
-interfaces.  With ``GAITLAB_NO_NUMBA=1`` the same code runs under CPython
-and produces bit-identical results.
+Everything here operates on plain floats, tuples of floats and float64
+arrays so the functions compile under numba; the public modules wrap them
+with dataclass interfaces.  With ``GAITLAB_NO_NUMBA=1`` (or without numba)
+the same code runs under CPython and produces bit-identical results.
+
+Under CPython the cost of a step is the interpreter's, so the step kernels
+take their parameters as tuples of Python floats, keep state in scalars and
+return tuples: indexing a float64 array and doing arithmetic on the
+resulting NumPy scalars costs several times as much as the same work on
+Python floats.  The dataclasses still pack their parameters into float64
+vectors (``to_array``); callers turn those into float tuples once with
+``float_tuple``, and ``run_closed_loop`` derives everything that is fixed
+for a run once before its first step:
+
+    swing_window(cpg)          -> (swing_start, swing_len) of cpg_pose
+    filter_coeffs(filt, dt)    -> (alpha, deadband, decay, gain_i) of filters_step
+    com_shift_reference(geom)  -> halt-pose leg reference of apply_actions_flat
+
+The public step helpers (``evaluate_cpg``, ``DeviationFilters.update``,
+``compute_activations``, ``apply_actions``, ``step_plant``) call the same
+kernels with the same derived constants, so stepping them by hand
+reproduces ``run_closed_loop`` bit for bit.  The loop looks its step
+kernels up as module globals on every call, so wrappers installed on this
+module's attributes see each call under CPython.
 
 Flat abstract-pose layout (18 floats):
     [0:6]   left leg   (lx, ly, lz, fx, fy, eta)
@@ -11,18 +31,26 @@ Flat abstract-pose layout (18 floats):
     [12:15] left arm   (lx, ly, eta)
     [15:18] right arm  (lx, ly, eta)
 
-Parameter vectors:
-    cpg_arr   (24,)  halt pose[0:18], lift_amp, swing_amp, sway_amp,
-                     arm_swing_amp, double_support_fraction, frequency
-    gains_arr (12,)  armX kp, kd | armY kp, kd | suppX kp, kd |
-                     contX ki | comX ki | comY ki |
-                     speed_up, slow_down, min_timing_factor
-    filt_arr  (3,)   smoothing tau, deadband, leak rate
-    plant_arr (5,)   pitch natural freq, roll natural freq, damping,
-                     gait coupling, fall threshold
-    eff       (2,6)  per-plane acceleration per unit activation,
-                     columns (armX, armY, suppX, contX, comX, comY)
-    geom_arr  (3,)   thigh length, shank length, halt eta
+Activation layout (7 floats): armX, armY, suppX, contX, comX, comY,
+timing factor.
+
+Parameter tuples (the ``to_array`` layouts):
+    cpg   (24)  halt pose[0:18], lift_amp, swing_amp, sway_amp,
+                arm_swing_amp, double_support_fraction, frequency
+    gains (12)  armX kp, kd | armY kp, kd | suppX kp, kd |
+                contX ki | comX ki | comY ki |
+                speed_up, slow_down, min_timing_factor
+    filt  (3)   smoothing tau, deadband, leak rate
+    plant (5)   pitch natural freq, roll natural freq, damping,
+                gait coupling, fall threshold
+    eff   (12)  per-plane acceleration per unit activation, row-major
+                (2, 6): pitch row then roll row, columns
+                (armX, armY, suppX, contX, comX, comY)
+    geom  (3)   thigh length, shank length, halt eta
+
+Divisors in a step are the step dt, the swing-window length and the leg
+link product; ``FilterParams``, ``CpgParams`` and ``LegGeometry`` keep the
+parameters they come from positive, so Python floats never divide by zero.
 """
 
 import math
@@ -34,6 +62,15 @@ from ._accel import maybe_njit
 POSE_SIZE = 18
 ACT_SIZE = 7  # armX, armY, suppX, contX, comX, comY, timing_factor
 FILTER_STATE_SIZE = 6  # smoothed, d-estimate, integral -- pitch then roll plane
+
+
+def float_tuple(a):
+    """A packed float vector (any shape) as a flat tuple of Python floats.
+
+    This is the parameter form the kernels take; it runs in the caller,
+    outside the compiled code.
+    """
+    return tuple(np.asarray(a, dtype=float).ravel().tolist())
 
 
 @maybe_njit(cache=True)
@@ -76,79 +113,108 @@ def foot_fk_core(hip_pitch, hip_roll, knee, thigh, shank):
 
 
 @maybe_njit(cache=True)
-def cpg_pose(mu, vx, vy, wz, cpg_arr, out):
-    """Evaluate the open-loop gait pose at phase mu into ``out`` (18,)."""
-    lift = cpg_arr[18]
-    swing = cpg_arr[19]
-    sway = cpg_arr[20]
-    arm_swing = cpg_arr[21]
-    dsf = cpg_arr[22]
-
-    swing_len = math.pi * (1.0 - 2.0 * dsf)
-    swing_start = 0.5 * math.pi - 0.5 * swing_len
-    sway_term = -sway * math.sin(mu)
-
-    for side in range(2):
-        mul = wrap_pi(mu) if side == 0 else wrap_pi(mu + math.pi)
-        base = 6 * side
-        u = (mul - swing_start) / swing_len
-        pulse = math.sin(math.pi * u) if (u > 0.0 and u < 1.0) else 0.0
-        out[base + 0] = cpg_arr[base + 0] + swing * vy + sway_term
-        out[base + 1] = cpg_arr[base + 1] - swing * vx * math.cos(mul)
-        out[base + 2] = cpg_arr[base + 2] + swing * wz * math.sin(mul)
-        out[base + 3] = cpg_arr[base + 3]
-        out[base + 4] = cpg_arr[base + 4]
-        out[base + 5] = cpg_arr[base + 5] + lift * pulse
-
-        abase = 12 + 3 * side
-        out[abase + 0] = cpg_arr[abase + 0]
-        out[abase + 1] = cpg_arr[abase + 1] + arm_swing * vx * math.cos(mul)
-        out[abase + 2] = cpg_arr[abase + 2]
+def swing_window(cpg):
+    """(swing_start, swing_len): the phase window of each leg's lift pulse."""
+    swing_len = math.pi * (1.0 - 2.0 * cpg[22])
+    return 0.5 * math.pi - 0.5 * swing_len, swing_len
 
 
 @maybe_njit(cache=True)
-def filters_step(fs, d_theta, d_phi, dt, filt_arr):
-    """Advance both deviation filters in place; returns P, D, I per plane.
+def cpg_pose(mu, vx, vy, wz, cpg, window):
+    """The open-loop gait pose at phase mu as an 18-tuple.
+
+    ``window`` is ``swing_window(cpg)``.  The left leg keys off mu, the
+    right leg off mu + pi.
+    """
+    swing_start, swing_len = window
+    lift = cpg[18]
+    swing = cpg[19]
+    arm_swing = cpg[21]
+
+    sway_term = -cpg[20] * math.sin(mu)
+    lat = swing * vy
+    sag = swing * vx
+    yaw = swing * wz
+    arm = arm_swing * vx
+
+    mu_l = wrap_pi(mu)
+    mu_r = wrap_pi(mu + math.pi)
+    cos_l = math.cos(mu_l)
+    cos_r = math.cos(mu_r)
+    u_l = (mu_l - swing_start) / swing_len
+    u_r = (mu_r - swing_start) / swing_len
+    pulse_l = math.sin(math.pi * u_l) if (u_l > 0.0 and u_l < 1.0) else 0.0
+    pulse_r = math.sin(math.pi * u_r) if (u_r > 0.0 and u_r < 1.0) else 0.0
+
+    return (
+        cpg[0] + lat + sway_term,
+        cpg[1] - sag * cos_l,
+        cpg[2] + yaw * math.sin(mu_l),
+        cpg[3],
+        cpg[4],
+        cpg[5] + lift * pulse_l,
+        cpg[6] + lat + sway_term,
+        cpg[7] - sag * cos_r,
+        cpg[8] + yaw * math.sin(mu_r),
+        cpg[9],
+        cpg[10],
+        cpg[11] + lift * pulse_r,
+        cpg[12],
+        cpg[13] + arm * cos_l,
+        cpg[14],
+        cpg[15],
+        cpg[16] + arm * cos_r,
+        cpg[17],
+    )
+
+
+@maybe_njit(cache=True)
+def filter_coeffs(filt, dt):
+    """(alpha, deadband, decay, gain_i) of filters_step at sample period dt."""
+    tau = filt[0]
+    leak = filt[2]
+    alpha = 1.0 - math.exp(-dt / tau)
+    decay = math.exp(-leak * dt)
+    gain_i = (1.0 - decay) / leak
+    return alpha, filt[1], decay, gain_i
+
+
+@maybe_njit(cache=True)
+def _filter_plane(y_old, dv_old, i_old, d, dt, coeffs):
+    alpha, deadband, decay, gain_i = coeffs
+    y = y_old + (d - y_old) * alpha
+    raw_d = (y - y_old) / dt
+    dv = dv_old + (raw_d - dv_old) * alpha
+    if y > deadband:
+        p = y - deadband
+    elif y < -deadband:
+        p = y + deadband
+    else:
+        p = 0.0
+    return y, p, dv, i_old * decay + p * gain_i
+
+
+@maybe_njit(cache=True)
+def filters_step(fs, d_theta, d_phi, dt, coeffs):
+    """Advance both deviation filters by one sample.
+
+    ``fs`` is the 6-tuple state (smoothed, d-estimate, integral) of the
+    pitch then the roll plane and ``coeffs`` is ``filter_coeffs(filt, dt)``.
+    Returns the new state and the 6-tuple (P, D, I) of each plane.
 
     Smoothing is a first-order low-pass, the derivative is the additionally
     smoothed finite difference of the smoothed signal, and the integral is
     the exact one-step solution of di/dt = -leak*i + P, which keeps
     |I| <= sup|P|/leak for all time.
     """
-    tau = filt_arr[0]
-    deadband = filt_arr[1]
-    leak = filt_arr[2]
-    alpha = 1.0 - math.exp(-dt / tau)
-    decay = math.exp(-leak * dt)
-    gain_i = (1.0 - decay) / leak
-
-    out = np.empty(6)
-    for plane in range(2):
-        d = d_theta if plane == 0 else d_phi
-        j = 3 * plane
-        y_old = fs[j]
-        y = y_old + (d - y_old) * alpha
-        raw_d = (y - y_old) / dt
-        dv = fs[j + 1] + (raw_d - fs[j + 1]) * alpha
-        if y > deadband:
-            p = y - deadband
-        elif y < -deadband:
-            p = y + deadband
-        else:
-            p = 0.0
-        i_new = fs[j + 2] * decay + p * gain_i
-        fs[j] = y
-        fs[j + 1] = dv
-        fs[j + 2] = i_new
-        out[3 * plane + 0] = p
-        out[3 * plane + 1] = dv
-        out[3 * plane + 2] = i_new
-    return out
+    y_t, p_t, dv_t, i_t = _filter_plane(fs[0], fs[1], fs[2], d_theta, dt, coeffs)
+    y_p, p_p, dv_p, i_p = _filter_plane(fs[3], fs[4], fs[5], d_phi, dt, coeffs)
+    return (y_t, dv_t, i_t, y_p, dv_p, i_p), (p_t, dv_t, i_t, p_p, dv_p, i_p)
 
 
 @maybe_njit(cache=True)
-def activations_from(pdi, gains_arr, support_sign, out):
-    """Corrective-action activations from (P, D, I) per plane into ``out`` (7,)."""
+def activations_from(pdi, gains, support_sign):
+    """Corrective-action activations (7-tuple) from (P, D, I) per plane."""
     p_t = pdi[0]
     d_t = pdi[1]
     i_t = pdi[2]
@@ -156,28 +222,56 @@ def activations_from(pdi, gains_arr, support_sign, out):
     d_p = pdi[4]
     i_p = pdi[5]
 
-    out[0] = gains_arr[0] * p_p + gains_arr[1] * d_p  # arm angle X
-    out[1] = gains_arr[2] * p_t + gains_arr[3] * d_t  # arm angle Y
-    out[2] = gains_arr[4] * p_p + gains_arr[5] * d_p  # support foot angle X
-    out[3] = gains_arr[6] * i_p  # continuous foot angle X
-    out[4] = gains_arr[7] * i_t  # CoM shift X
-    out[5] = gains_arr[8] * i_p  # CoM shift Y
-
     # tilting toward the support leg is outward, away from it inward
     tilt = p_p * support_sign
     outward = tilt if tilt > 0.0 else 0.0
     inward = -tilt if tilt < 0.0 else 0.0
-    tf = 1.0 + gains_arr[9] * inward - gains_arr[10] * outward
-    if tf < gains_arr[11]:
-        tf = gains_arr[11]
-    out[6] = tf
+    tf = 1.0 + gains[9] * inward - gains[10] * outward
+    if tf < gains[11]:
+        tf = gains[11]
+
+    return (
+        gains[0] * p_p + gains[1] * d_p,  # arm angle X
+        gains[2] * p_t + gains[3] * d_t,  # arm angle Y
+        gains[4] * p_p + gains[5] * d_p,  # support foot angle X
+        gains[6] * i_p,  # continuous foot angle X
+        gains[7] * i_t,  # CoM shift X
+        gains[8] * i_p,  # CoM shift Y
+        tf,
+    )
 
 
 @maybe_njit(cache=True)
-def apply_actions_flat(pose, act, support_sign, geom_arr):
-    """Superimpose activations onto an abstract pose in place.
+def com_shift_reference(geom):
+    """Halt-pose leg reference of the CoM shift: a 6-tuple of floats.
 
-    Returns 1 if any retraction had to be clamped into [0, 1], else 0.
+    (thigh, shank, dist, ly0, lx0, eta_c0) with dist the hip-ankle distance
+    at the halt retraction and ly0, lx0, eta_c0 = qh + qk/2, qr and
+    cos(qk/2) of the leg IK for the ankle straight below the hip.
+    """
+    thigh = geom[0]
+    shank = geom[1]
+    knee0 = 2.0 * math.acos(1.0 - geom[2])
+    dist = math.sqrt(thigh * thigh + shank * shank + 2.0 * thigh * shank * math.cos(knee0))
+    qh0, qr0, qk0 = foot_ik_core(0.0, 0.0, -dist, thigh, shank)
+    return thigh, shank, dist, qh0 + 0.5 * qk0, qr0, math.cos(0.5 * qk0)
+
+
+@maybe_njit(cache=True)
+def _clamp_retraction(eta):
+    if eta < 0.0:
+        return 0.0, 1
+    if eta > 1.0:
+        return 1.0, 1
+    return eta, 0
+
+
+@maybe_njit(cache=True)
+def apply_actions_flat(pose, act, support_sign, ref):
+    """Superimpose activations onto an abstract pose (18-tuple).
+
+    ``ref`` is ``com_shift_reference(geom)``.  Returns the new pose and 1
+    if any retraction had to be clamped into [0, 1], else 0.
     """
     arm_x = act[0]
     arm_y = act[1]
@@ -186,59 +280,59 @@ def apply_actions_flat(pose, act, support_sign, geom_arr):
     com_x = act[4]
     com_y = act[5]
 
-    pose[12] += arm_x
-    pose[15] += arm_x
-    pose[13] += arm_y
-    pose[16] += arm_y
-    pose[3] += cont_x
-    pose[9] += cont_x
+    l_lx = pose[0]
+    l_ly = pose[1]
+    l_fx = pose[3] + cont_x
+    l_eta = pose[5]
+    r_lx = pose[6]
+    r_ly = pose[7]
+    r_fx = pose[9] + cont_x
+    r_eta = pose[11]
     if support_sign > 0.0:
-        pose[3] += supp_x
+        l_fx += supp_x
     else:
-        pose[9] += supp_x
+        r_fx += supp_x
 
     if com_x != 0.0 or com_y != 0.0:
-        thigh = geom_arr[0]
-        shank = geom_arr[1]
-        halt_eta = geom_arr[2]
-        knee0 = 2.0 * math.acos(1.0 - halt_eta)
-        dist = math.sqrt(
-            thigh * thigh + shank * shank + 2.0 * thigh * shank * math.cos(knee0)
-        )
-        qh0, qr0, qk0 = foot_ik_core(0.0, 0.0, -dist, thigh, shank)
+        thigh, shank, dist, ly0, lx0, eta_c0 = ref
         qh1, qr1, qk1 = foot_ik_core(-com_x, -com_y, -dist, thigh, shank)
-        d_ly = (qh1 + 0.5 * qk1) - (qh0 + 0.5 * qk0)
-        d_lx = qr1 - qr0
-        d_eta = math.cos(0.5 * qk0) - math.cos(0.5 * qk1)
-        pose[0] += d_lx
-        pose[6] += d_lx
-        pose[1] += d_ly
-        pose[7] += d_ly
-        pose[5] += d_eta
-        pose[11] += d_eta
+        d_ly = (qh1 + 0.5 * qk1) - ly0
+        d_lx = qr1 - lx0
+        d_eta = eta_c0 - math.cos(0.5 * qk1)
+        l_lx += d_lx
+        r_lx += d_lx
+        l_ly += d_ly
+        r_ly += d_ly
+        l_eta += d_eta
+        r_eta += d_eta
 
-    saturated = 0
-    for idx in (5, 11, 14, 17):
-        if pose[idx] < 0.0:
-            pose[idx] = 0.0
-            saturated = 1
-        elif pose[idx] > 1.0:
-            pose[idx] = 1.0
-            saturated = 1
-    return saturated
+    l_eta, s0 = _clamp_retraction(l_eta)
+    r_eta, s1 = _clamp_retraction(r_eta)
+    la_eta, s2 = _clamp_retraction(pose[14])
+    ra_eta, s3 = _clamp_retraction(pose[17])
+    out = (
+        l_lx, l_ly, pose[2], l_fx, pose[4], l_eta,
+        r_lx, r_ly, pose[8], r_fx, pose[10], r_eta,
+        pose[12] + arm_x, pose[13] + arm_y, la_eta,
+        pose[15] + arm_x, pose[16] + arm_y, ra_eta,
+    )
+    return out, s0 | s1 | s2 | s3
 
 
 @maybe_njit(cache=True)
-def plant_accels(pitch, roll, pitch_rate, roll_rate, exc_p, exc_r, act, plant_arr, eff):
+def plant_accels(pitch, roll, pitch_rate, roll_rate, exc_p, exc_r, act, plant, eff):
     """Per-plane angular accelerations of the surrogate torso."""
-    wn_p = plant_arr[0]
-    wn_r = plant_arr[1]
-    damping = plant_arr[2]
+    wn_p = plant[0]
+    wn_r = plant[1]
+    damping = plant[2]
+    # activation terms are added left to right in column order: regrouping
+    # the sum would change its rounding
     acc_p = -wn_p * wn_p * math.sin(pitch) - damping * pitch_rate + exc_p
+    acc_p = (acc_p + eff[0] * act[0] + eff[1] * act[1] + eff[2] * act[2]
+             + eff[3] * act[3] + eff[4] * act[4] + eff[5] * act[5])
     acc_r = -wn_r * wn_r * math.sin(roll) - damping * roll_rate + exc_r
-    for k in range(6):
-        acc_p += eff[0, k] * act[k]
-        acc_r += eff[1, k] * act[k]
+    acc_r = (acc_r + eff[6] * act[0] + eff[7] * act[1] + eff[8] * act[2]
+             + eff[9] * act[3] + eff[10] * act[4] + eff[11] * act[5])
     return acc_p, acc_r
 
 
@@ -256,18 +350,20 @@ def run_closed_loop(
     noise,
     dist_steps,
     dist_kicks,
-    cpg_arr,
-    gains_arr,
-    filt_arr,
-    plant_arr,
+    cpg,
+    gains,
+    filt,
+    plant,
     eff,
-    geom_arr,
+    geom,
     dt,
     mu0,
     state0,
 ):
     """Run the full closed loop: CPG -> filters -> activations -> plant.
 
+    ``cmds`` (n, 3), ``noise`` (n, 2), ``dist_steps`` (k,) and
+    ``dist_kicks`` (k, 2) are arrays; the parameters are float tuples.
     Returns (mu, state, dev, ep, act, pose, fall_idx, saturations) where the
     time-series arrays have one row per executed step; ``fall_idx`` is the
     index of the last recorded sample if the torso fell, else -1.  Sample i
@@ -276,69 +372,61 @@ def run_closed_loop(
     n = cmds.shape[0]
     mu_out = np.empty(n)
     state_out = np.empty((n, 4))
-    dev_out = np.empty((n, 2))
     ep_out = np.empty((n, 2))
     act_out = np.empty((n, ACT_SIZE))
     pose_out = np.empty((n, POSE_SIZE))
 
-    fs = np.zeros(FILTER_STATE_SIZE)
-    pose = np.empty(POSE_SIZE)
-    act = np.empty(ACT_SIZE)
+    window = swing_window(cpg)
+    coeffs = filter_coeffs(filt, dt)
+    ref = com_shift_reference(geom)
+    phase_rate = 2.0 * math.pi * cpg[23]
+    coupling = plant[3]
+    fall_threshold = plant[4]
+    n_dist = dist_steps.shape[0]
 
-    freq = cpg_arr[23]
-    coupling = plant_arr[3]
-    fall_threshold = plant_arr[4]
-
-    mu = mu0
-    pitch = state0[0]
-    roll = state0[1]
-    pitch_rate = state0[2]
-    roll_rate = state0[3]
+    fs = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    mu = float(mu0)
+    pitch = float(state0[0])
+    roll = float(state0[1])
+    pitch_rate = float(state0[2])
+    roll_rate = float(state0[3])
 
     fall_idx = -1
     saturations = 0
 
     for i in range(n):
-        vx = cmds[i, 0]
-        vy = cmds[i, 1]
-        wz = cmds[i, 2]
+        vx = float(cmds[i, 0])
+        vy = float(cmds[i, 1])
+        wz = float(cmds[i, 2])
         support_sign = -1.0 if mu > 0.0 else 1.0
 
         mu_out[i] = mu
-        state_out[i, 0] = pitch
-        state_out[i, 1] = roll
-        state_out[i, 2] = pitch_rate
-        state_out[i, 3] = roll_rate
+        state_out[i] = (pitch, roll, pitch_rate, roll_rate)
 
-        d_theta = pitch
-        d_phi = roll
-        dev_out[i, 0] = d_theta
-        dev_out[i, 1] = d_phi
+        # the deviations fed back are the fused angles themselves
+        fs, pdi = filters_step(fs, pitch, roll, dt, coeffs)
+        ep_out[i] = (pdi[0], pdi[3])
 
-        pdi = filters_step(fs, d_theta, d_phi, dt, filt_arr)
-        ep_out[i, 0] = pdi[0]
-        ep_out[i, 1] = pdi[3]
+        act = activations_from(pdi, gains, support_sign)
+        act_out[i] = act
 
-        activations_from(pdi, gains_arr, support_sign, act)
-        for k in range(ACT_SIZE):
-            act_out[i, k] = act[k]
+        pose, saturated = apply_actions_flat(
+            cpg_pose(mu, vx, vy, wz, cpg, window), act, support_sign, ref
+        )
+        saturations += saturated
+        pose_out[i] = pose
 
-        cpg_pose(mu, vx, vy, wz, cpg_arr, pose)
-        saturations += apply_actions_flat(pose, act, support_sign, geom_arr)
-        for k in range(POSE_SIZE):
-            pose_out[i, k] = pose[k]
-
-        for j in range(dist_steps.shape[0]):
+        for j in range(n_dist):
             if dist_steps[j] == i:
-                pitch_rate += dist_kicks[j, 0]
-                roll_rate += dist_kicks[j, 1]
+                pitch_rate += float(dist_kicks[j, 0])
+                roll_rate += float(dist_kicks[j, 1])
 
         exc_p, exc_r = gait_excitation(mu, vx, vy, wz, coupling)
         acc_p, acc_r = plant_accels(
-            pitch, roll, pitch_rate, roll_rate, exc_p, exc_r, act, plant_arr, eff
+            pitch, roll, pitch_rate, roll_rate, exc_p, exc_r, act, plant, eff
         )
-        acc_p += noise[i, 0]
-        acc_r += noise[i, 1]
+        acc_p += float(noise[i, 0])
+        acc_r += float(noise[i, 1])
 
         pitch_rate += dt * acc_p
         pitch += dt * pitch_rate
@@ -349,6 +437,7 @@ def run_closed_loop(
             fall_idx = i
             break
 
-        mu = wrap_pi(mu + 2.0 * math.pi * freq * act[6] * dt)
+        mu = wrap_pi(mu + phase_rate * act[6] * dt)
 
+    dev_out = state_out[:, :2].copy()
     return mu_out, state_out, dev_out, ep_out, act_out, pose_out, fall_idx, saturations

@@ -99,6 +99,7 @@ def cmd_gait_run(args) -> int:
             float(np.trapezoid(np.abs(trace.e_p_beta), dx=dt)),
         )
     )
+    print(f"retraction saturations: {trace.saturations} steps")
     if trace.fall:
         print(f"robot FELL at t={trace.t[-1]:.2f} s")
         return 2

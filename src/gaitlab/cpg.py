@@ -75,6 +75,9 @@ class CpgParams:
         check_nonnegative("frequency", self.frequency, positive=True)
         if not np.all(np.isfinite(self.halt_pose.to_array())):
             raise InvalidInputError("halt pose must be finite")
+        for leg in (self.halt_pose.left_leg, self.halt_pose.right_leg):
+            if not 0.0 <= leg.eta <= 1.0:
+                raise InvalidInputError("halt leg retraction must be in [0, 1]")
 
     def to_array(self) -> np.ndarray:
         out = np.empty(24)
@@ -106,6 +109,8 @@ def evaluate_cpg(mu: float, cmd: GaitCommand, params: CpgParams) -> AbstractPose
     sway sinusoid, and a yaw twist proportional to wz.  Continuous and
     2*pi-periodic in mu.
     """
-    out = np.empty(_kernels.POSE_SIZE)
-    _kernels.cpg_pose(float(mu), cmd.vx, cmd.vy, cmd.wz, params.to_array(), out)
-    return AbstractPose.from_array(out)
+    cpg = _kernels.float_tuple(params.to_array())
+    pose = _kernels.cpg_pose(
+        float(mu), cmd.vx, cmd.vy, cmd.wz, cpg, _kernels.swing_window(cpg)
+    )
+    return AbstractPose.from_array(pose)

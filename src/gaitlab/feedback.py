@@ -107,25 +107,27 @@ class PdiTerms:
 class DeviationFilters:
     """Mutable smoothed/deadbanded P, D and leaky-I state for both planes.
 
-    State layout matches the kernel: (smoothed, d-estimate, integral) for
+    The state is the kernel's 6-tuple: (smoothed, d-estimate, integral) for
     the pitch plane then the roll plane.  Owned by a single control loop.
     """
 
     def __init__(self, params: FilterParams | None = None):
         self.params = params or FilterParams()
-        self.state = np.zeros(_kernels.FILTER_STATE_SIZE)
+        self.reset()
 
     def update(self, d_theta: float, d_phi: float, dt: float) -> tuple[PdiTerms, PdiTerms]:
         """Advance both filters by one sample; returns (pitch, roll) terms."""
         if dt <= 0.0:
             raise InvalidInputError("dt must be > 0")
-        pdi = _kernels.filters_step(
-            self.state, float(d_theta), float(d_phi), float(dt), self.params.to_array()
+        dt = float(dt)
+        coeffs = _kernels.filter_coeffs(_kernels.float_tuple(self.params.to_array()), dt)
+        self.state, pdi = _kernels.filters_step(
+            self.state, float(d_theta), float(d_phi), dt, coeffs
         )
         return PdiTerms(pdi[0], pdi[1], pdi[2]), PdiTerms(pdi[3], pdi[4], pdi[5])
 
     def reset(self):
-        self.state[:] = 0.0
+        self.state = (0.0,) * _kernels.FILTER_STATE_SIZE
 
 
 @dataclass
@@ -172,7 +174,7 @@ def compute_activations(
     """
     if support_leg_sign not in (1, -1):
         raise InvalidInputError("support_leg_sign must be +1 or -1")
-    pdi = np.array(
+    pdi = _kernels.float_tuple(
         [
             pitch_terms.p,
             pitch_terms.d,
@@ -182,9 +184,10 @@ def compute_activations(
             roll_terms.i,
         ]
     )
-    out = np.empty(_kernels.ACT_SIZE)
-    _kernels.activations_from(pdi, gains.to_array(), float(support_leg_sign), out)
-    return Activations(*out)
+    act = _kernels.activations_from(
+        pdi, _kernels.float_tuple(gains.to_array()), float(support_leg_sign)
+    )
+    return Activations(*act)
 
 
 def apply_actions(
@@ -199,15 +202,20 @@ def apply_actions(
     Arm angles add to both arms, the continuous foot angle to both feet, the
     support foot angle to the support foot only.  CoM shifts displace both
     ankle targets by the negated shift and re-solve the leg IK, applying the
-    resulting leg-angle deltas.  Returns the modified pose and a flag that is
+    resulting leg-angle deltas relative to the legs at the halt retraction
+    ``halt_eta`` (in [0, 1]).  Returns the modified pose and a flag that is
     True when a retraction had to be clamped into [0, 1].
     """
     if support_leg_sign not in (1, -1):
         raise InvalidInputError("support_leg_sign must be +1 or -1")
+    if not 0.0 <= halt_eta <= 1.0:
+        raise InvalidInputError("halt_eta must be in [0, 1]")
     geom = geom or LegGeometry()
-    pose = open_loop.to_array()
-    geom_arr = np.array([geom.thigh, geom.shank, halt_eta])
-    saturated = _kernels.apply_actions_flat(
-        pose, act.to_array(), float(support_leg_sign), geom_arr
+    floats = _kernels.float_tuple
+    pose, saturated = _kernels.apply_actions_flat(
+        floats(open_loop.to_array()),
+        floats(act.to_array()),
+        float(support_leg_sign),
+        _kernels.com_shift_reference(floats([geom.thigh, geom.shank, halt_eta])),
     )
     return AbstractPose.from_array(pose), bool(saturated)

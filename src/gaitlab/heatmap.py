@@ -25,12 +25,21 @@ from .numopt import SimplexConfig, SimplexResult, nelder_mead
 from .orientation import Quaternion
 
 
-def _check_heatmap(h) -> np.ndarray:
+def _as_heatmap(h) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] < 1 or h.shape[1] < 1:
         raise InvalidInputError("heatmap must be a non-empty 2-D array")
-    if not np.all(np.isfinite(h)):
+    return h
+
+
+def _check_finite(values) -> None:
+    if not np.all(np.isfinite(values)):
         raise InvalidInputError("heatmap values must be finite")
+
+
+def _check_heatmap(h) -> np.ndarray:
+    h = _as_heatmap(h)
+    _check_finite(h)
     return h
 
 
@@ -160,14 +169,19 @@ class Detection:
 
 
 def subpixel_centroid(h, component: np.ndarray) -> Detection:
-    """Intensity-weighted centroid of a component over the original heatmap."""
-    h = _check_heatmap(h)
+    """Intensity-weighted centroid of a component over the original heatmap.
+
+    Only the component's pixels are checked for finiteness, so the cost is
+    set by the component, not the frame.
+    """
+    h = _as_heatmap(h)
     component = np.asarray(component)
     if component.size == 0:
         raise DegenerateComponentError("empty component")
     rows = component[:, 0]
     cols = component[:, 1]
     weights = h[rows, cols]
+    _check_finite(weights)
     mass = float(weights.sum())
     if mass <= 0.0:
         raise DegenerateComponentError("component has zero total mass")

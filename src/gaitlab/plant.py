@@ -180,7 +180,6 @@ def step_plant(
         pitch_rate += kp
         roll_rate += kr
 
-    act = activations.to_array()
     acc_p, acc_r = _kernels.plant_accels(
         s.fused_pitch,
         s.fused_roll,
@@ -188,9 +187,9 @@ def step_plant(
         roll_rate,
         float(excitation[0]),
         float(excitation[1]),
-        act,
-        p.to_array(),
-        p.action_effectiveness,
+        _kernels.float_tuple(activations.to_array()),
+        _kernels.float_tuple(p.to_array()),
+        _kernels.float_tuple(p.action_effectiveness),
     )
     pitch_rate += dt * (acc_p + noise[0])
     pitch = s.fused_pitch + dt * pitch_rate
@@ -287,19 +286,19 @@ def run_sequence(
     ).reshape(len(disturbances), 2)
 
     halt_eta = 0.5 * (cpg.halt_pose.left_leg.eta + cpg.halt_pose.right_leg.eta)
-    geom_arr = np.array([geom.thigh, geom.shank, halt_eta])
 
+    floats = _kernels.float_tuple
     mu_out, state, dev, ep, act, pose, fall_idx, saturations = _kernels.run_closed_loop(
         cmds,
         noise,
         dist_steps,
         dist_kicks,
-        cpg.to_array(),
-        gains.to_array(),
-        filter_params.to_array(),
-        p.to_array(),
-        p.action_effectiveness,
-        geom_arr,
+        floats(cpg.to_array()),
+        floats(gains.to_array()),
+        floats(filter_params.to_array()),
+        floats(p.to_array()),
+        floats(p.action_effectiveness),
+        floats([geom.thigh, geom.shank, halt_eta]),
         DT,
         0.0,
         np.zeros(4),

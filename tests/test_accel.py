@@ -21,17 +21,18 @@ def closed_loop_args(n=600, seed=4):
     dist_steps = np.array([250], dtype=np.int64)
     dist_kicks = np.array([[0.6, -0.2]])
     geom = LegGeometry()
+    floats = _kernels.float_tuple
     return (
         cmds,
         noise,
         dist_steps,
         dist_kicks,
-        CpgParams().to_array(),
-        FeedbackGains().to_array(),
-        FilterParams().to_array(),
-        PlantParams(seed=seed).to_array(),
-        default_effectiveness(),
-        np.array([geom.thigh, geom.shank, 0.1]),
+        floats(CpgParams().to_array()),
+        floats(FeedbackGains().to_array()),
+        floats(FilterParams().to_array()),
+        floats(PlantParams(seed=seed).to_array()),
+        floats(default_effectiveness()),
+        (geom.thigh, geom.shank, 0.1),
         DT,
         0.0,
         np.zeros(4),

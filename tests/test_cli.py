@@ -50,12 +50,27 @@ def test_gait_run_writes_outputs(tmp_path, capsys):
         "--disturb", "9.51@5s:front",
     )
     assert code == 0
+    assert "retraction saturations: 0 steps" in capsys.readouterr().out.splitlines()
     trace = (tmp_path / "trace.csv").read_text().splitlines()
     assert trace[0] == "t,mu,pitch,roll,pitch_rate,roll_rate,d_theta,d_phi,fall"
     assert len(trace) == 2001
     phase = (tmp_path / "phase.csv").read_text().splitlines()
     assert phase[0] == "fused_pitch,fused_pitch_rate"
     assert len(phase) == 2001
+
+
+def test_gait_run_reports_retraction_saturations(tmp_path, capsys):
+    # a lift pulse this large drives the swing-leg retraction past 1
+    cfg = tmp_path / "lift.cfg"
+    cfg.write_text("cpg.lift_amplitude = 1.5\n")
+    code = run_cli("gait", "run", "--gains", cfg, "--seq", "in-place", "--out", tmp_path)
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    counts = [line for line in lines if line.startswith("retraction saturations: ")]
+    assert len(counts) == 1
+    n = int(counts[0].split()[2])
+    assert counts[0] == f"retraction saturations: {n} steps"
+    assert 0 < n < 2000
 
 
 def test_gait_run_missing_config_is_usage_error(tmp_path, capsys):

@@ -119,6 +119,9 @@ def test_params_validation():
         CpgParams(double_support_fraction=0.5)
     with pytest.raises(InvalidInputError):
         CpgParams(frequency=0.0)
+    for eta in (-0.1, 1.5):
+        with pytest.raises(InvalidInputError, match="retraction"):
+            CpgParams(halt_pose=default_halt_pose(eta=eta))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

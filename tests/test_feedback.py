@@ -188,6 +188,12 @@ def test_eta_clamp_sets_saturation_flag():
     assert 0.0 <= out.left_leg.eta <= 1.0
 
 
+@pytest.mark.parametrize("halt_eta", [-0.1, 2.5, math.nan])
+def test_apply_actions_rejects_halt_eta_outside_unit_interval(halt_eta):
+    with pytest.raises(InvalidInputError, match="halt_eta"):
+        apply_actions(AbstractPose(), Activations(), halt_eta=halt_eta)
+
+
 def test_superposition_linearity_of_angle_actions():
     rng = np.random.default_rng(2)
     for _ in range(50):

@@ -186,6 +186,25 @@ def test_zero_mass_component_rejected():
         subpixel_centroid(h, np.empty((0, 2), int))
 
 
+def test_centroid_checks_only_its_component():
+    h = np.zeros((8, 8))
+    h[2, 3] = h[2, 4] = 0.5
+    h[6, 6] = math.nan  # outside the component: not read, not checked
+    det = subpixel_centroid(h, np.array([[2, 3], [2, 4]]))
+    assert det.cx == 3.5 and det.cy == 2.0
+    h[2, 4] = math.nan
+    with pytest.raises(InvalidInputError, match="finite"):
+        subpixel_centroid(h, np.array([[2, 3], [2, 4]]))
+
+
+def test_detect_blobs_rejects_non_finite_frame():
+    h = np.zeros((8, 8))
+    h[2:5, 2:5] = 0.9
+    h[7, 0] = math.nan
+    with pytest.raises(InvalidInputError, match="finite"):
+        detect_blobs(h)
+
+
 def gaussian_blob(shape, cx, cy, sigma):
     yy, xx = np.mgrid[0 : shape[0], 0 : shape[1]]
     return np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * sigma**2))

@@ -4,10 +4,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gaitlab.cpg import CpgParams, GaitCommand, evaluate_cpg
+from gaitlab import _kernels
+from gaitlab.cpg import CpgParams, GaitCommand, evaluate_cpg, step_phase
 from gaitlab.errors import InvalidInputError
-from gaitlab.feedback import Activations, FeedbackGains, zero_gains
+from gaitlab.feedback import (
+    Activations,
+    DeviationFilters,
+    FeedbackGains,
+    FilterParams,
+    PidGains,
+    apply_actions,
+    compute_activations,
+    zero_gains,
+)
 from gaitlab.plant import (
+    DT,
     Disturbance,
     PlantParams,
     RealGap,
@@ -19,6 +30,7 @@ from gaitlab.plant import (
     step_plant,
     trace_to_csv,
 )
+from gaitlab.pose import LegGeometry
 
 
 def quiet_plant(**kwargs):
@@ -173,6 +185,54 @@ def test_zero_gain_closed_loop_is_bit_identical_to_open_loop():
     for i in (0, 100, 399):
         open_pose = evaluate_cpg(trace.mu[i], GaitCommand(*cmds), cpg).to_array()
         assert np.array_equal(trace.pose[i], open_pose)
+
+
+def test_public_step_helpers_reproduce_run_sequence_bitwise():
+    # nonzero CoM-shift I-gains run the IK branch, the lift pulse saturates the
+    # swing-leg retraction, and the second push fells the torso
+    gains = FeedbackGains(com_shift_x=PidGains(ki=0.3), com_shift_y=PidGains(ki=0.2))
+    cpg = CpgParams(lift_amplitude=0.95)
+    p = PlantParams(seed=4)
+    seq = standard_test_sequence()
+    pushes = [Disturbance(4.0, 9.0, "left"), Disturbance(11.0, 30.0, "back")]
+    trace = run_sequence(gains, cpg, seq, p, pushes)
+    assert trace.fall and trace.saturations > 0 and np.any(trace.activations[:, 4:6] != 0.0)
+
+    cmds = [cmd for cmd, duration in seq for _ in range(int(round(duration / DT)))]
+    noise = np.random.default_rng(p.seed).normal(0.0, p.noise_std, (len(cmds), 2))
+    push_at = {int(round(d.time / DT)): d for d in pushes}
+    geom = LegGeometry()
+    halt_eta = 0.5 * (cpg.halt_pose.left_leg.eta + cpg.halt_pose.right_leg.eta)
+    filters = DeviationFilters(FilterParams())
+    mu, s = 0.0, TorsoState()
+    mus, states, eps, acts, poses = [], [], [], [], []
+    saturations = 0
+    for i, cmd in enumerate(cmds):
+        sign = -1 if mu > 0.0 else 1
+        mus.append(mu)
+        states.append((s.fused_pitch, s.fused_roll, s.pitch_rate, s.roll_rate))
+        pitch_terms, roll_terms = filters.update(s.fused_pitch, s.fused_roll, DT)
+        eps.append((pitch_terms.p, roll_terms.p))
+        act = compute_activations(pitch_terms, roll_terms, gains, sign)
+        acts.append(act.to_array())
+        pose, saturated = apply_actions(evaluate_cpg(mu, cmd, cpg), act, sign, geom, halt_eta)
+        poses.append(pose.to_array())
+        saturations += saturated
+        exc = _kernels.gait_excitation(mu, cmd.vx, cmd.vy, cmd.wz, p.gait_coupling)
+        s = step_plant(s, exc, act, push_at.get(i), p, DT, tuple(noise[i]))
+        if s.fallen:
+            break
+        mu = step_phase(mu, DT, cpg.frequency, act.timing_factor)
+
+    assert s.fallen and len(mus) == len(trace)
+    assert np.array_equal(trace.mu, mus)
+    assert np.array_equal(
+        np.column_stack([trace.pitch, trace.roll, trace.pitch_rate, trace.roll_rate]), states
+    )
+    assert np.array_equal(np.column_stack([trace.e_p_alpha, trace.e_p_beta]), eps)
+    assert np.array_equal(trace.activations, acts)
+    assert np.array_equal(trace.pose, poses)
+    assert trace.saturations == saturations
 
 
 def test_phase_plot_series():
