@@ -1,39 +1,22 @@
 """Optional numba acceleration for the hot kernels.
 
-Numba is used when importable and not disabled via the environment.
-Setting ``GAITLAB_NO_NUMBA=1`` forces the pure-Python/NumPy fallback,
-which computes bit-identical results (same scalar operations in the
-same order) but runs the sequential loops under the interpreter.
+Numba is used whenever it can be imported; without it the decorated
+functions run unchanged under CPython and compute bit-identical results
+(same scalar operations in the same order), only slower.  A compiled
+kernel's ``.py_func`` runs the interpreted version.
 """
 
-import os
-
-_DISABLED = os.environ.get("GAITLAB_NO_NUMBA", "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-    "on",
-)
-
 try:
-    if _DISABLED:
-        raise ImportError("numba disabled by GAITLAB_NO_NUMBA")
     from numba import njit as _njit
 
     NUMBA_ENABLED = True
 except ImportError:
     NUMBA_ENABLED = False
-    _njit = None
 
 
-def maybe_njit(*args, **kwargs):
-    """``numba.njit`` when acceleration is on, identity decorator otherwise."""
+def maybe_njit(**options):
+    """``numba.njit(**options)`` when numba is importable, else a decorator
+    that returns the function unchanged."""
     if NUMBA_ENABLED:
-        return _njit(*args, **kwargs)
-    if args and callable(args[0]):
-        return args[0]
-
-    def passthrough(func):
-        return func
-
-    return passthrough
+        return _njit(**options)
+    return lambda func: func

@@ -1,9 +1,10 @@
 """Hot numeric kernels shared by the gait, feedback, and plant modules.
 
 Everything here operates on plain floats, tuples of floats and float64
-arrays so the functions compile under numba; the public modules wrap them
-with dataclass interfaces.  With ``GAITLAB_NO_NUMBA=1`` (or without numba)
-the same code runs under CPython and produces bit-identical results.
+arrays so the functions compile under numba when it is importable; the
+public modules wrap them with dataclass interfaces.  Without numba the same
+code runs under CPython and produces bit-identical results (a compiled
+kernel's ``.py_func`` runs it that way too).
 
 Under CPython the cost of a step is the interpreter's, so the step kernels
 take their parameters as tuples of Python floats, keep state in scalars and
@@ -21,9 +22,10 @@ for a run once before its first step:
 The public step helpers (``evaluate_cpg``, ``DeviationFilters.update``,
 ``compute_activations``, ``apply_actions``, ``step_plant``) call the same
 kernels with the same derived constants, so stepping them by hand
-reproduces ``run_closed_loop`` bit for bit.  The loop looks its step
-kernels up as module globals on every call, so wrappers installed on this
-module's attributes see each call under CPython.
+reproduces ``run_closed_loop`` bit for bit; ``plant_step`` is the one
+integration step both the loop and ``step_plant`` take.  The loop looks its
+step kernels up as module globals on every call, so wrappers installed on
+this module's attributes see each call under CPython.
 
 Flat abstract-pose layout (18 floats):
     [0:6]   left leg   (lx, ly, lz, fx, fy, eta)
@@ -215,12 +217,7 @@ def filters_step(fs, d_theta, d_phi, dt, coeffs):
 @maybe_njit(cache=True)
 def activations_from(pdi, gains, support_sign):
     """Corrective-action activations (7-tuple) from (P, D, I) per plane."""
-    p_t = pdi[0]
-    d_t = pdi[1]
-    i_t = pdi[2]
-    p_p = pdi[3]
-    d_p = pdi[4]
-    i_p = pdi[5]
+    p_t, d_t, i_t, p_p, d_p, i_p = pdi
 
     # tilting toward the support leg is outward, away from it inward
     tilt = p_p * support_sign
@@ -273,12 +270,7 @@ def apply_actions_flat(pose, act, support_sign, ref):
     ``ref`` is ``com_shift_reference(geom)``.  Returns the new pose and 1
     if any retraction had to be clamped into [0, 1], else 0.
     """
-    arm_x = act[0]
-    arm_y = act[1]
-    supp_x = act[2]
-    cont_x = act[3]
-    com_x = act[4]
-    com_y = act[5]
+    arm_x, arm_y, supp_x, cont_x, com_x, com_y, _ = act
 
     l_lx = pose[0]
     l_ly = pose[1]
@@ -345,21 +337,27 @@ def gait_excitation(mu, vx, vy, wz, coupling):
 
 
 @maybe_njit(cache=True)
-def run_closed_loop(
-    cmds,
-    noise,
-    dist_steps,
-    dist_kicks,
-    cpg,
-    gains,
-    filt,
-    plant,
-    eff,
-    geom,
-    dt,
-    mu0,
-    state0,
-):
+def plant_step(pitch, roll, pitch_rate, roll_rate, exc_p, exc_r, act, plant, eff,
+               noise_p, noise_r, dt):
+    """One semi-implicit Euler step of the torso, the rates already kicked.
+
+    Returns the new (pitch, roll, pitch_rate, roll_rate) and whether either
+    angle exceeds the fall threshold.
+    """
+    acc_p, acc_r = plant_accels(
+        pitch, roll, pitch_rate, roll_rate, exc_p, exc_r, act, plant, eff
+    )
+    pitch_rate += dt * (acc_p + noise_p)
+    pitch += dt * pitch_rate
+    roll_rate += dt * (acc_r + noise_r)
+    roll += dt * roll_rate
+    fell = abs(pitch) > plant[4] or abs(roll) > plant[4]
+    return (pitch, roll, pitch_rate, roll_rate), fell
+
+
+@maybe_njit(cache=True)
+def run_closed_loop(cmds, noise, dist_steps, dist_kicks, cpg, gains, filt, plant, eff, geom,
+                    dt, mu0, state0):
     """Run the full closed loop: CPG -> filters -> activations -> plant.
 
     ``cmds`` (n, 3), ``noise`` (n, 2), ``dist_steps`` (k,) and
@@ -367,7 +365,9 @@ def run_closed_loop(
     Returns (mu, state, dev, ep, act, pose, fall_idx, saturations) where the
     time-series arrays have one row per executed step; ``fall_idx`` is the
     index of the last recorded sample if the torso fell, else -1.  Sample i
-    holds the state at t = i*dt and the control computed from it.
+    holds the state at t = i*dt and the control computed from it.  The
+    deviations fed back are the fused angles, so ``dev`` is a view of the
+    first two columns of ``state``.
     """
     n = cmds.shape[0]
     mu_out = np.empty(n)
@@ -381,15 +381,11 @@ def run_closed_loop(
     ref = com_shift_reference(geom)
     phase_rate = 2.0 * math.pi * cpg[23]
     coupling = plant[3]
-    fall_threshold = plant[4]
     n_dist = dist_steps.shape[0]
 
     fs = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     mu = float(mu0)
-    pitch = float(state0[0])
-    roll = float(state0[1])
-    pitch_rate = float(state0[2])
-    roll_rate = float(state0[3])
+    state = (float(state0[0]), float(state0[1]), float(state0[2]), float(state0[3]))
 
     fall_idx = -1
     saturations = 0
@@ -401,10 +397,10 @@ def run_closed_loop(
         support_sign = -1.0 if mu > 0.0 else 1.0
 
         mu_out[i] = mu
-        state_out[i] = (pitch, roll, pitch_rate, roll_rate)
+        state_out[i] = state
 
         # the deviations fed back are the fused angles themselves
-        fs, pdi = filters_step(fs, pitch, roll, dt, coeffs)
+        fs, pdi = filters_step(fs, state[0], state[1], dt, coeffs)
         ep_out[i] = (pdi[0], pdi[3])
 
         act = activations_from(pdi, gains, support_sign)
@@ -416,28 +412,21 @@ def run_closed_loop(
         saturations += saturated
         pose_out[i] = pose
 
+        pitch, roll, pitch_rate, roll_rate = state
         for j in range(n_dist):
             if dist_steps[j] == i:
                 pitch_rate += float(dist_kicks[j, 0])
                 roll_rate += float(dist_kicks[j, 1])
 
         exc_p, exc_r = gait_excitation(mu, vx, vy, wz, coupling)
-        acc_p, acc_r = plant_accels(
-            pitch, roll, pitch_rate, roll_rate, exc_p, exc_r, act, plant, eff
+        state, fell = plant_step(
+            pitch, roll, pitch_rate, roll_rate, exc_p, exc_r, act, plant, eff,
+            float(noise[i, 0]), float(noise[i, 1]), dt,
         )
-        acc_p += float(noise[i, 0])
-        acc_r += float(noise[i, 1])
-
-        pitch_rate += dt * acc_p
-        pitch += dt * pitch_rate
-        roll_rate += dt * acc_r
-        roll += dt * roll_rate
-
-        if abs(pitch) > fall_threshold or abs(roll) > fall_threshold:
+        if fell:
             fall_idx = i
             break
 
         mu = wrap_pi(mu + phase_rate * act[6] * dt)
 
-    dev_out = state_out[:, :2].copy()
-    return mu_out, state_out, dev_out, ep_out, act_out, pose_out, fall_idx, saturations
+    return mu_out, state_out, state_out[:, :2], ep_out, act_out, pose_out, fall_idx, saturations

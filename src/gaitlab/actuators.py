@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateDataError, InvalidInputError
+from .errors import ConfigurationError, DegenerateDataError, InvalidInputError, check_nonnegative
 from .numopt import least_squares_line
 
 TICKS_PER_REV = 4096
@@ -24,6 +24,8 @@ def ticks_to_rad(ticks: int) -> float:
 
 def rad_to_ticks(angle: float) -> int:
     """Inverse of ticks_to_rad; exact on the encoder grid."""
+    if not math.isfinite(angle):
+        raise InvalidInputError(f"angle {angle} rad is not finite")
     ticks = int(round(angle * TICKS_PER_REV / (2.0 * math.pi))) + CENTER_TICK
     if not 0 <= ticks <= TICKS_PER_REV - 1:
         raise InvalidInputError(f"angle {angle} rad outside the encoder range")
@@ -38,8 +40,7 @@ class TorqueModel:
     offset: float = 0.0  # Nm
 
     def __post_init__(self):
-        if self.k_t <= 0:
-            raise InvalidInputError("torque constant must be > 0")
+        check_nonnegative("torque constant k_t", self.k_t, positive=True)
 
 
 def current_to_torque(current: float, model: TorqueModel) -> float:
@@ -178,8 +179,7 @@ class GearSpec:
     def __post_init__(self):
         if self.teeth < 4:
             raise InvalidInputError("tooth count must be >= 4")
-        if self.module <= 0:
-            raise InvalidInputError("module must be > 0")
+        check_nonnegative("module", self.module, positive=True)
         if not 0.0 <= self.helix_angle <= math.pi / 4:
             raise InvalidInputError("helix angle must be in [0, pi/4]")
 

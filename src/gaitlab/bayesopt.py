@@ -22,6 +22,7 @@ from .errors import (
     BudgetExhaustedError,
     InvalidInputError,
     NumericalConditioningError,
+    check_nonnegative,
 )
 from .feedback import FeedbackGains, FilterParams
 from .plant import (
@@ -34,6 +35,13 @@ from .plant import (
 
 SIM = "sim"
 REAL = "real"
+_PLANES = ("alpha", "beta")  # cost index of each plane
+
+
+def _plane_index(plane: str) -> int:
+    if plane not in _PLANES:
+        raise InvalidInputError("plane must be 'alpha' or 'beta'")
+    return _PLANES.index(plane)
 
 
 @dataclass
@@ -56,8 +64,8 @@ class RqKernelParams:
     shape: float = 2.0
 
     def __post_init__(self):
-        if self.variance <= 0 or self.length_scale <= 0 or self.shape <= 0:
-            raise InvalidInputError("RQ kernel parameters must be positive")
+        for name in ("variance", "length_scale", "shape"):
+            check_nonnegative(f"RQ kernel {name}", getattr(self, name), positive=True)
 
 
 @dataclass
@@ -90,8 +98,8 @@ class OptBudget:
             raise InvalidInputError("max_real cannot exceed max_total")
         if self.sim_average_n < 1:
             raise InvalidInputError("sim_average_n must be >= 1")
-        if self.sim_bias_weight < 1:
-            raise InvalidInputError("sim_bias_weight must be >= 1")
+        if not self.sim_bias_weight >= 1:  # inf is allowed: never go real
+            raise InvalidInputError(f"sim_bias_weight must be >= 1, got {self.sim_bias_weight}")
 
 
 def _rq_matrix(xa: np.ndarray, xb: np.ndarray, p: RqKernelParams) -> np.ndarray:
@@ -171,7 +179,7 @@ class _GpFit:
 def _records_arrays(records, plane):
     x = np.array([r.point.x for r in records], dtype=float)
     real = np.array([r.point.delta == REAL for r in records])
-    idx = 0 if plane == "alpha" else 1
+    idx = _plane_index(plane)
     y = np.array([r.cost[idx] for r in records], dtype=float)
     return x, real, y
 
@@ -186,8 +194,7 @@ def gp_posterior(
     """Posterior mean and variance of the cost at one augmented query point."""
     if not records:
         raise InvalidInputError("need at least one record")
-    if noise < 0:
-        raise InvalidInputError("noise variance must be >= 0")
+    check_nonnegative("noise variance", noise)
     x, real, y = _records_arrays(records, plane)
     fit = _GpFit(x, real, y, kernel, noise)
     mean, var = fit.predict(query.x[None, :], np.array([query.delta == REAL]))
@@ -204,12 +211,10 @@ def evaluate_cost(
 
     A fallen trace contributes its partial integral plus the fall penalty.
     """
-    if regularization < 0:
-        raise InvalidInputError("regularization must be >= 0")
+    check_nonnegative("regularization", regularization)
     x = np.asarray(x, dtype=float)
     nu = regularization * float(np.dot(x, x))
-    j_alpha = float(np.trapezoid(np.abs(trace.e_p_alpha), dx=trace.dt)) + nu
-    j_beta = float(np.trapezoid(np.abs(trace.e_p_beta), dx=trace.dt)) + nu
+    j_alpha, j_beta = (j + nu for j in trace.ep_integrals())
     if trace.fall:
         j_alpha += fall_penalty
         j_beta += fall_penalty
@@ -252,26 +257,16 @@ class GainProblem:
             raise InvalidInputError("bounds must be (n_params, 2)")
         if np.any(self.bounds[:, 1] <= self.bounds[:, 0]):
             raise InvalidInputError("each bound must satisfy lo < hi")
-        if self.plane not in ("alpha", "beta"):
-            raise InvalidInputError("plane must be 'alpha' or 'beta'")
+        _plane_index(self.plane)
 
     def default_x(self) -> np.ndarray:
-        out = []
-        for name in self.param_names:
-            obj = self.base_gains
-            for part in name.split("."):
-                obj = getattr(obj, part)
-            out.append(float(obj))
+        out = [float(getattr(*_gain_slot(self.base_gains, name))) for name in self.param_names]
         return np.clip(np.array(out), self.bounds[:, 0], self.bounds[:, 1])
 
     def gains_with(self, x) -> FeedbackGains:
         gains = copy.deepcopy(self.base_gains)
         for name, value in zip(self.param_names, np.asarray(x, dtype=float)):
-            obj = gains
-            parts = name.split(".")
-            for part in parts[:-1]:
-                obj = getattr(obj, part)
-            setattr(obj, parts[-1], float(value))
+            setattr(*_gain_slot(gains, name), float(value))
         return gains
 
     def _run(self, x, plant: PlantParams, run_seed: int) -> RunTrace:
@@ -290,7 +285,15 @@ class GainProblem:
         return evaluate_cost(trace, self.regularization, x, self.fall_penalty)
 
     def cost_index(self) -> int:
-        return 0 if self.plane == "alpha" else 1
+        return _plane_index(self.plane)
+
+
+def _gain_slot(gains: FeedbackGains, name: str):
+    """(object, attribute) that the dotted gain path ``name`` refers to."""
+    *path, attr = name.split(".")
+    for part in path:
+        gains = getattr(gains, part)
+    return gains, attr
 
 
 def _derived_seed(seed: int, iteration: int, k: int) -> int:
@@ -358,13 +361,11 @@ def select_next(
     x_tr = (x_tr - lo) / span
 
     # keep the incumbents in the candidate set so real queries can exploit
-    idx = 0 if plane == "alpha" else 1
     incumbents = []
     for want_real in (True, False):
-        pool = [r for r in records if (r.point.delta == REAL) == want_real]
-        if pool:
-            best = min(pool, key=lambda r: r.cost[idx])
-            incumbents.append((best.point.x - lo) / span)
+        pool = np.flatnonzero(real_tr == want_real)
+        if pool.size:
+            incumbents.append(x_tr[pool[np.argmin(y_tr[pool])]])
     if incumbents:
         cand = np.vstack([cand, incumbents])
     n_candidates = cand.shape[0]
@@ -414,10 +415,11 @@ class OptResult:
         return sum(1 for r in self.history if r.point.delta == SIM)
 
 
-def _best_record(records: list[EvalRecord], cost_idx: int) -> EvalRecord:
+def _result(records: list[EvalRecord], cost_idx: int) -> OptResult:
+    """The best real-evaluated record if any, else the best overall."""
     real = [r for r in records if r.point.delta == REAL]
-    pool = real if real else records
-    return min(pool, key=lambda r: r.cost[cost_idx])
+    best = min(real or records, key=lambda r: r.cost[cost_idx])
+    return OptResult(best.point.x.copy(), best.cost[cost_idx], best.point.delta, records)
 
 
 def optimize(
@@ -437,7 +439,6 @@ def optimize(
     """
     budget = budget or OptBudget()
     kernel = kernel or CompositeKernel()
-    cost_idx = problem.cost_index()
     records: list[EvalRecord] = []
 
     x0 = problem.default_x()
@@ -468,15 +469,12 @@ def optimize(
                 problem, point.x, budget.sim_average_n, seed, iteration
             )
         records.append(EvalRecord(point, cost))
-
-    best = _best_record(records, cost_idx)
-    return OptResult(best.point.x.copy(), best.cost[cost_idx], best.point.delta, records)
+    return _result(records, problem.cost_index())
 
 
 def random_search(problem: GainProblem, budget: OptBudget | None = None, seed: int = 0) -> OptResult:
     """Baseline with the same real budget: uniform draws evaluated on the real plant."""
     budget = budget or OptBudget()
-    cost_idx = problem.cost_index()
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 424242]))
     records: list[EvalRecord] = []
     n = max(budget.max_real, 1)
@@ -485,8 +483,7 @@ def random_search(problem: GainProblem, budget: OptBudget | None = None, seed: i
         x = lo + rng.random(problem.bounds.shape[0]) * (hi - lo)
         cost = problem.evaluate(x, REAL, _derived_seed(seed, iteration, 0))
         records.append(EvalRecord(AugmentedPoint(x, REAL), cost))
-    best = _best_record(records, cost_idx)
-    return OptResult(best.point.x.copy(), best.cost[cost_idx], best.point.delta, records)
+    return _result(records, problem.cost_index())
 
 
 def history_to_csv(result: OptResult, param_names, path) -> None:

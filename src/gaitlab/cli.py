@@ -90,15 +90,8 @@ def cmd_gait_run(args) -> int:
     phase_path = os.path.join(args.out, "phase.csv")
     trace_to_csv(trace, trace_path)
     phase_plot_to_csv(trace, phase_path)
-    dt = trace.dt
-    print(f"wrote {trace_path} and {phase_path} ({len(trace)} samples at dt={dt} s)")
-    print(
-        "integral |e_P|: alpha=%.6f beta=%.6f"
-        % (
-            float(np.trapezoid(np.abs(trace.e_p_alpha), dx=dt)),
-            float(np.trapezoid(np.abs(trace.e_p_beta), dx=dt)),
-        )
-    )
+    print(f"wrote {trace_path} and {phase_path} ({len(trace)} samples at dt={trace.dt} s)")
+    print("integral |e_P|: alpha=%.6f beta=%.6f" % trace.ep_integrals())
     print(f"retraction saturations: {trace.saturations} steps")
     if trace.fall:
         print(f"robot FELL at t={trace.t[-1]:.2f} s")
@@ -315,10 +308,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except GaitlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (GaitlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -93,10 +93,8 @@ class CpgParams:
 
 def step_phase(mu: float, dt: float, frequency: float, timing_factor: float = 1.0) -> float:
     """Advance the gait phase and wrap it into (-pi, pi]."""
-    if dt <= 0.0:
-        raise InvalidInputError("dt must be > 0")
-    if timing_factor <= 0.0:
-        raise InvalidInputError("timing_factor must be > 0")
+    check_nonnegative("dt", dt, positive=True)
+    check_nonnegative("timing_factor", timing_factor, positive=True)
     return _kernels.wrap_pi(mu + 2.0 * math.pi * frequency * timing_factor * dt)
 
 

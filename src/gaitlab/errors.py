@@ -35,6 +35,10 @@ class NumericalConditioningError(GaitlabError, RuntimeError):
     """A linear system stayed non-positive-definite after jitter escalation."""
 
 
+class NonFiniteStateError(GaitlabError, ArithmeticError):
+    """A closed-loop run produced a NaN or infinite plant state."""
+
+
 class BudgetExhaustedError(GaitlabError, RuntimeError):
     """The optimizer was asked to select a point with no budget left."""
 

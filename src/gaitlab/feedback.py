@@ -8,7 +8,7 @@ the gait-phase increment from the deadbanded roll deviation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -117,8 +117,7 @@ class DeviationFilters:
 
     def update(self, d_theta: float, d_phi: float, dt: float) -> tuple[PdiTerms, PdiTerms]:
         """Advance both filters by one sample; returns (pitch, roll) terms."""
-        if dt <= 0.0:
-            raise InvalidInputError("dt must be > 0")
+        check_nonnegative("dt", dt, positive=True)
         dt = float(dt)
         coeffs = _kernels.filter_coeffs(_kernels.float_tuple(self.params.to_array()), dt)
         self.state, pdi = _kernels.filters_step(
@@ -143,8 +142,7 @@ class Activations:
     timing_factor: float = 1.0
 
     def __post_init__(self):
-        if self.timing_factor <= 0:
-            raise InvalidInputError("timing_factor must be > 0")
+        check_nonnegative("timing_factor", self.timing_factor, positive=True)
 
     def to_array(self) -> np.ndarray:
         return np.array(
@@ -174,16 +172,7 @@ def compute_activations(
     """
     if support_leg_sign not in (1, -1):
         raise InvalidInputError("support_leg_sign must be +1 or -1")
-    pdi = _kernels.float_tuple(
-        [
-            pitch_terms.p,
-            pitch_terms.d,
-            pitch_terms.i,
-            roll_terms.p,
-            roll_terms.d,
-            roll_terms.i,
-        ]
-    )
+    pdi = _kernels.float_tuple(astuple(pitch_terms) + astuple(roll_terms))
     act = _kernels.activations_from(
         pdi, _kernels.float_tuple(gains.to_array()), float(support_leg_sign)
     )

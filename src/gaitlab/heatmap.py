@@ -20,6 +20,7 @@ from .errors import (
     BehindCameraError,
     DegenerateComponentError,
     InvalidInputError,
+    check_nonnegative,
 )
 from .numopt import SimplexConfig, SimplexResult, nelder_mead
 from .orientation import Quaternion
@@ -211,8 +212,7 @@ class CameraIntrinsics:
     cy: float
 
     def __post_init__(self):
-        if self.focal <= 0:
-            raise InvalidInputError("focal length must be > 0")
+        check_nonnegative("focal length", self.focal, positive=True)
 
 
 @dataclass
@@ -227,16 +227,24 @@ class CameraPose:
         self.position = np.asarray(self.position, dtype=float)
 
 
+def _to_camera(points, pose: CameraPose) -> np.ndarray:
+    """World points, shape (3,) or (N, 3), in the camera frame."""
+    return pose.orientation.rotate_inverse(np.asarray(points, dtype=float) - pose.position)
+
+
+def _pinhole(p_cam: np.ndarray, k: CameraIntrinsics):
+    """Pixel coordinates (u, v) of camera-frame points (+z optical axis,
+    +x right, +y down)."""
+    z = p_cam[..., 2]
+    return k.focal * p_cam[..., 0] / z + k.cx, k.focal * p_cam[..., 1] / z + k.cy
+
+
 def project(point, pose: CameraPose) -> np.ndarray:
-    """Pinhole projection of a world point to pixels (+z optical axis,
-    +x right, +y down in the camera frame)."""
-    p_cam = pose.orientation.rotate_inverse(np.asarray(point, dtype=float) - pose.position)
+    """Pinhole projection of a world point to pixels."""
+    p_cam = _to_camera(point, pose)
     if p_cam[2] <= 0.0:
         raise BehindCameraError(f"point depth {p_cam[2]:.6f} is not positive")
-    k = pose.intrinsics
-    return np.array(
-        [k.focal * p_cam[0] / p_cam[2] + k.cx, k.focal * p_cam[1] / p_cam[2] + k.cy]
-    )
+    return np.array(_pinhole(p_cam, pose.intrinsics))
 
 
 @dataclass
@@ -259,9 +267,11 @@ def calibrate_extrinsics(
     increment composed onto the guess), minimizing mean squared reprojection
     error.  Needs at least 4 observations.
     """
-    observations = [(np.asarray(w, float), np.asarray(px, float)) for w, px in observations]
+    observations = list(observations)
     if len(observations) < 4:
         raise InvalidInputError("need at least 4 observations")
+    worlds = np.array([w for w, _ in observations], dtype=float)
+    pixels = np.array([px for _, px in observations], dtype=float)
     cfg = cfg or SimplexConfig(max_iter=4000, x_tol=1e-12, f_tol=1e-16)
 
     def pose_from(params) -> CameraPose:
@@ -272,17 +282,18 @@ def calibrate_extrinsics(
         )
 
     def objective(params) -> float:
-        pose = pose_from(params)
-        err = 0.0
-        for world, pixel in observations:
-            p_cam = pose.orientation.rotate_inverse(world - pose.position)
-            if p_cam[2] <= 1e-6:
-                err += 1e6 + (1.0 - p_cam[2]) ** 2  # keep the simplex in front
-                continue
-            u = intrinsics.focal * p_cam[0] / p_cam[2] + intrinsics.cx
-            v = intrinsics.focal * p_cam[1] / p_cam[2] + intrinsics.cy
-            err += (u - pixel[0]) ** 2 + (v - pixel[1]) ** 2
-        return err / len(observations)
+        p_cam = _to_camera(worlds, pose_from(params))
+        depth = p_cam[:, 2]
+        with np.errstate(all="ignore"):  # rows behind the camera are replaced below
+            u, v = _pinhole(p_cam, intrinsics)
+        err = np.where(
+            depth <= 1e-6,
+            1e6 + (1.0 - depth) ** 2,  # keep the simplex in front
+            (u - pixels[:, 0]) ** 2 + (v - pixels[:, 1]) ** 2,
+        )
+        # summed left to right like a running total, so results do not
+        # depend on np.sum's pairwise grouping
+        return np.add.accumulate(err)[-1] / len(observations)
 
     result: SimplexResult = nelder_mead(objective, np.zeros(6), cfg)
     # one restart from the found point polishes flat valleys cheaply

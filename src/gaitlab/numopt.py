@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, InvalidInputError
+from .errors import DegenerateDataError, InvalidInputError, check_nonnegative
 
 
 def least_squares_line(xs, ys) -> tuple[float, float]:
@@ -38,14 +38,17 @@ class SimplexConfig:
     f_tol: float = 1e-18
 
     def __post_init__(self):
-        if self.reflection <= 0:
-            raise InvalidInputError("reflection coefficient must be > 0")
-        if self.expansion <= 1:
-            raise InvalidInputError("expansion coefficient must be > 1")
+        check_nonnegative("reflection coefficient", self.reflection, positive=True)
+        if not 1.0 < self.expansion < math.inf:
+            raise InvalidInputError(
+                f"expansion coefficient must be finite and > 1, got {self.expansion}"
+            )
         if not 0 < self.contraction < 1:
             raise InvalidInputError("contraction coefficient must be in (0, 1)")
         if not 0 < self.shrink < 1:
             raise InvalidInputError("shrink coefficient must be in (0, 1)")
+        check_nonnegative("x_tol", self.x_tol)
+        check_nonnegative("f_tol", self.f_tol)
 
 
 @dataclass

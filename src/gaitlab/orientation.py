@@ -57,8 +57,9 @@ class Quaternion:
         return self.to_matrix() @ np.asarray(v, dtype=float)
 
     def rotate_inverse(self, v) -> np.ndarray:
-        """Rotate a 3-vector from the global frame into the body frame."""
-        return self.to_matrix().T @ np.asarray(v, dtype=float)
+        """Rotate a 3-vector, or each row of an (N, 3) array, from the global
+        frame into the body frame."""
+        return np.asarray(v, dtype=float) @ self.to_matrix()
 
     def to_matrix(self) -> np.ndarray:
         w, x, y, z = self.w, self.x, self.y, self.z

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .cpg import CpgParams, GaitCommand
-from .errors import InvalidInputError, check_nonnegative
+from .errors import InvalidInputError, NonFiniteStateError, check_nonnegative
 from .feedback import Activations, FeedbackGains, FilterParams
 from .pose import LegGeometry
 
@@ -55,9 +55,6 @@ class TorsoState:
     roll_rate: float = 0.0
     fallen: bool = False
 
-    def to_array(self) -> np.ndarray:
-        return np.array([self.fused_pitch, self.fused_roll, self.pitch_rate, self.roll_rate])
-
 
 @dataclass
 class PlantParams:
@@ -94,28 +91,23 @@ class PlantParams:
         check_nonnegative("fall_threshold", self.fall_threshold, positive=True)
 
     def to_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.natural_freq[0],
-                self.natural_freq[1],
-                self.damping,
-                self.gait_coupling,
-                self.fall_threshold,
-            ]
-        )
+        return np.array([*self.natural_freq, self.damping, self.gait_coupling, self.fall_threshold])
 
 
 @dataclass
 class Disturbance:
-    """An impulse hitting the torso at a given time."""
+    """An impulse hitting the torso at a given time.
 
-    time: float
+    A push timed after the end of a run never lands.
+    """
+
+    time: float  # s
     impulse: float  # kg*m/s
     direction: str  # front, back, left, right
 
     def __post_init__(self):
-        if self.impulse < 0:
-            raise InvalidInputError("impulse must be >= 0")
+        check_nonnegative("disturbance time", self.time)
+        check_nonnegative("disturbance impulse", self.impulse)
         if self.direction not in ("front", "back", "left", "right"):
             raise InvalidInputError(f"unknown disturbance direction {self.direction!r}")
 
@@ -180,23 +172,13 @@ def step_plant(
         pitch_rate += kp
         roll_rate += kr
 
-    acc_p, acc_r = _kernels.plant_accels(
-        s.fused_pitch,
-        s.fused_roll,
-        pitch_rate,
-        roll_rate,
-        float(excitation[0]),
-        float(excitation[1]),
-        _kernels.float_tuple(activations.to_array()),
-        _kernels.float_tuple(p.to_array()),
-        _kernels.float_tuple(p.action_effectiveness),
+    floats = _kernels.float_tuple
+    state, fallen = _kernels.plant_step(
+        s.fused_pitch, s.fused_roll, pitch_rate, roll_rate, *floats(excitation),
+        floats(activations.to_array()), floats(p.to_array()), floats(p.action_effectiveness),
+        *floats(noise), dt,
     )
-    pitch_rate += dt * (acc_p + noise[0])
-    pitch = s.fused_pitch + dt * pitch_rate
-    roll_rate += dt * (acc_r + noise[1])
-    roll = s.fused_roll + dt * roll_rate
-    fallen = abs(pitch) > p.fall_threshold or abs(roll) > p.fall_threshold
-    return TorsoState(pitch, roll, pitch_rate, roll_rate, fallen)
+    return TorsoState(*state, fallen)
 
 
 @dataclass
@@ -204,7 +186,8 @@ class RunTrace:
     """Closed-loop time series at uniform spacing dt.
 
     All arrays share the first dimension.  If the torso fell, the trace is
-    truncated at the fall sample and ``fall`` is True.
+    truncated at the fall sample and ``fall`` is True.  The deviations fed
+    back (``d_theta``, ``d_phi``) are the fused pitch and roll themselves.
     """
 
     dt: float
@@ -214,8 +197,6 @@ class RunTrace:
     roll: np.ndarray
     pitch_rate: np.ndarray
     roll_rate: np.ndarray
-    d_theta: np.ndarray
-    d_phi: np.ndarray
     e_p_alpha: np.ndarray
     e_p_beta: np.ndarray
     activations: np.ndarray
@@ -227,8 +208,22 @@ class RunTrace:
         return self.t.shape[0]
 
     @property
+    def d_theta(self) -> np.ndarray:
+        return self.pitch
+
+    @property
+    def d_phi(self) -> np.ndarray:
+        return self.roll
+
+    @property
     def fall_time(self) -> float | None:
         return float(self.t[-1]) if self.fall else None
+
+    def ep_integrals(self) -> tuple[float, float]:
+        """Trapezoidal integral of |e_P| over the run, (alpha, beta) plane."""
+        return tuple(
+            float(np.trapezoid(np.abs(e), dx=self.dt)) for e in (self.e_p_alpha, self.e_p_beta)
+        )
 
 
 def standard_test_sequence() -> list[tuple[GaitCommand, float]]:
@@ -271,6 +266,8 @@ def run_sequence(
     """Run the closed loop (CPG + corrective actions + plant) at dt = 0.01 s.
 
     Deterministic: identical arguments and seed give bit-identical traces.
+    Raises NonFiniteStateError if the recorded plant state turns NaN or
+    infinite, which parameters that pass validation can still cause.
     """
     filter_params = filter_params or FilterParams()
     geom = geom or LegGeometry()
@@ -288,7 +285,7 @@ def run_sequence(
     halt_eta = 0.5 * (cpg.halt_pose.left_leg.eta + cpg.halt_pose.right_leg.eta)
 
     floats = _kernels.float_tuple
-    mu_out, state, dev, ep, act, pose, fall_idx, saturations = _kernels.run_closed_loop(
+    mu_out, state, _, ep, act, pose, fall_idx, saturations = _kernels.run_closed_loop(
         cmds,
         noise,
         dist_steps,
@@ -306,6 +303,13 @@ def run_sequence(
 
     fell = fall_idx >= 0
     end = fall_idx + 1 if fell else n
+    finite = np.isfinite(state[:end]).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise NonFiniteStateError(
+            f"plant state is not finite from t={bad * DT:.2f} s (sample {bad}); "
+            "check the plant and gain parameters"
+        )
     t = np.arange(end) * DT
     return RunTrace(
         dt=DT,
@@ -315,8 +319,6 @@ def run_sequence(
         roll=state[:end, 1],
         pitch_rate=state[:end, 2],
         roll_rate=state[:end, 3],
-        d_theta=dev[:end, 0],
-        d_phi=dev[:end, 1],
         e_p_alpha=ep[:end, 0],
         e_p_beta=ep[:end, 1],
         activations=act[:end],

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidInputError, OutOfReachError
+from .errors import InvalidInputError, OutOfReachError, check_nonnegative
 
 
 @dataclass
@@ -94,8 +94,8 @@ class LegGeometry:
     shank: float = 0.30
 
     def __post_init__(self):
-        if self.thigh <= 0 or self.shank <= 0:
-            raise InvalidInputError("link lengths must be positive")
+        check_nonnegative("thigh length", self.thigh, positive=True)
+        check_nonnegative("shank length", self.shank, positive=True)
 
 
 def _leg_to_abstract(j: LegJoints) -> AbstractLimb:

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from gaitlab.cli import main
 from gaitlab.heatmap import write_pgm
@@ -20,6 +21,12 @@ def test_gear_prints_pitch_diameter(capsys):
 def test_gear_rejects_bad_spec(capsys):
     assert run_cli("gear", "--teeth", 2, "--module", 1.5) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["nan", "inf"])
+def test_gear_rejects_non_finite_module(capsys, module):
+    assert run_cli("gear", "--teeth", 30, "--module", module) == 1
+    assert "module must be finite" in capsys.readouterr().err
 
 
 def test_calib_torque_from_generated_csv(tmp_path, capsys):
@@ -83,6 +90,25 @@ def test_gait_run_bad_disturb_spec(capsys):
     assert "disturb" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spec, field",
+    [("1e999@5s:front", "impulse"), ("5@1e999s:front", "time"), ("5@-3s:front", "time")],
+)
+def test_gait_run_rejects_bad_push(tmp_path, capsys, spec, field):
+    assert run_cli("gait", "run", "--seq", "forward", "--disturb", spec, "--out", tmp_path) == 1
+    assert f"disturbance {field} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_gait_run_non_finite_state_is_an_error(tmp_path, capsys):
+    # passes parameter validation, but wn^2 overflows and the state turns NaN
+    cfg = tmp_path / "stiff.cfg"
+    cfg.write_text("plant.natural_freq_pitch = 1e200\n")
+    assert run_cli("gait", "run", "--seq", "forward", "--gains", cfg, "--out", tmp_path) == 1
+    assert "not finite from t=0.01 s" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_gait_run_falls_with_exit_2(tmp_path, capsys):
     code = run_cli(
         "gait", "run", "--seq", "in-place", "--out", tmp_path,
@@ -131,6 +157,11 @@ def test_optimize_zero_real_budget(tmp_path, capsys):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["real_evaluations"] == 0
     assert set(summary["best_gains"]) == {"arm_angle_y.kp", "arm_angle_y.kd"}
+
+
+def test_optimize_rejects_nan_sim_bias(tmp_path, capsys):
+    assert run_cli("gait", "optimize", "--sim-bias", "nan", "--out", tmp_path) == 1
+    assert "sim_bias_weight" in capsys.readouterr().err
 
 
 def test_optimize_history_is_byte_identical_for_same_seed(tmp_path):

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from gaitlab import heatmap
 from gaitlab.errors import (
     BehindCameraError,
     DegenerateComponentError,
@@ -25,6 +26,7 @@ from gaitlab.heatmap import (
     threshold,
     write_pgm,
 )
+from gaitlab.numopt import SimplexConfig, nelder_mead
 from gaitlab.orientation import Quaternion
 
 
@@ -309,6 +311,67 @@ def test_calibration_recovers_true_pose():
     assert np.linalg.norm(result.pose.position - true.position) < 1e-3
     q_err = result.pose.orientation.conjugate() * true.orientation
     assert 2 * math.acos(min(1.0, abs(q_err.w))) < 1e-3
+
+
+def test_calibration_penalizes_points_behind_the_guess():
+    rng = np.random.default_rng(0)
+    intr = default_intrinsics()
+    true = CameraPose(np.array([0.05, -0.1, 0.1]),
+                      Quaternion.from_rotvec([0.05, -0.05, 0.02]), intr)
+    obs = make_observations(true, rng)
+    near = true.orientation.rotate([0.01, 0.0, 0.04]) + true.position
+    obs.append((near, project(near, true)))
+    # 0.1 m along the optical axis puts the near point behind the camera
+    guess = CameraPose(true.position + true.orientation.rotate([0.0, 0.0, 0.1]),
+                       true.orientation, intr)
+    with pytest.raises(BehindCameraError):
+        project(near, guess)
+    # no simplex iterations: the best initial vertex still carries one penalty
+    start = calibrate_extrinsics(obs, intr, guess, SimplexConfig(max_iter=0))
+    assert 1e6 <= start.rms_residual**2 * len(obs) < 2e6
+    # the penalty drives the simplex back until every point is in front
+    result = calibrate_extrinsics(obs, intr, guess)
+    assert result.rms_residual < 1e-6
+    assert np.linalg.norm(result.pose.position - true.position) < 1e-6
+
+
+def loop_objective(observations, intr, guess, params):
+    """Mean squared reprojection error summed one observation at a time."""
+    position = guess.position + params[:3]
+    rot_t = (guess.orientation * Quaternion.from_rotvec(params[3:])).to_matrix().T
+    err = 0.0
+    for world, pixel in observations:
+        p_cam = rot_t @ (np.asarray(world, dtype=float) - position)
+        if p_cam[2] <= 1e-6:
+            err += 1e6 + (1.0 - p_cam[2]) ** 2
+            continue
+        u = intr.focal * p_cam[0] / p_cam[2] + intr.cx
+        v = intr.focal * p_cam[1] / p_cam[2] + intr.cy
+        err += (u - pixel[0]) ** 2 + (v - pixel[1]) ** 2
+    return err / len(observations)
+
+
+def test_calibration_objective_matches_per_point_loop(monkeypatch):
+    rng = np.random.default_rng(3)
+    intr = default_intrinsics()
+    true = CameraPose(np.array([0.1, 0.0, -0.2]), Quaternion.from_rotvec([0.1, -0.2, 0.05]), intr)
+    obs = [(w, px + rng.normal(0, 0.5, 2)) for w, px in make_observations(true, rng, 25)]
+    objectives = []
+
+    def capture(f, x0, cfg=None):
+        objectives.append(f)
+        return nelder_mead(f, x0, SimplexConfig(max_iter=0))
+
+    monkeypatch.setattr(heatmap, "nelder_mead", capture)
+    calibrate_extrinsics(obs, intr, true)
+    behind = 0
+    for scale in (0.0, 0.01, 0.3, 3.0):
+        for _ in range(20):
+            params = rng.normal(0.0, scale, 6)
+            want = loop_objective(obs, intr, true, params)
+            assert objectives[0](params) == want  # bit for bit
+            behind += want >= 1e6 / len(obs)
+    assert behind > 0  # the penalty branch was compared too
 
 
 def test_calibration_from_true_pose_has_zero_residual():

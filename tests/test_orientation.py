@@ -35,6 +35,16 @@ def rotation_matrix(q):
     )
 
 
+def test_rotate_inverse_of_rows_matches_one_vector_at_a_time():
+    rng = np.random.default_rng(6)
+    for n in (1, 3, 30, 500):
+        q = random_unit_quat(rng)
+        v = rng.normal(size=(n, 3)) * rng.uniform(0.1, 100.0)
+        rows = np.array([q.rotate_inverse(row) for row in v])
+        assert np.array_equal(q.rotate_inverse(v), rows)  # bit for bit
+        assert np.array_equal(rows, np.array([q.to_matrix().T @ row for row in v]))
+
+
 def test_identity_quaternion_gives_zero_fused():
     f = quat_to_fused(Quaternion(1, 0, 0, 0))
     assert f.yaw == 0 and f.pitch == 0 and f.roll == 0 and f.hemisphere == 1

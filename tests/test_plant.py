@@ -6,7 +6,7 @@ import pytest
 
 from gaitlab import _kernels
 from gaitlab.cpg import CpgParams, GaitCommand, evaluate_cpg, step_phase
-from gaitlab.errors import InvalidInputError
+from gaitlab.errors import GaitlabError, InvalidInputError, NonFiniteStateError
 from gaitlab.feedback import (
     Activations,
     DeviationFilters,
@@ -66,6 +66,47 @@ def test_bad_segment_duration_rejected(duration):
     seq = [(GaitCommand(vx=0.5), 2.0), (GaitCommand(), duration)]
     with pytest.raises(InvalidInputError, match="segment 1 duration"):
         run_sequence(zero_gains(), CpgParams(), seq, quiet_plant())
+
+
+@pytest.mark.parametrize(
+    "time, impulse, field",
+    [
+        (5.0, math.inf, "impulse"),
+        (5.0, math.nan, "impulse"),
+        (5.0, -1.0, "impulse"),
+        (math.inf, 5.0, "time"),
+        (math.nan, 5.0, "time"),
+        (-3.0, 5.0, "time"),
+    ],
+)
+def test_disturbance_rejects_bad_push(time, impulse, field):
+    with pytest.raises(InvalidInputError, match=f"disturbance {field} must be finite"):
+        Disturbance(time, impulse, "front")
+
+
+def test_push_after_the_run_ends_never_lands():
+    seq = [(GaitCommand(vx=0.5), 2.0)]
+    late = run_sequence(FeedbackGains(), CpgParams(), seq, PlantParams(seed=2),
+                        [Disturbance(60.0, 9.0, "front")])
+    none = run_sequence(FeedbackGains(), CpgParams(), seq, PlantParams(seed=2))
+    assert np.array_equal(late.pitch_rate, none.pitch_rate) and len(late) == 200
+
+
+def test_non_finite_state_is_an_error_naming_the_sample_time():
+    # passes validation, but wn^2 overflows and the first step turns NaN
+    p = PlantParams(natural_freq=(1e200, 4.0))
+    with pytest.raises(NonFiniteStateError, match=r"not finite from t=0\.01 s") as info:
+        run_sequence(FeedbackGains(), CpgParams(), [(GaitCommand(vx=0.7), 10.0)], p)
+    assert isinstance(info.value, GaitlabError)
+
+
+def test_deviation_columns_are_the_fused_angles():
+    trace = run_sequence(FeedbackGains(), CpgParams(), standard_test_sequence(),
+                         PlantParams(seed=2), [Disturbance(4.0, 9.0, "left")])
+    assert np.array_equal(trace.d_theta, trace.pitch)
+    assert np.array_equal(trace.d_phi, trace.roll)
+    with pytest.raises(AttributeError):
+        trace.d_theta = trace.roll
 
 
 def test_upright_equilibrium_is_exact():

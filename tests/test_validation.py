@@ -1,0 +1,86 @@
+"""Range checks reject NaN and infinities, not only out-of-range numbers."""
+
+import math
+
+import numpy as np
+import pytest
+
+from gaitlab.actuators import GearSpec, TorqueModel, rad_to_ticks
+from gaitlab.bayesopt import (
+    AugmentedPoint,
+    CompositeKernel,
+    EvalRecord,
+    OptBudget,
+    RqKernelParams,
+    evaluate_cost,
+    gp_posterior,
+)
+from gaitlab.cpg import CpgParams, GaitCommand, step_phase
+from gaitlab.errors import InvalidInputError
+from gaitlab.feedback import Activations, DeviationFilters, zero_gains
+from gaitlab.heatmap import CameraIntrinsics
+from gaitlab.numopt import SimplexConfig
+from gaitlab.plant import PlantParams, run_sequence
+from gaitlab.pose import LegGeometry
+
+nan, inf = math.nan, math.inf
+
+
+def short_trace():
+    return run_sequence(zero_gains(), CpgParams(), [(GaitCommand(), 0.1)], PlantParams())
+
+
+def one_record():
+    return [EvalRecord(AugmentedPoint([0.5, 0.5], "sim"), (1.0, 1.0))]
+
+
+CASES = [
+    ("gear-module-nan", "module", lambda: GearSpec(30, nan)),
+    ("gear-module-inf", "module", lambda: GearSpec(30, inf)),
+    ("sim-bias-nan", "sim_bias_weight", lambda: OptBudget(sim_bias_weight=nan)),
+    ("thigh-nan", "thigh", lambda: LegGeometry(thigh=nan)),
+    ("shank-inf", "shank", lambda: LegGeometry(shank=inf)),
+    ("focal-nan", "focal", lambda: CameraIntrinsics(nan, 320.0, 240.0)),
+    ("focal-inf", "focal", lambda: CameraIntrinsics(inf, 320.0, 240.0)),
+    ("k_t-nan", "k_t", lambda: TorqueModel(k_t=nan)),
+    ("k_t-inf", "k_t", lambda: TorqueModel(k_t=inf)),
+    ("rq-variance-nan", "variance", lambda: RqKernelParams(variance=nan)),
+    ("rq-length-scale-inf", "length_scale", lambda: RqKernelParams(length_scale=inf)),
+    ("rq-shape-nan", "shape", lambda: RqKernelParams(shape=nan)),
+    ("timing-factor-nan", "timing_factor", lambda: Activations(timing_factor=nan)),
+    ("timing-factor-inf", "timing_factor", lambda: Activations(timing_factor=inf)),
+    ("simplex-reflection-nan", "reflection", lambda: SimplexConfig(reflection=nan)),
+    ("simplex-expansion-nan", "expansion", lambda: SimplexConfig(expansion=nan)),
+    ("simplex-expansion-inf", "expansion", lambda: SimplexConfig(expansion=inf)),
+    ("simplex-contraction-nan", "contraction", lambda: SimplexConfig(contraction=nan)),
+    ("simplex-shrink-nan", "shrink", lambda: SimplexConfig(shrink=nan)),
+    ("simplex-x-tol-nan", "x_tol", lambda: SimplexConfig(x_tol=nan)),
+    ("simplex-f-tol-nan", "f_tol", lambda: SimplexConfig(f_tol=nan)),
+    ("filters-dt-nan", "dt", lambda: DeviationFilters().update(0.0, 0.0, nan)),
+    ("filters-dt-inf", "dt", lambda: DeviationFilters().update(0.0, 0.0, inf)),
+    ("step-phase-dt-nan", "dt", lambda: step_phase(0.0, nan, 0.7)),
+    ("step-phase-timing-nan", "timing_factor", lambda: step_phase(0.0, 0.01, 0.7, nan)),
+    ("regularization-nan", "regularization", lambda: evaluate_cost(short_trace(), nan, [1.0])),
+    ("regularization-inf", "regularization", lambda: evaluate_cost(short_trace(), inf, [1.0])),
+    ("gp-noise-nan", "noise", lambda: gp_posterior(
+        one_record(), CompositeKernel(), nan, AugmentedPoint([0.5, 0.5], "sim"))),
+    ("ticks-inf", "angle", lambda: rad_to_ticks(inf)),
+    ("ticks-minus-inf", "angle", lambda: rad_to_ticks(-inf)),
+    ("ticks-nan", "angle", lambda: rad_to_ticks(nan)),
+]
+
+
+@pytest.mark.parametrize("field, make", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_range_check_rejects_non_finite(field, make):
+    with pytest.raises(InvalidInputError, match=field):
+        make()
+
+
+def test_infinite_sim_bias_still_means_never_real():
+    assert OptBudget(sim_bias_weight=inf).sim_bias_weight == inf
+
+
+def test_finite_values_still_pass():
+    assert GearSpec(30, 1.5).module == 1.5
+    assert rad_to_ticks(0.0) == 2048
+    assert np.isfinite(evaluate_cost(short_trace(), 0.0, [1.0])).all()
