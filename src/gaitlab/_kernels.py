@@ -362,12 +362,13 @@ def run_closed_loop(cmds, noise, dist_steps, dist_kicks, cpg, gains, filt, plant
 
     ``cmds`` (n, 3), ``noise`` (n, 2), ``dist_steps`` (k,) and
     ``dist_kicks`` (k, 2) are arrays; the parameters are float tuples.
-    Returns (mu, state, dev, ep, act, pose, fall_idx, saturations) where the
-    time-series arrays have one row per executed step; ``fall_idx`` is the
-    index of the last recorded sample if the torso fell, else -1.  Sample i
-    holds the state at t = i*dt and the control computed from it.  The
-    deviations fed back are the fused angles, so ``dev`` is a view of the
-    first two columns of ``state``.
+    Returns (mu, state, dev, ep, act, pose, fall_idx, saturations, end) where
+    the time-series arrays have one row per executed step; ``fall_idx`` is
+    the index of the last recorded sample if the torso fell, else -1, and
+    ``end`` is the unrecorded state the last step produced (the one that
+    fell, if any).  Sample i holds the state at t = i*dt and the control
+    computed from it.  The deviations fed back are the fused angles, so
+    ``dev`` is a view of the first two columns of ``state``.
     """
     n = cmds.shape[0]
     mu_out = np.empty(n)
@@ -429,4 +430,5 @@ def run_closed_loop(cmds, noise, dist_steps, dist_kicks, cpg, gains, filt, plant
 
         mu = wrap_pi(mu + phase_rate * act[6] * dt)
 
-    return mu_out, state_out, state_out[:, :2], ep_out, act_out, pose_out, fall_idx, saturations
+    return (mu_out, state_out, state_out[:, :2], ep_out, act_out, pose_out, fall_idx,
+            saturations, state)

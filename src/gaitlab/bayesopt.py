@@ -11,12 +11,12 @@ the selection biased toward simulation queries to spare the real budget.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import flatten, rebuild
 from .cpg import CpgParams
 from .errors import (
     BudgetExhaustedError,
@@ -94,6 +94,8 @@ class OptBudget:
     sim_bias_weight: float = 1.15
 
     def __post_init__(self):
+        check_nonnegative("max_total", self.max_total, positive=True)  # an int, so >= 1
+        check_nonnegative("max_real", self.max_real)
         if self.max_real > self.max_total:
             raise InvalidInputError("max_real cannot exceed max_total")
         if self.sim_average_n < 1:
@@ -257,17 +259,22 @@ class GainProblem:
             raise InvalidInputError("bounds must be (n_params, 2)")
         if np.any(self.bounds[:, 1] <= self.bounds[:, 0]):
             raise InvalidInputError("each bound must satisfy lo < hi")
+        known = flatten(self.base_gains)
+        unknown = [name for name in self.param_names if name not in known]
+        if unknown:
+            raise InvalidInputError(f"unknown gain name(s) {unknown}; known: {', '.join(known)}")
+        for corner in self.bounds.T:  # both ends of every range must be valid gains
+            self.gains_with(corner)
         _plane_index(self.plane)
 
     def default_x(self) -> np.ndarray:
-        out = [float(getattr(*_gain_slot(self.base_gains, name))) for name in self.param_names]
+        gains = flatten(self.base_gains)
+        out = [float(gains[name]) for name in self.param_names]
         return np.clip(np.array(out), self.bounds[:, 0], self.bounds[:, 1])
 
     def gains_with(self, x) -> FeedbackGains:
-        gains = copy.deepcopy(self.base_gains)
-        for name, value in zip(self.param_names, np.asarray(x, dtype=float)):
-            setattr(*_gain_slot(gains, name), float(value))
-        return gains
+        values = np.asarray(x, dtype=float).tolist()
+        return rebuild(self.base_gains, dict(zip(self.param_names, values)))
 
     def _run(self, x, plant: PlantParams, run_seed: int) -> RunTrace:
         return run_sequence(
@@ -286,14 +293,6 @@ class GainProblem:
 
     def cost_index(self) -> int:
         return _plane_index(self.plane)
-
-
-def _gain_slot(gains: FeedbackGains, name: str):
-    """(object, attribute) that the dotted gain path ``name`` refers to."""
-    *path, attr = name.split(".")
-    for part in path:
-        gains = getattr(gains, part)
-    return gains, attr
 
 
 def _derived_seed(seed: int, iteration: int, k: int) -> int:
@@ -475,11 +474,12 @@ def optimize(
 def random_search(problem: GainProblem, budget: OptBudget | None = None, seed: int = 0) -> OptResult:
     """Baseline with the same real budget: uniform draws evaluated on the real plant."""
     budget = budget or OptBudget()
+    if budget.max_real < 1:
+        raise InvalidInputError("random_search evaluates only on the real plant: need max_real >= 1")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 424242]))
     records: list[EvalRecord] = []
-    n = max(budget.max_real, 1)
     lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
-    for iteration in range(n):
+    for iteration in range(budget.max_real):
         x = lo + rng.random(problem.bounds.shape[0]) * (hi - lo)
         cost = problem.evaluate(x, REAL, _derived_seed(seed, iteration, 0))
         records.append(EvalRecord(AugmentedPoint(x, REAL), cost))

@@ -123,9 +123,7 @@ def cmd_gait_optimize(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     history_path = os.path.join(args.out, "history.csv")
     history_to_csv(result, problem.param_names, history_path)
-    best_cfg = dict(cfg)
-    for name, value in zip(problem.param_names, result.best_x):
-        best_cfg[f"gains.{name}"] = float(value)
+    best_cfg = {**cfg, **cfgmod.flatten(problem.gains_with(result.best_x), "gains.")}
     best_path = os.path.join(args.out, "best_gains.cfg")
     cfgmod.write_config(best_cfg, best_path)
     summary_path = os.path.join(args.out, "summary.json")
@@ -165,9 +163,9 @@ def cmd_gait_optimize(args) -> int:
 def _read_csv_rows(path, n_cols: int):
     rows = []
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GaitlabError(f"cannot read {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -214,7 +212,7 @@ def cmd_calib_camera(args) -> int:
     print(f"orientation_wxyz = {q.w:.8f} {q.x:.8f} {q.y:.8f} {q.z:.8f}")
     print(f"rms_residual = {result.rms_residual:.6f} px")
     if not result.converged:
-        print("warning: simplex did not converge within the iteration limit")
+        print("warning: did not converge (iteration limit, or a point behind the camera)")
     return 0
 
 

@@ -1,63 +1,96 @@
 """Key=value config files shared by the gait, feedback, and plant layers.
 
-Format: one ``key = value`` pair per line, ``#`` starts a comment, keys are
-dotted lowercase paths, all values are numbers.  Unknown keys are rejected
-so typos fail loudly.
+Format: one ``key = value`` pair per line, ``#`` starts a comment, all
+values are numbers.  Unknown keys are rejected so typos fail loudly.  A key
+is ``<section>.<field>`` for every float field of ``CpgParams`` (cpg),
+``FilterParams`` (filter), ``FeedbackGains`` (gains) and ``PlantParams``
+(plant), with ``PidGains`` nested as ``gains.<action>.kp/kd/ki``; four keys
+name no single field (``_DERIVED``).  ``flatten`` and ``rebuild`` are the one
+map between keys and objects; the optimizer's gain names are the gains keys
+without ``gains.``.
 """
 
 from __future__ import annotations
 
-from .cpg import CpgParams, default_halt_pose
-from .errors import ConfigurationError
+from dataclasses import fields, replace
+
+from .cpg import CpgParams
+from .errors import ConfigurationError, InvalidInputError
 from .feedback import FeedbackGains, FilterParams, PidGains
 from .plant import PlantParams
+
+SECTIONS = {"cpg": CpgParams, "filter": FilterParams, "gains": FeedbackGains, "plant": PlantParams}
+
+
+def _halt_eta(pose, limbs, eta):
+    return replace(pose, **{limb: replace(getattr(pose, limb), eta=eta) for limb in limbs})
+
+
+_LEGS, _ARMS = ("left_leg", "right_leg"), ("left_arm", "right_arm")
+
+# keys that name no single field: key -> (read from an object, field changes for a value)
+_DERIVED = {
+    CpgParams: {  # halt-pose retraction of both legs, of both arms
+        "halt_eta": (lambda c: c.halt_pose.left_leg.eta,
+                     lambda c, v: {"halt_pose": _halt_eta(c.halt_pose, _LEGS, v)}),
+        "halt_arm_eta": (lambda c: c.halt_pose.left_arm.eta,
+                         lambda c, v: {"halt_pose": _halt_eta(c.halt_pose, _ARMS, v)}),
+    },
+    PlantParams: {
+        "natural_freq_pitch": (lambda p: p.natural_freq[0],
+                               lambda p, v: {"natural_freq": (v, p.natural_freq[1])}),
+        "natural_freq_roll": (lambda p: p.natural_freq[1],
+                              lambda p, v: {"natural_freq": (p.natural_freq[0], v)}),
+    },
+}
+
+
+_FLOAT = (float, "float")  # a field annotation, evaluated or not
+
+
+def flatten(obj, prefix: str = "") -> dict[str, float]:
+    """Dotted key -> value of every tunable parameter of ``obj``."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, PidGains):
+            out.update(flatten(value, f"{prefix}{f.name}."))
+        elif f.type in _FLOAT:
+            out[prefix + f.name] = value
+    for key, (read, _) in _DERIVED.get(type(obj), {}).items():
+        out[prefix + key] = read(obj)
+    return out
+
+
+def rebuild(obj, values: dict[str, float], prefix: str = ""):
+    """A copy of ``obj`` with each key of ``flatten(obj, prefix)`` found in
+    ``values`` set to that value; other keys in ``values`` are ignored.
+
+    Built with ``dataclasses.replace``, so every ``__post_init__`` check runs;
+    its InvalidInputError is prefixed with the object's key path.
+    """
+    changes = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, PidGains):
+            changes[f.name] = rebuild(value, values, f"{prefix}{f.name}.")
+        elif f.type in _FLOAT and prefix + f.name in values:
+            changes[f.name] = values[prefix + f.name]
+    try:
+        obj = replace(obj, **changes)
+        for key, (_, write) in _DERIVED.get(type(obj), {}).items():
+            if prefix + key in values:
+                obj = replace(obj, **write(obj, values[prefix + key]))
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{prefix.rstrip('.')}: {exc}" if prefix else str(exc)) from None
+    return obj
 
 
 def default_config() -> dict[str, float]:
     """Every supported key with its default value."""
-    cpg = CpgParams()
-    gains = FeedbackGains()
-    filt = FilterParams()
-    plant = PlantParams()
-    cfg = {
-        # gait waveforms (angles rad, frequency Hz, lift in retraction units)
-        "cpg.halt_eta": 0.1,
-        "cpg.halt_arm_eta": 0.05,
-        "cpg.lift_amplitude": cpg.lift_amplitude,
-        "cpg.swing_amplitude": cpg.swing_amplitude,
-        "cpg.lateral_sway_amplitude": cpg.lateral_sway_amplitude,
-        "cpg.arm_swing_amplitude": cpg.arm_swing_amplitude,
-        "cpg.double_support_fraction": cpg.double_support_fraction,
-        "cpg.frequency": cpg.frequency,
-        # deviation filters (s, rad, 1/s)
-        "filter.smoothing_time": filt.smoothing_time,
-        "filter.deadband": filt.deadband,
-        "filter.leak_rate": filt.leak_rate,
-        # timing action (dimensionless)
-        "gains.timing_speed_up": gains.timing_speed_up,
-        "gains.timing_slow_down": gains.timing_slow_down,
-        "gains.min_timing_factor": gains.min_timing_factor,
-        # surrogate plant (rad/s, 1/s, rad/s^2, kg*m, rad)
-        "plant.natural_freq_pitch": plant.natural_freq[0],
-        "plant.natural_freq_roll": plant.natural_freq[1],
-        "plant.damping": plant.damping,
-        "plant.gait_coupling": plant.gait_coupling,
-        "plant.noise_std": plant.noise_std,
-        "plant.effective_inertia": plant.effective_inertia,
-        "plant.fall_threshold": plant.fall_threshold,
-    }
-    for action in (
-        "arm_angle_x",
-        "arm_angle_y",
-        "supp_foot_angle_x",
-        "cont_foot_angle_x",
-        "com_shift_x",
-        "com_shift_y",
-    ):
-        pid: PidGains = getattr(gains, action)
-        cfg[f"gains.{action}.kp"] = pid.kp
-        cfg[f"gains.{action}.kd"] = pid.kd
-        cfg[f"gains.{action}.ki"] = pid.ki
+    cfg = {}
+    for section, cls in SECTIONS.items():
+        cfg.update(flatten(cls(), f"{section}."))
     return cfg
 
 
@@ -85,9 +118,9 @@ def parse_config_text(text: str) -> dict[str, float]:
 def load_config(path) -> dict[str, float]:
     """Load a config file and merge it over the defaults."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     overrides = parse_config_text(text)
     cfg = default_config()
@@ -105,55 +138,16 @@ def write_config(cfg: dict[str, float], path) -> None:
 
 
 def cpg_from_config(cfg: dict[str, float]) -> CpgParams:
-    halt = default_halt_pose(eta=cfg["cpg.halt_eta"])
-    halt.left_arm.eta = halt.right_arm.eta = cfg["cpg.halt_arm_eta"]
-    return CpgParams(
-        halt_pose=halt,
-        lift_amplitude=cfg["cpg.lift_amplitude"],
-        swing_amplitude=cfg["cpg.swing_amplitude"],
-        lateral_sway_amplitude=cfg["cpg.lateral_sway_amplitude"],
-        arm_swing_amplitude=cfg["cpg.arm_swing_amplitude"],
-        double_support_fraction=cfg["cpg.double_support_fraction"],
-        frequency=cfg["cpg.frequency"],
-    )
+    return rebuild(CpgParams(), cfg, "cpg.")
 
 
 def gains_from_config(cfg: dict[str, float]) -> FeedbackGains:
-    def pid(action: str) -> PidGains:
-        return PidGains(
-            kp=cfg[f"gains.{action}.kp"],
-            kd=cfg[f"gains.{action}.kd"],
-            ki=cfg[f"gains.{action}.ki"],
-        )
-
-    return FeedbackGains(
-        arm_angle_x=pid("arm_angle_x"),
-        arm_angle_y=pid("arm_angle_y"),
-        supp_foot_angle_x=pid("supp_foot_angle_x"),
-        cont_foot_angle_x=pid("cont_foot_angle_x"),
-        com_shift_x=pid("com_shift_x"),
-        com_shift_y=pid("com_shift_y"),
-        timing_speed_up=cfg["gains.timing_speed_up"],
-        timing_slow_down=cfg["gains.timing_slow_down"],
-        min_timing_factor=cfg["gains.min_timing_factor"],
-    )
+    return rebuild(FeedbackGains(), cfg, "gains.")
 
 
 def filter_from_config(cfg: dict[str, float]) -> FilterParams:
-    return FilterParams(
-        smoothing_time=cfg["filter.smoothing_time"],
-        deadband=cfg["filter.deadband"],
-        leak_rate=cfg["filter.leak_rate"],
-    )
+    return rebuild(FilterParams(), cfg, "filter.")
 
 
 def plant_from_config(cfg: dict[str, float], seed: int = 0) -> PlantParams:
-    return PlantParams(
-        natural_freq=(cfg["plant.natural_freq_pitch"], cfg["plant.natural_freq_roll"]),
-        damping=cfg["plant.damping"],
-        gait_coupling=cfg["plant.gait_coupling"],
-        noise_std=cfg["plant.noise_std"],
-        effective_inertia=cfg["plant.effective_inertia"],
-        fall_threshold=cfg["plant.fall_threshold"],
-        seed=seed,
-    )
+    return rebuild(PlantParams(seed=seed), cfg, "plant.")

@@ -75,9 +75,11 @@ class CpgParams:
         check_nonnegative("frequency", self.frequency, positive=True)
         if not np.all(np.isfinite(self.halt_pose.to_array())):
             raise InvalidInputError("halt pose must be finite")
-        for leg in (self.halt_pose.left_leg, self.halt_pose.right_leg):
-            if not 0.0 <= leg.eta <= 1.0:
-                raise InvalidInputError("halt leg retraction must be in [0, 1]")
+        pose = self.halt_pose
+        for limb, pair in (("leg", (pose.left_leg, pose.right_leg)),
+                           ("arm", (pose.left_arm, pose.right_arm))):
+            if not all(0.0 <= side.eta <= 1.0 for side in pair):
+                raise InvalidInputError(f"halt {limb} retraction must be in [0, 1]")
 
     def to_array(self) -> np.ndarray:
         out = np.empty(24)

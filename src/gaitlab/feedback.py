@@ -8,7 +8,7 @@ the gait-phase increment from the deadbanded roll deviation.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -68,16 +68,8 @@ class FeedbackGains:
 
 def zero_gains() -> FeedbackGains:
     """All-zero gains: the closed loop degenerates to the open-loop gait."""
-    return FeedbackGains(
-        arm_angle_x=PidGains(),
-        arm_angle_y=PidGains(),
-        supp_foot_angle_x=PidGains(),
-        cont_foot_angle_x=PidGains(),
-        com_shift_x=PidGains(),
-        com_shift_y=PidGains(),
-        timing_speed_up=0.0,
-        timing_slow_down=0.0,
-    )
+    pids = {f.name: PidGains() for f in fields(FeedbackGains) if f.type == "PidGains"}
+    return FeedbackGains(**pids, timing_speed_up=0.0, timing_slow_down=0.0)
 
 
 @dataclass

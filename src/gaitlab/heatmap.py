@@ -247,11 +247,14 @@ def project(point, pose: CameraPose) -> np.ndarray:
     return np.array(_pinhole(p_cam, pose.intrinsics))
 
 
+_MIN_DEPTH = 1e-6  # m; calibration treats a point at or below this depth as behind the camera
+
+
 @dataclass
 class CalibrationResult:
     pose: CameraPose
     rms_residual: float
-    converged: bool
+    converged: bool  # False at the iteration limit or with a point behind the camera
     iterations: int
 
 
@@ -287,7 +290,7 @@ def calibrate_extrinsics(
         with np.errstate(all="ignore"):  # rows behind the camera are replaced below
             u, v = _pinhole(p_cam, intrinsics)
         err = np.where(
-            depth <= 1e-6,
+            depth <= _MIN_DEPTH,
             1e6 + (1.0 - depth) ** 2,  # keep the simplex in front
             (u - pixels[:, 0]) ** 2 + (v - pixels[:, 1]) ** 2,
         )
@@ -303,10 +306,12 @@ def calibrate_extrinsics(
             result2.x, result2.fun, result.iterations + result2.iterations, result2.converged
         )
         result = result2
+    pose = pose_from(result.x)
+    in_front = bool(np.all(_to_camera(worlds, pose)[:, 2] > _MIN_DEPTH))
     return CalibrationResult(
-        pose=pose_from(result.x),
+        pose=pose,
         rms_residual=math.sqrt(result.fun),
-        converged=result.converged,
+        converged=result.converged and in_front,
         iterations=result.iterations,
     )
 
@@ -352,7 +357,11 @@ def write_pgm(h, path) -> None:
 
 
 def read_heatmap_csv(path) -> np.ndarray:
-    return _check_heatmap(np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float)))
+    try:
+        h = np.loadtxt(path, delimiter=",", dtype=float)
+    except ValueError as exc:  # a non-numeric cell or rows of different lengths
+        raise InvalidInputError(f"malformed heatmap CSV {path}: {str(exc).split(';')[0]}") from None
+    return _check_heatmap(np.atleast_2d(h))
 
 
 def detections_to_csv(detections_by_channel: dict[int, list[Detection]], path) -> None:

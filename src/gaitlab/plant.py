@@ -266,8 +266,8 @@ def run_sequence(
     """Run the closed loop (CPG + corrective actions + plant) at dt = 0.01 s.
 
     Deterministic: identical arguments and seed give bit-identical traces.
-    Raises NonFiniteStateError if the recorded plant state turns NaN or
-    infinite, which parameters that pass validation can still cause.
+    Raises NonFiniteStateError if the plant state turns NaN or infinite,
+    which parameters that pass validation can still cause.
     """
     filter_params = filter_params or FilterParams()
     geom = geom or LegGeometry()
@@ -285,7 +285,7 @@ def run_sequence(
     halt_eta = 0.5 * (cpg.halt_pose.left_leg.eta + cpg.halt_pose.right_leg.eta)
 
     floats = _kernels.float_tuple
-    mu_out, state, _, ep, act, pose, fall_idx, saturations = _kernels.run_closed_loop(
+    mu_out, state, _, ep, act, pose, fall_idx, saturations, end_state = _kernels.run_closed_loop(
         cmds,
         noise,
         dist_steps,
@@ -303,7 +303,8 @@ def run_sequence(
 
     fell = fall_idx >= 0
     end = fall_idx + 1 if fell else n
-    finite = np.isfinite(state[:end]).all(axis=1)
+    # the state after the last step too: an overflow to inf in one step reads as a fall
+    finite = np.isfinite(np.vstack([state[:end], end_state])).all(axis=1)
     if not finite.all():
         bad = int(np.argmin(finite))
         raise NonFiniteStateError(

@@ -302,3 +302,45 @@ def test_history_csv_schema(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "iter,delta,arm_angle_y.kp,arm_angle_y.kd,J_alpha,J_beta"
     assert len(lines) == 7
+
+
+@pytest.mark.parametrize("name", ["arm_angle_y.kq", "arm_angle_z.kp", "frequency", "arm_angle_y"])
+def test_gain_problem_rejects_unknown_gain_names(name):
+    with pytest.raises(InvalidInputError, match=f"unknown gain.*{name}"):
+        make_problem(param_names=("arm_angle_y.kp", name), bounds=[[0.0, 6.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("bounds, field", [
+    ([[-3.0, -1.0], [0.0, 4.0]], "arm_angle_y: gain kp"),
+    ([[0.0, 6.0], [-0.5, 4.0]], "arm_angle_y: gain kd"),
+    ([[0.0, math.inf], [0.0, 4.0]], "arm_angle_y: gain kp"),
+])
+def test_gain_problem_rejects_bounds_that_are_not_valid_gains(bounds, field):
+    with pytest.raises(InvalidInputError, match=field):
+        make_problem(bounds=bounds)
+
+
+def test_gain_problem_reads_and_writes_gains_through_the_config_map():
+    names = ("arm_angle_x.kd", "com_shift_y.ki", "min_timing_factor")
+    prob = make_problem(param_names=names, bounds=[[0.0, 1.0], [0.0, 0.1], [0.05, 0.5]])
+    assert prob.default_x().tolist() == [0.25, 0.02, 0.1]
+    gains = prob.gains_with([0.5, 0.07, 0.3])
+    assert (gains.arm_angle_x.kd, gains.com_shift_y.ki, gains.min_timing_factor) == (0.5, 0.07, 0.3)
+    assert gains.arm_angle_x.kp == 0.8 and gains.com_shift_y is not prob.base_gains.com_shift_y
+    assert prob.base_gains.arm_angle_x.kd == 0.25  # the base gains stay untouched
+    with pytest.raises(InvalidInputError, match="com_shift_y: gain ki"):
+        prob.gains_with([0.5, math.nan, 0.3])
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    (dict(max_real=0, max_total=0), "max_total"),
+    (dict(max_real=-1, max_total=5), "max_real"),
+])
+def test_budget_rejects_empty_total_and_negative_real(kwargs, field):
+    with pytest.raises(InvalidInputError, match=field):
+        OptBudget(**kwargs)
+
+
+def test_random_search_rejects_zero_real_budget():
+    with pytest.raises(InvalidInputError, match="max_real >= 1"):
+        random_search(make_problem(), OptBudget(max_real=0, max_total=5), seed=0)

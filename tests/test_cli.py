@@ -229,3 +229,71 @@ def test_calib_camera_end_to_end(tmp_path, capsys):
     assert np.linalg.norm(np.array(pos) - true.position) < 1e-3
     residual = float(out.splitlines()[2].split("=")[1].split()[0])
     assert residual < 1e-3
+
+
+@pytest.mark.parametrize("data, cause", [
+    (b"a,b\n1,x\n", "could not convert"),
+    (b"0.1,0.2\n0.3\n", "number of columns changed"),
+    (b"\xff\xfe0.1,0.2\n", "can't decode"),
+])
+def test_blob_malformed_csv_is_an_input_error(tmp_path, capsys, data, cause):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    assert run_cli("blob", "--input", path, "--out", tmp_path / "det.csv") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed heatmap CSV") and str(path) in err and cause in err
+    assert not (tmp_path / "det.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["calib", "torque"],
+                                     ["calib", "camera", "--focal", 500, "--cx", 0, "--cy", 0]])
+def test_calib_non_utf8_input_is_an_input_error(tmp_path, capsys, command):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(b"\xff\xfe1,2\n")
+    assert run_cli(*command, "--input", path) == 1
+    assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_real, max_total, field", [(0, 0, "max_total"), (-1, 5, "max_real")])
+def test_optimize_rejects_empty_budget(tmp_path, capsys, max_real, max_total, field):
+    code = run_cli("gait", "optimize", "--max-real", max_real, "--max-total", max_total,
+                   "--out", tmp_path)
+    assert code == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "history.csv").exists()
+
+
+def test_optimize_random_baseline_rejects_zero_real_budget(tmp_path, capsys):
+    code = run_cli("gait", "optimize", "--baseline", "random", "--max-real", 0,
+                   "--max-total", 5, "--out", tmp_path)
+    assert code == 1
+    assert "max_real >= 1" in capsys.readouterr().err
+
+
+def test_gait_run_rejects_halt_arm_retraction_above_one(tmp_path, capsys):
+    cfg = tmp_path / "arms.cfg"
+    cfg.write_text("cpg.halt_arm_eta = 1.5\n")
+    assert run_cli("gait", "run", "--gains", cfg, "--out", tmp_path) == 1
+    assert "cpg: halt arm retraction must be in [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_gait_run_overflow_to_inf_is_an_error_not_a_fall(tmp_path, capsys):
+    # the fall threshold lets the state grow until one step takes it to -inf
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text("gains.arm_angle_y.kp = 1e300\nplant.fall_threshold = 1e300\n")
+    assert run_cli("gait", "run", "--gains", cfg, "--out", tmp_path) == 1
+    assert "not finite from t=0.51 s (sample 51)" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_optimize_best_gains_config_loads_back(tmp_path):
+    import json
+
+    from gaitlab.config import load_config
+
+    assert run_cli("gait", "optimize", "--max-real", 1, "--max-total", 3, "--out", tmp_path) == 0
+    best = load_config(tmp_path / "best_gains.cfg")
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    for name, value in summary["best_gains"].items():
+        assert best[f"gains.{name}"] == float(f"{value:.12g}")

@@ -1,16 +1,24 @@
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from gaitlab.config import (
+    SECTIONS,
     cpg_from_config,
     default_config,
     filter_from_config,
+    flatten,
     gains_from_config,
     load_config,
     parse_config_text,
     plant_from_config,
+    rebuild,
     write_config,
 )
-from gaitlab.errors import ConfigurationError
+from gaitlab.errors import ConfigurationError, InvalidInputError
+from gaitlab.feedback import FeedbackGains, PidGains
 
 
 def test_defaults_build_all_objects():
@@ -58,3 +66,63 @@ def test_unknown_key_rejected(tmp_path):
 def test_missing_file(tmp_path):
     with pytest.raises(ConfigurationError, match="cannot read"):
         load_config(tmp_path / "absent.cfg")
+
+
+def test_keys_follow_the_parameter_fields():
+    cfg = default_config()
+    for section, cls in SECTIONS.items():
+        obj = cls()
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            if isinstance(value, PidGains):
+                for gain in ("kp", "kd", "ki"):
+                    assert cfg[f"{section}.{f.name}.{gain}"] == getattr(value, gain)
+            elif f.type == "float":
+                assert cfg[f"{section}.{f.name}"] == value
+    derived = {"cpg.halt_eta", "cpg.halt_arm_eta",
+               "plant.natural_freq_pitch", "plant.natural_freq_roll"}
+    assert derived <= set(cfg)
+    assert len(cfg) == 39
+
+
+def test_rebuild_runs_the_dataclass_checks_and_names_the_key_path():
+    with pytest.raises(InvalidInputError, match=r"^gains\.arm_angle_y: gain kp must be finite"):
+        rebuild(FeedbackGains(), {"gains.arm_angle_y.kp": -1.0}, "gains.")
+    with pytest.raises(InvalidInputError, match=r"^cpg: halt arm retraction"):
+        cpg_from_config({"cpg.halt_arm_eta": 1.5})
+    with pytest.raises(InvalidInputError, match=r"^plant: roll natural_freq"):
+        plant_from_config({"plant.natural_freq_roll": 0.0})
+    base = FeedbackGains()
+    gains = rebuild(base, {"arm_angle_y.kd": 0.9, "not.a.gain": 1.0})
+    assert gains.arm_angle_y.kd == 0.9 and base.arm_angle_y.kd == 0.35
+    assert flatten(gains) == {**flatten(base), "arm_angle_y.kd": 0.9}
+
+
+def test_halt_and_natural_frequency_keys_set_both_sides():
+    cfg = {"cpg.halt_eta": 0.3, "cpg.halt_arm_eta": 0.2, "plant.natural_freq_roll": 3.5}
+    halt = cpg_from_config(cfg).halt_pose
+    assert halt.left_leg.eta == halt.right_leg.eta == 0.3
+    assert halt.left_arm.eta == halt.right_arm.eta == 0.2
+    assert plant_from_config(cfg).natural_freq == (1.2, 3.5)
+
+
+def _doc_config_table():
+    """key -> default from the config section of docs/formats.md, gains rows expanded."""
+    text = (Path(__file__).parent.parent / "docs" / "formats.md").read_text()
+    section = text.split("## Config file", 1)[1].split("\n## ", 1)[0]
+    keys, actions = {}, {}
+    for name, cells in re.findall(r"^\| `([^`]+)` \| (.+) \|$", section, re.MULTILINE):
+        cells = cells.split(" | ")
+        if "." in name:  # a key row: default, meaning
+            keys[name] = cells[0]
+        else:  # an action row: kp, kd, ki
+            actions[name] = cells
+    assert keys.pop("gains.<action>.kp/.kd/.ki") == "see below"
+    for action, gains in actions.items():
+        for gain, value in zip(("kp", "kd", "ki"), gains, strict=True):
+            keys[f"gains.{action}.{gain}"] = value
+    return {key: float(value) for key, value in keys.items()}
+
+
+def test_formats_doc_lists_every_key_with_its_default():
+    assert _doc_config_table() == default_config()

@@ -122,6 +122,10 @@ def test_params_validation():
     for eta in (-0.1, 1.5):
         with pytest.raises(InvalidInputError, match="retraction"):
             CpgParams(halt_pose=default_halt_pose(eta=eta))
+        halt = default_halt_pose()
+        halt.right_arm.eta = eta
+        with pytest.raises(InvalidInputError, match="halt arm retraction"):
+            CpgParams(halt_pose=halt)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -451,3 +451,23 @@ def test_detections_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "channel,cx,cy,mass,pixels"
     assert len(lines) == 2 and lines[1].startswith("0,")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_calibration_stuck_with_a_point_behind_the_camera_is_not_converged(seed):
+    # one observation 4 cm in front of the true camera; a guess 5-20 cm forward
+    # puts it behind, and the simplex settles with its 1e6 penalty still paid
+    rng = np.random.default_rng(seed)
+    intr = default_intrinsics()
+    true = CameraPose(rng.uniform(-0.2, 0.2, 3),
+                      Quaternion.from_rotvec(rng.uniform(-0.1, 0.1, 3)), intr)
+    obs = make_observations(true, rng)
+    near = true.orientation.rotate([0.01, 0.0, 0.04]) + true.position
+    obs.append((near, project(near, true)))
+    forward = true.orientation.rotate([0.0, 0.0, rng.uniform(0.05, 0.2)])
+    result = calibrate_extrinsics(obs, intr, CameraPose(true.position + forward, true.orientation,
+                                                        intr))
+    assert result.rms_residual == pytest.approx(math.sqrt(1e6 / len(obs)), rel=1e-4)
+    depth = result.pose.orientation.rotate_inverse(near - result.pose.position)[2]
+    assert depth <= 1e-6  # at or below the objective's cut: treated as behind the camera
+    assert not result.converged

@@ -342,3 +342,20 @@ def test_trace_csv_schema(tmp_path):
     assert header == "t,mu,pitch,roll,pitch_rate,roll_rate,d_theta,d_phi,fall"
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (100, 9)
+
+
+def test_one_step_overflow_to_inf_is_an_error_not_a_fall(monkeypatch):
+    gains = FeedbackGains(arm_angle_y=PidGains(kp=1e300))
+    seq = [(GaitCommand(vx=0.7), 2.0)]
+    # a huge but finite state still counts as a fall at the usual threshold
+    trace = run_sequence(gains, CpgParams(), seq, PlantParams())
+    assert trace.fall and np.isfinite(trace.pitch).all()
+    # out of the threshold's reach the state grows until one step takes it to
+    # inf; the loop ends that step as a fall with every recorded row finite
+    runs = []
+    loop = _kernels.run_closed_loop
+    monkeypatch.setattr(_kernels, "run_closed_loop", lambda *a: runs.append(loop(*a)) or runs[-1])
+    with pytest.raises(NonFiniteStateError, match=r"t=0\.49 s \(sample 49\)"):
+        run_sequence(gains, CpgParams(), seq, PlantParams(fall_threshold=1e300))
+    state, fall_idx, end = runs[0][1], runs[0][6], runs[0][8]
+    assert fall_idx == 48 and np.isfinite(state[:49]).all() and math.isinf(end[0])
