@@ -6,14 +6,27 @@ public modules wrap them with dataclass interfaces.  Without numba the same
 code runs under CPython and produces bit-identical results (a compiled
 kernel's ``.py_func`` runs it that way too).
 
+The closed loop is split in two.  ``run_closed_loop`` is the one per-step
+dynamics loop: filters, activations, gait excitation, ``plant_step`` and the
+phase update.  The pose does not drive the plant, so the loop does not
+compute it; ``pose_readout`` recomputes it afterwards from the recorded
+phase, commands and activations (the support leg follows from the phase)
+and counts the clamped retractions.  A run whose cost reads only the
+feedback errors and the fall, as every run of the optimizer does, never
+pays for the pose.  The loop's result keeps two slots where the pose and
+the saturation count used to be, now an empty (0, 18) array and 0, so that
+``fall_idx`` stays at index 6 and the end state at index 8 for a caller
+that reads the result by position (the benchmark's tracer,
+``perfbench/tracer.py``, does); they go once it reads the ``RunTrace``.
+
 Under CPython the cost of a step is the interpreter's, so the step kernels
 take their parameters as tuples of Python floats, keep state in scalars and
 return tuples: indexing a float64 array and doing arithmetic on the
 resulting NumPy scalars costs several times as much as the same work on
 Python floats.  The dataclasses still pack their parameters into float64
 vectors (``to_array``); callers turn those into float tuples once with
-``float_tuple``, and ``run_closed_loop`` derives everything that is fixed
-for a run once before its first step:
+``float_tuple``, and the loop and the readout derive everything that is
+fixed for a run once before their first step:
 
     swing_window(cpg)          -> (swing_start, swing_len) of cpg_pose
     filter_coeffs(filt, dt)    -> (alpha, deadband, decay, gain_i) of filters_step
@@ -22,10 +35,11 @@ for a run once before its first step:
 The public step helpers (``evaluate_cpg``, ``DeviationFilters.update``,
 ``compute_activations``, ``apply_actions``, ``step_plant``) call the same
 kernels with the same derived constants, so stepping them by hand
-reproduces ``run_closed_loop`` bit for bit; ``plant_step`` is the one
-integration step both the loop and ``step_plant`` take.  The loop looks its
-step kernels up as module globals on every call, so wrappers installed on
-this module's attributes see each call under CPython.
+reproduces ``run_closed_loop`` and ``pose_readout`` bit for bit;
+``plant_step`` is the one integration step both the loop and ``step_plant``
+take.  The loop and the readout look their step kernels up as module
+globals on every call, so wrappers installed on this module's attributes
+see each call under CPython.
 
 Flat abstract-pose layout (18 floats):
     [0:6]   left leg   (lx, ly, lz, fx, fy, eta)
@@ -356,9 +370,9 @@ def plant_step(pitch, roll, pitch_rate, roll_rate, exc_p, exc_r, act, plant, eff
 
 
 @maybe_njit(cache=True)
-def run_closed_loop(cmds, noise, dist_steps, dist_kicks, cpg, gains, filt, plant, eff, geom,
-                    dt, mu0, state0):
-    """Run the full closed loop: CPG -> filters -> activations -> plant.
+def run_closed_loop(cmds, noise, dist_steps, dist_kicks, cpg, gains, filt, plant, eff, dt, mu0,
+                    state0):
+    """Run the closed-loop dynamics: filters -> activations -> plant -> phase.
 
     ``cmds`` (n, 3), ``noise`` (n, 2), ``dist_steps`` (k,) and
     ``dist_kicks`` (k, 2) are arrays; the parameters are float tuples.
@@ -369,32 +383,39 @@ def run_closed_loop(cmds, noise, dist_steps, dist_kicks, cpg, gains, filt, plant
     fell, if any).  Sample i holds the state at t = i*dt and the control
     computed from it.  The deviations fed back are the fused angles, so
     ``dev`` is a view of the first two columns of ``state``.
+
+    ``pose`` is an empty (0, 18) array and ``saturations`` is 0: the pose
+    is ``pose_readout``'s, and the two slots only hold the positions of
+    ``fall_idx`` and ``end`` (see the module docstring).
+
+    Pushes land in order of their step, pushes at the same step in the
+    order given; a push outside [0, n) never lands.
     """
     n = cmds.shape[0]
     mu_out = np.empty(n)
     state_out = np.empty((n, 4))
     ep_out = np.empty((n, 2))
     act_out = np.empty((n, ACT_SIZE))
-    pose_out = np.empty((n, POSE_SIZE))
 
-    window = swing_window(cpg)
     coeffs = filter_coeffs(filt, dt)
-    ref = com_shift_reference(geom)
     phase_rate = 2.0 * math.pi * cpg[23]
     coupling = plant[3]
-    n_dist = dist_steps.shape[0]
+
+    # pushes sorted stably by step; next_push is the step of the next one, -1 when none is left
+    order = np.argsort(dist_steps, kind="mergesort")
+    n_dist = order.shape[0]
+    k = 0
+    while k < n_dist and dist_steps[order[k]] < 0:
+        k += 1
+    next_push = int(dist_steps[order[k]]) if k < n_dist else -1
 
     fs = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     mu = float(mu0)
     state = (float(state0[0]), float(state0[1]), float(state0[2]), float(state0[3]))
 
     fall_idx = -1
-    saturations = 0
 
     for i in range(n):
-        vx = float(cmds[i, 0])
-        vy = float(cmds[i, 1])
-        wz = float(cmds[i, 2])
         support_sign = -1.0 if mu > 0.0 else 1.0
 
         mu_out[i] = mu
@@ -407,19 +428,17 @@ def run_closed_loop(cmds, noise, dist_steps, dist_kicks, cpg, gains, filt, plant
         act = activations_from(pdi, gains, support_sign)
         act_out[i] = act
 
-        pose, saturated = apply_actions_flat(
-            cpg_pose(mu, vx, vy, wz, cpg, window), act, support_sign, ref
-        )
-        saturations += saturated
-        pose_out[i] = pose
-
         pitch, roll, pitch_rate, roll_rate = state
-        for j in range(n_dist):
-            if dist_steps[j] == i:
-                pitch_rate += float(dist_kicks[j, 0])
-                roll_rate += float(dist_kicks[j, 1])
+        while i == next_push:
+            j = order[k]
+            pitch_rate += float(dist_kicks[j, 0])
+            roll_rate += float(dist_kicks[j, 1])
+            k += 1
+            next_push = int(dist_steps[order[k]]) if k < n_dist else -1
 
-        exc_p, exc_r = gait_excitation(mu, vx, vy, wz, coupling)
+        exc_p, exc_r = gait_excitation(
+            mu, float(cmds[i, 0]), float(cmds[i, 1]), float(cmds[i, 2]), coupling
+        )
         state, fell = plant_step(
             pitch, roll, pitch_rate, roll_rate, exc_p, exc_r, act, plant, eff,
             float(noise[i, 0]), float(noise[i, 1]), dt,
@@ -430,5 +449,36 @@ def run_closed_loop(cmds, noise, dist_steps, dist_kicks, cpg, gains, filt, plant
 
         mu = wrap_pi(mu + phase_rate * act[6] * dt)
 
-    return (mu_out, state_out, state_out[:, :2], ep_out, act_out, pose_out, fall_idx,
-            saturations, state)
+    return (mu_out, state_out, state_out[:, :2], ep_out, act_out, np.empty((0, POSE_SIZE)),
+            fall_idx, 0, state)
+
+
+@maybe_njit(cache=True)
+def pose_readout(mu, cmds, act, cpg, geom):
+    """The abstract pose of each recorded sample and the saturation count.
+
+    ``mu`` (n,), ``cmds`` (n, 3) and ``act`` (n, 7) are rows that
+    ``run_closed_loop`` recorded, ``cpg`` is the loop's float tuple and
+    ``geom`` is (thigh, shank, halt eta).  Returns the (n, 18) poses, each
+    the CPG pose at the sample's phase and command with the sample's
+    activations superimposed, and the number of samples whose retraction
+    had to be clamped.  The support leg follows from the phase, as it does
+    for the activations in the loop.
+    """
+    n = mu.shape[0]
+    pose_out = np.empty((n, POSE_SIZE))
+    window = swing_window(cpg)
+    ref = com_shift_reference(geom)
+    saturations = 0
+    for i in range(n):
+        m = float(mu[i])
+        support_sign = -1.0 if m > 0.0 else 1.0
+        a = (float(act[i, 0]), float(act[i, 1]), float(act[i, 2]), float(act[i, 3]),
+             float(act[i, 4]), float(act[i, 5]), float(act[i, 6]))
+        pose, saturated = apply_actions_flat(
+            cpg_pose(m, float(cmds[i, 0]), float(cmds[i, 1]), float(cmds[i, 2]), cpg, window),
+            a, support_sign, ref,
+        )
+        saturations += saturated
+        pose_out[i] = pose
+    return pose_out, saturations

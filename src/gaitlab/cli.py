@@ -69,11 +69,17 @@ def _sequence_by_name(name: str):
     raise GaitlabError(f"unknown sequence {name!r} (standard, forward, in-place)")
 
 
+def _check_nonnegative_flag(flag: str, value: int) -> None:
+    if value < 0:
+        raise GaitlabError(f"{flag} must be >= 0, got {value}")
+
+
 def _load_config(path: str | None) -> dict[str, float]:
     return cfgmod.load_config(path) if path else cfgmod.default_config()
 
 
 def cmd_gait_run(args) -> int:
+    _check_nonnegative_flag("--seed", args.seed)
     cfg = _load_config(args.gains)
     seq = _sequence_by_name(args.seq)
     disturbances = [_parse_disturb(s) for s in args.disturb]
@@ -100,6 +106,7 @@ def cmd_gait_run(args) -> int:
 
 
 def cmd_gait_optimize(args) -> int:
+    _check_nonnegative_flag("--seed", args.seed)
     cfg = _load_config(args.gains)
     budget = OptBudget(
         max_real=args.max_real,
@@ -217,6 +224,7 @@ def cmd_calib_camera(args) -> int:
 
 
 def cmd_blob(args) -> int:
+    _check_nonnegative_flag("--min-pixels", args.min_pixels)
     detections = {}
     for channel, path in enumerate(args.input):
         if path.endswith(".pgm"):

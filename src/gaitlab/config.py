@@ -132,9 +132,10 @@ def load_config(path) -> dict[str, float]:
 
 
 def write_config(cfg: dict[str, float], path) -> None:
+    """Write ``cfg`` sorted by key; each value as the shortest text that reads back exactly."""
     with open(path, "w") as fh:
         for key in sorted(cfg):
-            fh.write(f"{key} = {cfg[key]:.12g}\n")
+            fh.write(f"{key} = {float(cfg[key])!r}\n")
 
 
 def cpg_from_config(cfg: dict[str, float]) -> CpgParams:

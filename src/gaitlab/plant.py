@@ -11,6 +11,7 @@ qualitative signs; no quantitative match with any robot is attempted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -188,6 +189,11 @@ class RunTrace:
     All arrays share the first dimension.  If the torso fell, the trace is
     truncated at the fall sample and ``fall`` is True.  The deviations fed
     back (``d_theta``, ``d_phi``) are the fused pitch and roll themselves.
+
+    ``pose`` and ``saturations`` do not feed back into the run, so they are
+    read out of ``mu``, ``cmds`` and ``activations`` by
+    ``_kernels.pose_readout`` the first time either is read, and kept.  A
+    cost that reads neither never pays for them.
     """
 
     dt: float
@@ -200,9 +206,26 @@ class RunTrace:
     e_p_alpha: np.ndarray
     e_p_beta: np.ndarray
     activations: np.ndarray
-    pose: np.ndarray
+    cmds: np.ndarray  # (vx, vy, wz) commanded at each sample
     fall: bool
-    saturations: int
+    pose_params: tuple  # (cpg, geom) float tuples that _kernels.pose_readout takes
+
+    @cached_property
+    def _pose_readout(self) -> tuple[np.ndarray, int]:
+        pose, saturations = _kernels.pose_readout(
+            self.mu, self.cmds, self.activations, *self.pose_params
+        )
+        return pose, int(saturations)
+
+    @property
+    def pose(self) -> np.ndarray:
+        """(n, 18) abstract pose commanded at each sample."""
+        return self._pose_readout[0]
+
+    @property
+    def saturations(self) -> int:
+        """Number of samples whose retraction was clamped into [0, 1]."""
+        return self._pose_readout[1]
 
     def __len__(self) -> int:
         return self.t.shape[0]
@@ -285,17 +308,17 @@ def run_sequence(
     halt_eta = 0.5 * (cpg.halt_pose.left_leg.eta + cpg.halt_pose.right_leg.eta)
 
     floats = _kernels.float_tuple
-    mu_out, state, _, ep, act, pose, fall_idx, saturations, end_state = _kernels.run_closed_loop(
+    cpg_floats = floats(cpg.to_array())
+    mu_out, state, _, ep, act, _, fall_idx, _, end_state = _kernels.run_closed_loop(
         cmds,
         noise,
         dist_steps,
         dist_kicks,
-        floats(cpg.to_array()),
+        cpg_floats,
         floats(gains.to_array()),
         floats(filter_params.to_array()),
         floats(p.to_array()),
         floats(p.action_effectiveness),
-        floats([geom.thigh, geom.shank, halt_eta]),
         DT,
         0.0,
         np.zeros(4),
@@ -323,9 +346,9 @@ def run_sequence(
         e_p_alpha=ep[:end, 0],
         e_p_beta=ep[:end, 1],
         activations=act[:end],
-        pose=pose[:end],
+        cmds=cmds[:end],
         fall=fell,
-        saturations=int(saturations),
+        pose_params=(cpg_floats, floats([geom.thigh, geom.shank, halt_eta])),
     )
 
 
@@ -334,6 +357,19 @@ def phase_plot_series(trace: RunTrace) -> np.ndarray:
     if len(trace) == 0:
         raise InvalidInputError("trace is empty")
     return np.column_stack([trace.pitch, trace.pitch_rate])
+
+
+def _write_csv(path, header: str, data: np.ndarray) -> None:
+    """Header line, then one line per row of ``data``, each value as ``%.12g``.
+
+    The same bytes as ``np.savetxt(path, data, fmt="%.12g", delimiter=",",
+    header=header, comments="")``, formatted with one ``%`` over all rows.
+    """
+    n_rows, n_cols = data.shape
+    row = ",".join(["%.12g"] * n_cols) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.write((row * n_rows) % tuple(data.ravel().tolist()))
 
 
 def trace_to_csv(trace: RunTrace, path) -> None:
@@ -354,16 +390,8 @@ def trace_to_csv(trace: RunTrace, path) -> None:
             fall_col,
         ]
     )
-    header = "t,mu,pitch,roll,pitch_rate,roll_rate,d_theta,d_phi,fall"
-    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.12g")
+    _write_csv(path, "t,mu,pitch,roll,pitch_rate,roll_rate,d_theta,d_phi,fall", data)
 
 
 def phase_plot_to_csv(trace: RunTrace, path) -> None:
-    np.savetxt(
-        path,
-        phase_plot_series(trace),
-        delimiter=",",
-        header="fused_pitch,fused_pitch_rate",
-        comments="",
-        fmt="%.12g",
-    )
+    _write_csv(path, "fused_pitch,fused_pitch_rate", phase_plot_series(trace))

@@ -20,7 +20,6 @@ def closed_loop_args(n=600, seed=4):
     noise = rng.normal(0, 0.06, (n, 2))
     dist_steps = np.array([250], dtype=np.int64)
     dist_kicks = np.array([[0.6, -0.2]])
-    geom = LegGeometry()
     floats = _kernels.float_tuple
     return (
         cmds,
@@ -32,7 +31,6 @@ def closed_loop_args(n=600, seed=4):
         floats(FilterParams().to_array()),
         floats(PlantParams(seed=seed).to_array()),
         floats(default_effectiveness()),
-        (geom.thigh, geom.shank, 0.1),
         DT,
         0.0,
         np.zeros(4),
@@ -49,6 +47,21 @@ def test_closed_loop_kernel_matches_python_bitwise():
             assert np.array_equal(got, want)
         else:
             assert got == want
+
+
+@needs_numba
+def test_pose_readout_matches_python_bitwise():
+    args = closed_loop_args()
+    mu, _, _, _, act = _kernels.run_closed_loop.py_func(*args)[:5]
+    geom = LegGeometry()
+    # nonzero CoM shifts run the IK branch; a large lift pulse saturates the retraction
+    act = act + np.array([0.0, 0.0, 0.0, 0.0, 0.01, -0.02, 0.0])
+    cpg = list(args[4])
+    cpg[18] = 0.95
+    readout_args = (mu, args[0], act, tuple(cpg), (geom.thigh, geom.shank, 0.1))
+    pose, saturations = _kernels.pose_readout(*readout_args)
+    want_pose, want_saturations = _kernels.pose_readout.py_func(*readout_args)
+    assert np.array_equal(pose, want_pose) and saturations == want_saturations > 0
 
 
 @needs_numba

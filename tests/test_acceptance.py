@@ -103,25 +103,13 @@ def test_gear_geometry():
 def test_abstract_pose_round_trip():
     rng = np.random.default_rng(1)
     start = time.monotonic()
-    for _ in range(10_000):
-        def leg():
-            return LegJoints(
-                hip_yaw=rng.uniform(-1.5, 1.5),
-                hip_roll=rng.uniform(-1.5, 1.5),
-                hip_pitch=rng.uniform(-1.5, 1.5),
-                knee_pitch=rng.uniform(0.0, math.pi - 0.01),
-                ankle_pitch=rng.uniform(-1.5, 1.5),
-                ankle_roll=rng.uniform(-1.5, 1.5),
-            )
-
-        def arm():
-            return ArmJoints(
-                shoulder_pitch=rng.uniform(-1.5, 1.5),
-                shoulder_roll=rng.uniform(-1.5, 1.5),
-                elbow_pitch=rng.uniform(0.0, math.pi - 0.01),
-            )
-
-        j = JointPose(leg(), leg(), arm(), arm())
+    # one draw per joint in field order: left leg, right leg, left arm, right arm
+    leg_lo, leg_hi = [-1.5, -1.5, -1.5, 0.0, -1.5, -1.5], [1.5, 1.5, 1.5, math.pi - 0.01, 1.5, 1.5]
+    arm_lo, arm_hi = [-1.5, -1.5, 0.0], [1.5, 1.5, math.pi - 0.01]
+    draws = rng.uniform(leg_lo * 2 + arm_lo * 2, leg_hi * 2 + arm_hi * 2, size=(10_000, 18))
+    for row in draws.tolist():
+        j = JointPose(LegJoints(*row[0:6]), LegJoints(*row[6:12]),
+                      ArmJoints(*row[12:15]), ArmJoints(*row[15:18]))
         j2 = abstract_to_joint(joint_to_abstract(j))
         for attr in ("left_leg", "right_leg"):
             a, b = getattr(j, attr), getattr(j2, attr)

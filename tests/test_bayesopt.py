@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gaitlab import _kernels
 from gaitlab.bayesopt import (
     REAL,
     SIM,
@@ -344,3 +345,14 @@ def test_budget_rejects_empty_total_and_negative_real(kwargs, field):
 def test_random_search_rejects_zero_real_budget():
     with pytest.raises(InvalidInputError, match="max_real >= 1"):
         random_search(make_problem(), OptBudget(max_real=0, max_total=5), seed=0)
+
+
+def test_cost_runs_never_read_the_pose(monkeypatch):
+    def readout(*args):
+        raise AssertionError("the cost path read the pose")
+
+    monkeypatch.setattr(_kernels, "pose_readout", readout)
+    prob = make_problem()
+    prob.evaluate(prob.default_x(), REAL, 3)
+    optimize(prob, OptBudget(max_real=1, max_total=3), seed=2)
+    random_search(prob, OptBudget(max_real=2, max_total=2), seed=2)

@@ -292,8 +292,45 @@ def test_optimize_best_gains_config_loads_back(tmp_path):
 
     from gaitlab.config import load_config
 
-    assert run_cli("gait", "optimize", "--max-real", 1, "--max-total", 3, "--out", tmp_path) == 0
+    # this budget's best point has more digits than 12 significant ones
+    assert run_cli("gait", "optimize", "--max-real", 2, "--max-total", 6, "--out", tmp_path) == 0
     best = load_config(tmp_path / "best_gains.cfg")
     summary = json.loads((tmp_path / "summary.json").read_text())
     for name, value in summary["best_gains"].items():
-        assert best[f"gains.{name}"] == float(f"{value:.12g}")
+        assert best[f"gains.{name}"] == value
+
+
+def test_optimize_best_gains_config_holds_best_x_exactly(tmp_path, monkeypatch):
+    from gaitlab import cli
+    from gaitlab.config import load_config
+
+    results = []
+    optimize = cli.optimize
+
+    def recorded(*args, **kwargs):
+        results.append(optimize(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "optimize", recorded)
+    # this budget's best point has more digits than 12 significant ones
+    assert run_cli("gait", "optimize", "--max-real", 2, "--max-total", 6, "--out", tmp_path) == 0
+    best = load_config(tmp_path / "best_gains.cfg")
+    x = np.array([best["gains.arm_angle_y.kp"], best["gains.arm_angle_y.kd"]])
+    assert x.tobytes() == results[0].best_x.tobytes()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["gait", "run", "--seed", "-1"], "--seed"),
+        (["gait", "optimize", "--seed", "-3"], "--seed"),
+        (["blob", "--input", "h.pgm", "--min-pixels", "-5"], "--min-pixels"),
+    ],
+)
+def test_negative_count_flag_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    write_pgm(np.zeros((8, 8)), tmp_path / "h.pgm")
+    assert run_cli(*argv, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+    assert not (tmp_path / "out").exists()

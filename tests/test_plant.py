@@ -359,3 +359,35 @@ def test_one_step_overflow_to_inf_is_an_error_not_a_fall(monkeypatch):
         run_sequence(gains, CpgParams(), seq, PlantParams(fall_threshold=1e300))
     state, fall_idx, end = runs[0][1], runs[0][6], runs[0][8]
     assert fall_idx == 48 and np.isfinite(state[:49]).all() and math.isinf(end[0])
+
+
+def test_pose_is_read_out_once_and_replace_reads_it_anew(monkeypatch):
+    calls = []
+    readout = _kernels.pose_readout
+    monkeypatch.setattr(_kernels, "pose_readout", lambda *a: calls.append(1) or readout(*a))
+    cpg = CpgParams(lift_amplitude=0.95)
+    trace = run_sequence(FeedbackGains(), cpg, standard_test_sequence(), PlantParams(seed=4),
+                         [Disturbance(4.0, 9.0, "left")])
+    assert calls == []
+    pose, saturations = trace.pose, trace.saturations
+    assert trace.pose is pose and trace.saturations == saturations > 0 and len(calls) == 1
+
+    same = replace(trace, fall=trace.fall)
+    assert np.array_equal(same.pose, pose) and same.saturations == saturations
+    assert len(calls) == 2
+    # a copy with other activations gets its own pose: zero activations leave the CPG pose
+    open_loop = replace(trace, activations=np.zeros_like(trace.activations))
+    i = 700
+    want = evaluate_cpg(trace.mu[i], GaitCommand(*trace.cmds[i]), cpg).to_array()
+    assert np.array_equal(open_loop.pose[i], want) and not np.array_equal(pose[i], want)
+
+
+def test_push_order_in_the_list_does_not_matter():
+    pushes = [Disturbance(11.0, 9.0, "back"), Disturbance(4.0, 9.0, "left"),
+              Disturbance(4.0, 3.0, "front"), Disturbance(0.0, 2.0, "right")]
+    args = (FeedbackGains(), CpgParams(), standard_test_sequence(), PlantParams(seed=6))
+    a = run_sequence(*args, pushes)
+    b = run_sequence(*args, sorted(pushes, key=lambda d: d.time))
+    for field in ("pitch", "roll", "pitch_rate", "roll_rate", "activations", "pose"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+    assert a.roll_rate[1] > 0.0  # the push at t=0 lands in the first step
