@@ -37,7 +37,8 @@ from .feedback import (
     DeviationFilters,
     FeedbackGains,
     FilterParams,
-    PidGains,
+    IGain,
+    PdGains,
     apply_actions,
     compute_activations,
     zero_gains,

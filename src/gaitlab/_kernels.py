@@ -53,9 +53,11 @@ timing factor.
 Parameter tuples (the ``to_array`` layouts):
     cpg   (24)  halt pose[0:18], lift_amp, swing_amp, sway_amp,
                 arm_swing_amp, double_support_fraction, frequency
-    gains (12)  armX kp, kd | armY kp, kd | suppX kp, kd |
-                contX ki | comX ki | comY ki |
-                speed_up, slow_down, min_timing_factor
+    gains (12)  the fields of ``FeedbackGains`` in declaration order,
+                each action's terms in place: the P/D actions
+                armX kp, kd | armY kp, kd | suppX kp, kd, the I actions
+                contX ki | comX ki | comY ki, then speed_up, slow_down,
+                min_timing_factor
     filt  (3)   smoothing tau, deadband, leak rate
     plant (5)   pitch natural freq, roll natural freq, damping,
                 gait coupling, fall threshold
@@ -232,22 +234,24 @@ def filters_step(fs, d_theta, d_phi, dt, coeffs):
 def activations_from(pdi, gains, support_sign):
     """Corrective-action activations (7-tuple) from (P, D, I) per plane."""
     p_t, d_t, i_t, p_p, d_p, i_p = pdi
+    (arm_x_kp, arm_x_kd, arm_y_kp, arm_y_kd, supp_x_kp, supp_x_kd,
+     cont_x_ki, com_x_ki, com_y_ki, speed_up, slow_down, min_tf) = gains
 
     # tilting toward the support leg is outward, away from it inward
     tilt = p_p * support_sign
     outward = tilt if tilt > 0.0 else 0.0
     inward = -tilt if tilt < 0.0 else 0.0
-    tf = 1.0 + gains[9] * inward - gains[10] * outward
-    if tf < gains[11]:
-        tf = gains[11]
+    tf = 1.0 + speed_up * inward - slow_down * outward
+    if tf < min_tf:
+        tf = min_tf
 
     return (
-        gains[0] * p_p + gains[1] * d_p,  # arm angle X
-        gains[2] * p_t + gains[3] * d_t,  # arm angle Y
-        gains[4] * p_p + gains[5] * d_p,  # support foot angle X
-        gains[6] * i_p,  # continuous foot angle X
-        gains[7] * i_t,  # CoM shift X
-        gains[8] * i_p,  # CoM shift Y
+        arm_x_kp * p_p + arm_x_kd * d_p,
+        arm_y_kp * p_t + arm_y_kd * d_t,
+        supp_x_kp * p_p + supp_x_kd * d_p,
+        cont_x_ki * i_p,
+        com_x_ki * i_t,
+        com_y_ki * i_p,
         tf,
     )
 

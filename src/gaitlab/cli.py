@@ -47,7 +47,8 @@ from .plant import (
     trace_to_csv,
 )
 
-_DISTURB_RE = re.compile(r"^([0-9.eE+-]+)@([0-9.eE+-]+)s?:(front|back|left|right)$")
+_NUMBER = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"  # a decimal float() reads
+_DISTURB_RE = re.compile(rf"^({_NUMBER})@({_NUMBER})s?:(front|back|left|right)$")
 
 
 def _parse_disturb(spec: str) -> Disturbance:

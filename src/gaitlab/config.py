@@ -4,9 +4,10 @@ Format: one ``key = value`` pair per line, ``#`` starts a comment, all
 values are numbers.  Unknown keys are rejected so typos fail loudly.  A key
 is ``<section>.<field>`` for every float field of ``CpgParams`` (cpg),
 ``FilterParams`` (filter), ``FeedbackGains`` (gains) and ``PlantParams``
-(plant), with ``PidGains`` nested as ``gains.<action>.kp/kd/ki``; four keys
-name no single field (``_DERIVED``).  ``flatten`` and ``rebuild`` are the one
-map between keys and objects; the optimizer's gain names are the gains keys
+(plant), with each action's gains nested as ``gains.<action>.<term>``: kp
+and kd for a ``PdGains`` action, ki for an ``IGain`` one.  Four keys name no
+single field (``_DERIVED``).  ``flatten`` and ``rebuild`` are the one map
+between keys and objects; the optimizer's gain names are the gains keys
 without ``gains.``.
 """
 
@@ -16,7 +17,7 @@ from dataclasses import fields, replace
 
 from .cpg import CpgParams
 from .errors import ConfigurationError, InvalidInputError
-from .feedback import FeedbackGains, FilterParams, PidGains
+from .feedback import ACTION_GAIN_TYPES, FeedbackGains, FilterParams
 from .plant import PlantParams
 
 SECTIONS = {"cpg": CpgParams, "filter": FilterParams, "gains": FeedbackGains, "plant": PlantParams}
@@ -53,7 +54,7 @@ def flatten(obj, prefix: str = "") -> dict[str, float]:
     out = {}
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if isinstance(value, PidGains):
+        if isinstance(value, ACTION_GAIN_TYPES):
             out.update(flatten(value, f"{prefix}{f.name}."))
         elif f.type in _FLOAT:
             out[prefix + f.name] = value
@@ -72,7 +73,7 @@ def rebuild(obj, values: dict[str, float], prefix: str = ""):
     changes = {}
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if isinstance(value, PidGains):
+        if isinstance(value, ACTION_GAIN_TYPES):
             changes[f.name] = rebuild(value, values, f"{prefix}{f.name}.")
         elif f.type in _FLOAT and prefix + f.name in values:
             changes[f.name] = values[prefix + f.name]
@@ -115,8 +116,23 @@ def parse_config_text(text: str) -> dict[str, float]:
     return out
 
 
+# gains.<action>.<term> for each gain term the action's type lacks; config files
+# from when every action carried kp, kd and ki list these keys at 0
+_GAIN_TERMS = {f.name for cls in ACTION_GAIN_TYPES for f in fields(cls)}
+_ABSENT_GAIN_TERMS = frozenset(
+    f"gains.{action}.{term}"
+    for action, gains in vars(FeedbackGains()).items()
+    if isinstance(gains, ACTION_GAIN_TYPES)
+    for term in _GAIN_TERMS - {f.name for f in fields(gains)}
+)
+
+
 def load_config(path) -> dict[str, float]:
-    """Load a config file and merge it over the defaults."""
+    """Load a config file and merge it over the defaults.
+
+    A key naming a gain term that its action does not have is dropped when
+    its value is 0 and rejected otherwise.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -125,6 +141,14 @@ def load_config(path) -> dict[str, float]:
     overrides = parse_config_text(text)
     cfg = default_config()
     for key, value in overrides.items():
+        if key in _ABSENT_GAIN_TERMS:
+            if value != 0.0:
+                _, action, term = key.split(".")
+                raise ConfigurationError(
+                    f"config key {key!r} = {value!r}: {action} has no {term} term"
+                    " (only 0 is accepted)"
+                )
+            continue
         if key not in cfg:
             raise ConfigurationError(f"unknown config key {key!r}")
         cfg[key] = value

@@ -1,9 +1,10 @@
 """Fused-angle feedback: deviation filtering and corrective-action activation.
 
 The fused pitch/roll deviations are smoothed, deadbanded, and differentiated
-per plane; arm and support-foot actions use the P/D terms, the continuous
-foot angle and CoM shifts use a leaky integral, and the timing action scales
-the gait-phase increment from the deadbanded roll deviation.
+per plane; arm and support-foot actions use the P/D terms (``PdGains``), the
+continuous foot angle and CoM shifts use a leaky integral (``IGain``), and
+the timing action scales the gait-phase increment from the deadbanded roll
+deviation.
 """
 
 from __future__ import annotations
@@ -17,27 +18,42 @@ from .errors import InvalidInputError, check_nonnegative
 from .pose import AbstractPose, LegGeometry
 
 
-@dataclass
-class PidGains:
-    kp: float = 0.0
-    kd: float = 0.0
-    ki: float = 0.0
+class _ActionGains:
+    """Gains of one corrective action: every field a finite gain >= 0."""
 
     def __post_init__(self):
-        for name in ("kp", "kd", "ki"):
-            check_nonnegative(f"gain {name}", getattr(self, name))
+        for f in fields(self):
+            check_nonnegative(f"gain {f.name}", getattr(self, f.name))
+
+
+@dataclass
+class PdGains(_ActionGains):
+    """Proportional and derivative gains of an arm or support-foot action."""
+
+    kp: float = 0.0
+    kd: float = 0.0
+
+
+@dataclass
+class IGain(_ActionGains):
+    """Leaky-integral gain of a continuous-foot or CoM-shift action."""
+
+    ki: float = 0.0
+
+
+ACTION_GAIN_TYPES = (PdGains, IGain)  # config keys nest one level: gains.<action>.<term>
 
 
 @dataclass
 class FeedbackGains:
-    """Per-action gains; I-gains are used only by cont_foot_angle_x and com_shift."""
+    """Per-action gains, typed by each action's control law, and the timing gains."""
 
-    arm_angle_x: PidGains = field(default_factory=lambda: PidGains(kp=0.8, kd=0.25))
-    arm_angle_y: PidGains = field(default_factory=lambda: PidGains(kp=1.2, kd=0.35))
-    supp_foot_angle_x: PidGains = field(default_factory=lambda: PidGains(kp=0.5, kd=0.1))
-    cont_foot_angle_x: PidGains = field(default_factory=lambda: PidGains(ki=0.4))
-    com_shift_x: PidGains = field(default_factory=lambda: PidGains(ki=0.02))
-    com_shift_y: PidGains = field(default_factory=lambda: PidGains(ki=0.02))
+    arm_angle_x: PdGains = field(default_factory=lambda: PdGains(kp=0.8, kd=0.25))
+    arm_angle_y: PdGains = field(default_factory=lambda: PdGains(kp=1.2, kd=0.35))
+    supp_foot_angle_x: PdGains = field(default_factory=lambda: PdGains(kp=0.5, kd=0.1))
+    cont_foot_angle_x: IGain = field(default_factory=lambda: IGain(ki=0.4))
+    com_shift_x: IGain = field(default_factory=lambda: IGain(ki=0.02))
+    com_shift_y: IGain = field(default_factory=lambda: IGain(ki=0.02))
     timing_speed_up: float = 0.6
     timing_slow_down: float = 0.6
     min_timing_factor: float = 0.1
@@ -48,28 +64,25 @@ class FeedbackGains:
         check_nonnegative("min_timing_factor", self.min_timing_factor, positive=True)
 
     def to_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.arm_angle_x.kp,
-                self.arm_angle_x.kd,
-                self.arm_angle_y.kp,
-                self.arm_angle_y.kd,
-                self.supp_foot_angle_x.kp,
-                self.supp_foot_angle_x.kd,
-                self.cont_foot_angle_x.ki,
-                self.com_shift_x.ki,
-                self.com_shift_y.ki,
-                self.timing_speed_up,
-                self.timing_slow_down,
-                self.min_timing_factor,
-            ]
-        )
+        """Every gain in field declaration order, an action's terms in place."""
+        out = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, ACTION_GAIN_TYPES):
+                out.extend(getattr(value, term.name) for term in fields(value))
+            else:
+                out.append(value)
+        return np.array(out)
 
 
 def zero_gains() -> FeedbackGains:
     """All-zero gains: the closed loop degenerates to the open-loop gait."""
-    pids = {f.name: PidGains() for f in fields(FeedbackGains) if f.type == "PidGains"}
-    return FeedbackGains(**pids, timing_speed_up=0.0, timing_slow_down=0.0)
+    zeros = {
+        name: type(gains)()
+        for name, gains in vars(FeedbackGains()).items()
+        if isinstance(gains, ACTION_GAIN_TYPES)
+    }
+    return FeedbackGains(**zeros, timing_speed_up=0.0, timing_slow_down=0.0)
 
 
 @dataclass

@@ -316,6 +316,10 @@ def calibrate_extrinsics(
     )
 
 
+_PGM_GAP = re.compile(rb"(?:\s|#[^\n]*\n)*")  # whitespace and comment lines
+_PGM_TOKEN = re.compile(rb"\S+")
+
+
 def read_pgm(path) -> np.ndarray:
     """Read a binary (P5) PGM into a [0, 1] float heatmap."""
     with open(path, "rb") as fh:
@@ -323,10 +327,11 @@ def read_pgm(path) -> np.ndarray:
     tokens = []
     pos = 0
     while len(tokens) < 4:
-        m = re.compile(rb"(?:\s*(?:#[^\n]*\n)?)*(\S+)").match(data, pos)
+        # the gap always matches, so no failed token match backtracks into it
+        m = _PGM_TOKEN.match(data, _PGM_GAP.match(data, pos).end())
         if m is None:
             raise InvalidInputError(f"malformed PGM header in {path}")
-        tokens.append(m.group(1))
+        tokens.append(m.group())
         pos = m.end()
     if tokens[0] != b"P5":
         raise InvalidInputError(f"{path} is not a binary PGM (magic {tokens[0]!r})")
@@ -344,6 +349,8 @@ def read_pgm(path) -> np.ndarray:
             f"truncated PGM {path}: {max(len(data) - start, 0)} of {width * height} pixel bytes"
         )
     pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=start)
+    if pixels.max() > maxval:
+        raise InvalidInputError(f"PGM {path} has a pixel above its maxval {maxval}")
     return pixels.reshape(height, width).astype(float) / maxval
 
 

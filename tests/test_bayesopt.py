@@ -305,7 +305,10 @@ def test_history_csv_schema(tmp_path):
     assert len(lines) == 7
 
 
-@pytest.mark.parametrize("name", ["arm_angle_y.kq", "arm_angle_z.kp", "frequency", "arm_angle_y"])
+@pytest.mark.parametrize("name", [
+    "arm_angle_y.kq", "arm_angle_z.kp", "frequency", "arm_angle_y",
+    "com_shift_x.kp", "arm_angle_y.ki",  # terms these actions' gain types lack
+])
 def test_gain_problem_rejects_unknown_gain_names(name):
     with pytest.raises(InvalidInputError, match=f"unknown gain.*{name}"):
         make_problem(param_names=("arm_angle_y.kp", name), bounds=[[0.0, 6.0], [0.0, 1.0]])

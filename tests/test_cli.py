@@ -90,6 +90,13 @@ def test_gait_run_bad_disturb_spec(capsys):
     assert "disturb" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["1.2.3@5s:front", "e@5s:front", "5@--s:back"])
+def test_gait_run_malformed_disturb_number_is_a_usage_error(tmp_path, capsys, spec):
+    assert run_cli("gait", "run", "--disturb", spec, "--out", tmp_path) == 1
+    assert capsys.readouterr().err.startswith(f"error: bad --disturb {spec!r}")
+    assert not (tmp_path / "trace.csv").exists()
+
+
 @pytest.mark.parametrize(
     "spec, field",
     [("1e999@5s:front", "impulse"), ("5@1e999s:front", "time"), ("5@-3s:front", "time")],
@@ -242,6 +249,14 @@ def test_blob_malformed_csv_is_an_input_error(tmp_path, capsys, data, cause):
     assert run_cli("blob", "--input", path, "--out", tmp_path / "det.csv") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: malformed heatmap CSV") and str(path) in err and cause in err
+    assert not (tmp_path / "det.csv").exists()
+
+
+def test_blob_truncated_pgm_header_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "cut.pgm"
+    path.write_bytes(b"P5\n4 3" + b"\n" * 100_000)
+    assert run_cli("blob", "--input", path, "--out", tmp_path / "det.csv") == 1
+    assert capsys.readouterr().err.startswith(f"error: malformed PGM header in {path}")
     assert not (tmp_path / "det.csv").exists()
 
 

@@ -18,7 +18,7 @@ from gaitlab.config import (
     write_config,
 )
 from gaitlab.errors import ConfigurationError, InvalidInputError
-from gaitlab.feedback import FeedbackGains, PidGains
+from gaitlab.feedback import ACTION_GAIN_TYPES, FeedbackGains, IGain
 
 
 def test_defaults_build_all_objects():
@@ -74,15 +74,31 @@ def test_keys_follow_the_parameter_fields():
         obj = cls()
         for f in fields(obj):
             value = getattr(obj, f.name)
-            if isinstance(value, PidGains):
-                for gain in ("kp", "kd", "ki"):
-                    assert cfg[f"{section}.{f.name}.{gain}"] == getattr(value, gain)
+            if isinstance(value, ACTION_GAIN_TYPES):
+                for term in fields(value):
+                    assert cfg[f"{section}.{f.name}.{term.name}"] == getattr(value, term.name)
             elif f.type == "float":
                 assert cfg[f"{section}.{f.name}"] == value
     derived = {"cpg.halt_eta", "cpg.halt_arm_eta",
                "plant.natural_freq_pitch", "plant.natural_freq_roll"}
     assert derived <= set(cfg)
-    assert len(cfg) == 39
+    assert len(cfg) == 30
+
+
+def test_gains_array_is_the_flattened_gains_in_field_order():
+    gains = FeedbackGains(com_shift_y=IGain(ki=0.07))
+    assert gains.to_array().tolist() == list(flatten(gains).values())
+
+
+def test_absent_gain_terms_load_only_at_zero(tmp_path):
+    path = tmp_path / "old.cfg"
+    path.write_text(
+        "gains.arm_angle_x.ki = 0\ngains.com_shift_x.kp = 0.0\ngains.arm_angle_y.kp = 2\n"
+    )
+    assert load_config(path) == {**default_config(), "gains.arm_angle_y.kp": 2.0}
+    path.write_text("gains.com_shift_x.kp = 2\n")
+    with pytest.raises(ConfigurationError, match=r"'gains\.com_shift_x\.kp'.*has no kp term"):
+        load_config(path)
 
 
 def test_rebuild_runs_the_dataclass_checks_and_names_the_key_path():
@@ -107,20 +123,22 @@ def test_halt_and_natural_frequency_keys_set_both_sides():
 
 
 def _doc_config_table():
-    """key -> default from the config section of docs/formats.md, gains rows expanded."""
+    """key -> default from the config section of docs/formats.md, action tables expanded."""
     text = (Path(__file__).parent.parent / "docs" / "formats.md").read_text()
     section = text.split("## Config file", 1)[1].split("\n## ", 1)[0]
-    keys, actions = {}, {}
-    for name, cells in re.findall(r"^\| `([^`]+)` \| (.+) \|$", section, re.MULTILINE):
-        cells = cells.split(" | ")
-        if "." in name:  # a key row: default, meaning
-            keys[name] = cells[0]
-        else:  # an action row: kp, kd, ki
-            actions[name] = cells
-    assert keys.pop("gains.<action>.kp/.kd/.ki") == "see below"
-    for action, gains in actions.items():
-        for gain, value in zip(("kp", "kd", "ki"), gains, strict=True):
-            keys[f"gains.{action}.{gain}"] = value
+    keys = {}
+    for table in re.findall(r"(?:^\|.*\|\n)+", section, re.MULTILINE):
+        header, _, *rows = (row.strip("|").split("|") for row in table.splitlines())
+        header = [cell.strip() for cell in header]
+        for name, *cells in rows:
+            name = name.strip().strip("`")
+            if header[0] == "key":  # key, default, meaning
+                keys[name] = cells[0].strip()
+            else:  # action, then one column per gain term
+                assert header[0] == "action"
+                for term, value in zip(header[1:], cells, strict=True):
+                    keys[f"gains.{name}.{term}"] = value.strip()
+    assert keys.pop("gains.<action>.kp/.kd") == keys.pop("gains.<action>.ki") == "see below"
     return {key: float(value) for key, value in keys.items()}
 
 

@@ -9,8 +9,9 @@ from gaitlab.feedback import (
     DeviationFilters,
     FeedbackGains,
     FilterParams,
+    IGain,
+    PdGains,
     PdiTerms,
-    PidGains,
     apply_actions,
     compute_activations,
     zero_gains,
@@ -80,7 +81,7 @@ def test_zero_terms_give_zero_activations():
 
 def test_forward_lean_raises_arm_angle_y():
     gains = zero_gains()
-    gains.arm_angle_y = PidGains(kp=1.0)
+    gains.arm_angle_y = PdGains(kp=1.0)
     act = compute_activations(PdiTerms(p=0.08), PdiTerms(), gains, 1)
     assert abs(act.arm_angle_y - 0.08) < 1e-15  # backward-correcting direction
     assert act.arm_angle_x == 0.0
@@ -115,9 +116,9 @@ def test_timing_factor_monotone_and_floored():
 
 def test_integral_terms_feed_the_slow_actions():
     gains = zero_gains()
-    gains.cont_foot_angle_x = PidGains(ki=0.4)
-    gains.com_shift_x = PidGains(ki=0.02)
-    gains.com_shift_y = PidGains(ki=0.03)
+    gains.cont_foot_angle_x = IGain(ki=0.4)
+    gains.com_shift_x = IGain(ki=0.02)
+    gains.com_shift_y = IGain(ki=0.03)
     act = compute_activations(PdiTerms(i=1.5), PdiTerms(i=-2.0), gains, -1)
     assert abs(act.cont_foot_angle_x - 0.4 * -2.0) < 1e-15
     assert abs(act.com_shift_x - 0.02 * 1.5) < 1e-15
@@ -226,7 +227,7 @@ def test_superposition_linearity_of_angle_actions():
 
 def test_gain_validation():
     with pytest.raises(InvalidInputError):
-        PidGains(kp=-0.1)
+        PdGains(kp=-0.1)
     with pytest.raises(InvalidInputError):
         FeedbackGains(min_timing_factor=0.0)
     with pytest.raises(InvalidInputError):
@@ -238,9 +239,9 @@ def test_gain_validation():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_gains_and_filter_constants_rejected(bad):
     for make in (
-        lambda: PidGains(kp=bad),
-        lambda: PidGains(kd=bad),
-        lambda: PidGains(ki=bad),
+        lambda: PdGains(kp=bad),
+        lambda: PdGains(kd=bad),
+        lambda: IGain(ki=bad),
         lambda: FeedbackGains(timing_speed_up=bad),
         lambda: FeedbackGains(timing_slow_down=bad),
         lambda: FeedbackGains(min_timing_factor=bad),

@@ -426,6 +426,7 @@ def test_pgm_rejects_wrong_magic(tmp_path):
         b"P5\n4 -3\n255\n" + bytes(12),
         b"P5\n4.5 3\n255\n" + bytes(12),
         b"P5\n4 3\nmax\n" + bytes(12),
+        b"P5\n2 1\n7\n\x00\x08",  # a pixel above maxval
     ],
 )
 def test_pgm_rejects_bad_header_or_payload(tmp_path, data):
@@ -433,6 +434,20 @@ def test_pgm_rejects_bad_header_or_payload(tmp_path, data):
     path.write_bytes(data)
     with pytest.raises(InvalidInputError):
         read_pgm(path)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"P5" + b" " * 100_000, b"P5\n4 3" + b"\n" * 100_000],
+    ids=["spaces-after-magic", "newlines-after-height"],
+)
+def test_pgm_header_without_its_next_token_fails_fast(tmp_path, data):
+    path = tmp_path / "cut.pgm"
+    path.write_bytes(data)
+    start = time.perf_counter()
+    with pytest.raises(InvalidInputError, match="malformed PGM header"):
+        read_pgm(path)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_heatmap_csv_reader(tmp_path):

@@ -12,7 +12,8 @@ from gaitlab.feedback import (
     DeviationFilters,
     FeedbackGains,
     FilterParams,
-    PidGains,
+    IGain,
+    PdGains,
     apply_actions,
     compute_activations,
     zero_gains,
@@ -231,7 +232,7 @@ def test_zero_gain_closed_loop_is_bit_identical_to_open_loop():
 def test_public_step_helpers_reproduce_run_sequence_bitwise():
     # nonzero CoM-shift I-gains run the IK branch, the lift pulse saturates the
     # swing-leg retraction, and the second push fells the torso
-    gains = FeedbackGains(com_shift_x=PidGains(ki=0.3), com_shift_y=PidGains(ki=0.2))
+    gains = FeedbackGains(com_shift_x=IGain(ki=0.3), com_shift_y=IGain(ki=0.2))
     cpg = CpgParams(lift_amplitude=0.95)
     p = PlantParams(seed=4)
     seq = standard_test_sequence()
@@ -345,7 +346,7 @@ def test_trace_csv_schema(tmp_path):
 
 
 def test_one_step_overflow_to_inf_is_an_error_not_a_fall(monkeypatch):
-    gains = FeedbackGains(arm_angle_y=PidGains(kp=1e300))
+    gains = FeedbackGains(arm_angle_y=PdGains(kp=1e300))
     seq = [(GaitCommand(vx=0.7), 2.0)]
     # a huge but finite state still counts as a fall at the usual threshold
     trace = run_sequence(gains, CpgParams(), seq, PlantParams())
