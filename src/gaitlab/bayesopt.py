@@ -105,9 +105,21 @@ class OptBudget:
 
 
 def _rq_matrix(xa: np.ndarray, xb: np.ndarray, p: RqKernelParams) -> np.ndarray:
+    """RQ gram between the rows of ``xa`` (n, d) and ``xb`` (m, d).
+
+    The squared distance is summed one input dimension at a time on (n, m)
+    arrays, never through an (n, m, d) difference.  For d <= 7 this adds in
+    the same order as ``np.sum`` over the last axis, so the gram is
+    bit-identical to the broadcast formula; from d = 8 on ``np.sum`` sums
+    pairwise and the two can differ in the last bit.
+    """
     if xa.shape[1] != xb.shape[1]:  # broadcasting would pair mismatched vectors silently
         raise InvalidInputError(f"dimension mismatch: {xa.shape[1]} vs {xb.shape[1]}")
-    r2 = np.sum((xa[:, None, :] - xb[None, :, :]) ** 2, axis=2)
+    r2 = np.zeros((xa.shape[0], xb.shape[0]))
+    for k in range(xa.shape[1]):
+        d = np.subtract.outer(xa[:, k], xb[:, k])
+        d *= d
+        r2 += d
     return p.variance * (1.0 + r2 / (2.0 * p.shape * p.length_scale**2)) ** (-p.shape)
 
 
@@ -130,11 +142,18 @@ def composite_gram(
     real_b: np.ndarray,
     k: CompositeKernel,
 ) -> np.ndarray:
-    """Vectorized composite kernel matrix between two augmented point sets."""
+    """Composite kernel matrix between two augmented point sets.
+
+    The sim term covers the whole gram; the error term is evaluated only
+    between the real rows of ``xa`` and the real rows of ``xb`` and added
+    into that block, the one place where the gate is nonzero.
+    """
+    for x, real, side in ((xa, real_a, "real_a"), (xb, real_b, "real_b")):
+        if len(real) != len(x):  # the block indexing would pick the wrong rows silently
+            raise InvalidInputError(f"{side} has {len(real)} entries for {len(x)} points")
     gram = _rq_matrix(xa, xb, k.k_sim)
-    gate = np.outer(real_a.astype(float), real_b.astype(float))
-    if gate.any():
-        gram = gram + gate * _rq_matrix(xa, xb, k.k_eps)
+    ra, rb = np.flatnonzero(real_a), np.flatnonzero(real_b)
+    gram[np.ix_(ra, rb)] += _rq_matrix(xa[ra], xb[rb], k.k_eps)
     return gram
 
 

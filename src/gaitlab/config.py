@@ -1,7 +1,8 @@
 """Key=value config files shared by the gait, feedback, and plant layers.
 
 Format: one ``key = value`` pair per line, ``#`` starts a comment, all
-values are numbers.  Unknown keys are rejected so typos fail loudly.  A key
+values are numbers.  Unknown keys and keys given twice are rejected so typos
+and pasted-over lines fail loudly.  A key
 is ``<section>.<field>`` for every float field of ``CpgParams`` (cpg),
 ``FilterParams`` (filter), ``FeedbackGains`` (gains) and ``PlantParams``
 (plant), with each action's gains nested as ``gains.<action>.<term>``: kp
@@ -96,8 +97,9 @@ def default_config() -> dict[str, float]:
 
 
 def parse_config_text(text: str) -> dict[str, float]:
-    """Parse key=value lines; values must be numeric."""
+    """Parse key=value lines; values must be numeric and keys must not repeat."""
     out: dict[str, float] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -107,6 +109,11 @@ def parse_config_text(text: str) -> dict[str, float]:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigurationError(f"line {lineno}: empty key")
+        if key in first_line:
+            raise ConfigurationError(
+                f"line {lineno}: key {key!r} is already set on line {first_line[key]}"
+            )
+        first_line[key] = lineno
         try:
             out[key] = float(value)
         except ValueError as exc:

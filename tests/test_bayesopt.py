@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gaitlab import _kernels
+from gaitlab import _kernels, bayesopt
 from gaitlab.bayesopt import (
     REAL,
     SIM,
@@ -85,6 +85,61 @@ def test_composite_gram_psd_and_case_structure():
     eps = np.outer(real, real) * composite_gram(x, np.zeros(200, bool), x, np.zeros(200, bool),
                                                 CompositeKernel(k_sim=k.k_eps))
     assert np.allclose(gram, sim_only + eps, atol=1e-12)
+
+
+def _broadcast_rq(xa, xb, p):
+    r2 = np.sum((xa[:, None, :] - xb[None, :, :]) ** 2, axis=2)
+    return p.variance * (1.0 + r2 / (2.0 * p.shape * p.length_scale**2)) ** (-p.shape)
+
+
+def reference_gram(xa, real_a, xb, real_b, k):
+    """The composite gram as an (n, m, d) broadcast with an outer-product gate."""
+    gram = _broadcast_rq(xa, xb, k.k_sim)
+    gate = np.outer(real_a.astype(float), real_b.astype(float))
+    if gate.any():
+        gram = gram + gate * _broadcast_rq(xa, xb, k.k_eps)
+    return gram
+
+
+_GATES = {
+    "all_sim": (np.zeros(9, bool), np.zeros(7, bool)),
+    "all_real": (np.ones(9, bool), np.ones(7, bool)),
+    "mixed": (np.arange(9) % 2 == 0, np.arange(7) % 3 != 1),
+    "no_rows_a": (np.zeros(0, bool), np.arange(7) % 2 == 0),
+    "no_rows_b": (np.arange(9) % 2 == 0, np.zeros(0, bool)),
+}
+
+
+def _gram_case(d, gate):
+    real_a, real_b = _GATES[gate]
+    rng = np.random.default_rng([d, len(real_a), len(real_b)])
+    k = CompositeKernel(k_sim=RqKernelParams(1.3, 0.4, 1.7), k_eps=RqKernelParams(0.3, 0.2, 2.5))
+    xa, xb = rng.random((len(real_a), d)), rng.random((len(real_b), d))
+    return composite_gram(xa, real_a, xb, real_b, k), reference_gram(xa, real_a, xb, real_b, k)
+
+
+@pytest.mark.parametrize("gate", sorted(_GATES))
+@pytest.mark.parametrize("d", range(1, 8))
+def test_composite_gram_is_bit_identical_to_the_broadcast_formula(d, gate):
+    gram, ref = _gram_case(d, gate)
+    assert gram.shape == ref.shape
+    assert np.array_equal(gram, ref)
+
+
+@pytest.mark.parametrize("gate", sorted(_GATES))
+@pytest.mark.parametrize("d", range(8, 11))
+def test_composite_gram_agrees_beyond_the_pairwise_sum_threshold(d, gate):
+    # np.sum adds 8 or more terms pairwise, so the last bit may differ here
+    gram, ref = _gram_case(d, gate)
+    np.testing.assert_allclose(gram, ref, rtol=1e-14, atol=0)
+
+
+def test_composite_gram_rejects_masks_of_the_wrong_length():
+    x = np.zeros((4, 2))
+    with pytest.raises(InvalidInputError, match="real_a has 3 entries for 4 points"):
+        composite_gram(x, np.ones(3, bool), x, np.ones(4, bool), CompositeKernel())
+    with pytest.raises(InvalidInputError, match="real_b has 5 entries for 4 points"):
+        composite_gram(x, np.ones(4, bool), x, np.ones(5, bool), CompositeKernel())
 
 
 def test_gp_interpolates_single_noiseless_record():
@@ -241,6 +296,20 @@ def test_select_next_budget_contracts():
     # infinite bias weight: sim even with plenty of real budget
     budget = OptBudget(max_real=15, max_total=40, sim_bias_weight=math.inf)
     assert select_next(recs, k, bounds, budget, seed=0).delta == SIM
+
+
+@pytest.mark.parametrize("n", [20, 80, 160])
+def test_select_next_proposals_match_the_broadcast_gram(n, monkeypatch):
+    records = seeded_records(n, np.random.default_rng(n))
+    bounds = np.array([[0.0, 6.0], [0.0, 4.0]])
+    budget = OptBudget(max_real=200, max_total=400)
+    seeds = range(3)
+    fast = [select_next(records, CompositeKernel(), bounds, budget, seed=s) for s in seeds]
+    monkeypatch.setattr(bayesopt, "composite_gram", reference_gram)
+    ref = [select_next(records, CompositeKernel(), bounds, budget, seed=s) for s in seeds]
+    for a, b in zip(fast, ref, strict=True):
+        assert a.delta == b.delta
+        assert np.array_equal(a.x, b.x)
 
 
 def test_select_next_explores_away_from_single_record():

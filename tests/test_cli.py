@@ -134,6 +134,16 @@ def test_gait_run_unknown_config_key(tmp_path, capsys):
     assert "arm_angle_y.kq" in capsys.readouterr().err
 
 
+def test_gait_run_duplicate_config_key_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("gains.arm_angle_y.kp = 1\ngains.arm_angle_y.kp = 2\n")
+    assert run_cli("gait", "run", "--gains", cfg, "--out", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "line 2: key 'gains.arm_angle_y.kp' is already set on line 1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_gait_run_nan_gain_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "nan.cfg"
     cfg.write_text("gains.arm_angle_y.kp = nan\n")

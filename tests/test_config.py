@@ -56,6 +56,17 @@ def test_parse_errors_name_the_line():
         parse_config_text("cpg.frequency = fast\n")
 
 
+def test_duplicate_key_rejected_naming_both_lines():
+    text = "gains.arm_angle_y.kp = 1\n# second try\ngains.arm_angle_y.kp = 2\n"
+    with pytest.raises(ConfigurationError, match="line 3: key 'gains.arm_angle_y.kp'.*line 1"):
+        parse_config_text(text)
+    # a repeated value is still a repeat; distinct keys are fine
+    with pytest.raises(ConfigurationError, match="line 2"):
+        parse_config_text("cpg.frequency = 1\ncpg.frequency = 1\n")
+    assert parse_config_text("cpg.frequency = 1\ncpg.lift_amplitude = 1\n") == {
+        "cpg.frequency": 1.0, "cpg.lift_amplitude": 1.0}
+
+
 def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("cpg.warp_speed = 9\n")
