@@ -2,13 +2,12 @@
 
 Format: one ``key = value`` pair per line, ``#`` starts a comment, all
 values are numbers.  Unknown keys and keys given twice are rejected so typos
-and pasted-over lines fail loudly.  A key
-is ``<section>.<field>`` for every float field of ``CpgParams`` (cpg),
-``FilterParams`` (filter), ``FeedbackGains`` (gains) and ``PlantParams``
-(plant), with each action's gains nested as ``gains.<action>.<term>``: kp
-and kd for a ``PdGains`` action, ki for an ``IGain`` one.  Four keys name no
-single field (``_DERIVED``).  ``flatten`` and ``rebuild`` are the one map
-between keys and objects; the optimizer's gain names are the gains keys
+and pasted-over lines fail loudly.  Every key is ``<section>.<field>`` for a
+float field of ``CpgParams`` (cpg), ``FilterParams`` (filter),
+``FeedbackGains`` (gains) or ``PlantParams`` (plant), with each action's
+gains nested as ``gains.<action>.<term>``: kp and kd for a ``PdGains``
+action, ki for an ``IGain`` one.  ``flatten`` and ``rebuild`` are the one
+map between keys and objects; the optimizer's gain names are the gains keys
 without ``gains.``.
 """
 
@@ -24,29 +23,6 @@ from .plant import PlantParams
 SECTIONS = {"cpg": CpgParams, "filter": FilterParams, "gains": FeedbackGains, "plant": PlantParams}
 
 
-def _halt_eta(pose, limbs, eta):
-    return replace(pose, **{limb: replace(getattr(pose, limb), eta=eta) for limb in limbs})
-
-
-_LEGS, _ARMS = ("left_leg", "right_leg"), ("left_arm", "right_arm")
-
-# keys that name no single field: key -> (read from an object, field changes for a value)
-_DERIVED = {
-    CpgParams: {  # halt-pose retraction of both legs, of both arms
-        "halt_eta": (lambda c: c.halt_pose.left_leg.eta,
-                     lambda c, v: {"halt_pose": _halt_eta(c.halt_pose, _LEGS, v)}),
-        "halt_arm_eta": (lambda c: c.halt_pose.left_arm.eta,
-                         lambda c, v: {"halt_pose": _halt_eta(c.halt_pose, _ARMS, v)}),
-    },
-    PlantParams: {
-        "natural_freq_pitch": (lambda p: p.natural_freq[0],
-                               lambda p, v: {"natural_freq": (v, p.natural_freq[1])}),
-        "natural_freq_roll": (lambda p: p.natural_freq[1],
-                              lambda p, v: {"natural_freq": (p.natural_freq[0], v)}),
-    },
-}
-
-
 _FLOAT = (float, "float")  # a field annotation, evaluated or not
 
 
@@ -59,8 +35,6 @@ def flatten(obj, prefix: str = "") -> dict[str, float]:
             out.update(flatten(value, f"{prefix}{f.name}."))
         elif f.type in _FLOAT:
             out[prefix + f.name] = value
-    for key, (read, _) in _DERIVED.get(type(obj), {}).items():
-        out[prefix + key] = read(obj)
     return out
 
 
@@ -79,13 +53,9 @@ def rebuild(obj, values: dict[str, float], prefix: str = ""):
         elif f.type in _FLOAT and prefix + f.name in values:
             changes[f.name] = values[prefix + f.name]
     try:
-        obj = replace(obj, **changes)
-        for key, (_, write) in _DERIVED.get(type(obj), {}).items():
-            if prefix + key in values:
-                obj = replace(obj, **write(obj, values[prefix + key]))
+        return replace(obj, **changes)
     except InvalidInputError as exc:
         raise InvalidInputError(f"{prefix.rstrip('.')}: {exc}" if prefix else str(exc)) from None
-    return obj
 
 
 def default_config() -> dict[str, float]:

@@ -9,7 +9,7 @@ a cycle apart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,43 +18,35 @@ from .errors import InvalidInputError, check_nonnegative
 from .pose import AbstractPose, AbstractLimb, AbstractArm
 
 
-def _clamp_unit(v: float) -> float:
-    return min(1.0, max(-1.0, float(v)))
-
-
 @dataclass
 class GaitCommand:
-    """Normalized walk command; each component is clamped to [-1, 1]."""
+    """Normalized walk command; each component must be finite and is clamped to [-1, 1]."""
 
     vx: float = 0.0
     vy: float = 0.0
     wz: float = 0.0
 
     def __post_init__(self):
-        self.vx = _clamp_unit(self.vx)
-        self.vy = _clamp_unit(self.vy)
-        self.wz = _clamp_unit(self.wz)
-
-
-def default_halt_pose(eta: float = 0.1) -> AbstractPose:
-    """Marching-in-place rest pose: legs straight down, knees slightly bent."""
-    return AbstractPose(
-        left_leg=AbstractLimb(eta=eta),
-        right_leg=AbstractLimb(eta=eta),
-        left_arm=AbstractArm(eta=0.05),
-        right_arm=AbstractArm(eta=0.05),
-    )
+        for name in ("vx", "vy", "wz"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise InvalidInputError(f"walk command {name} must be finite, got {value!r}")
+            setattr(self, name, min(1.0, max(-1.0, value)))
 
 
 @dataclass
 class CpgParams:
     """Waveform amplitudes and timing of the open-loop gait.
 
-    lift_amplitude is in retraction units, the angular amplitudes in rad,
-    frequency in Hz (full gait cycles per second).
+    The halt pose is the marching-in-place rest pose the waveforms add to:
+    limbs straight down, both legs retracted by halt_eta (knees slightly
+    bent) and both arms by halt_arm_eta.  lift_amplitude is in retraction
+    units, the angular amplitudes in rad, frequency in Hz (full gait cycles
+    per second).
     """
 
-    halt_pose: AbstractPose = field(default_factory=default_halt_pose)
+    halt_eta: float = 0.1
+    halt_arm_eta: float = 0.05
     lift_amplitude: float = 0.08
     swing_amplitude: float = 0.25
     lateral_sway_amplitude: float = 0.05
@@ -73,13 +65,19 @@ class CpgParams:
         if not 0.0 <= self.double_support_fraction < 0.5:
             raise InvalidInputError("double_support_fraction must be in [0, 0.5)")
         check_nonnegative("frequency", self.frequency, positive=True)
-        if not np.all(np.isfinite(self.halt_pose.to_array())):
-            raise InvalidInputError("halt pose must be finite")
-        pose = self.halt_pose
-        for limb, pair in (("leg", (pose.left_leg, pose.right_leg)),
-                           ("arm", (pose.left_arm, pose.right_arm))):
-            if not all(0.0 <= side.eta <= 1.0 for side in pair):
-                raise InvalidInputError(f"halt {limb} retraction must be in [0, 1]")
+        if not 0.0 <= self.halt_eta <= 1.0:
+            raise InvalidInputError("halt leg retraction must be in [0, 1]")
+        if not 0.0 <= self.halt_arm_eta <= 1.0:
+            raise InvalidInputError("halt arm retraction must be in [0, 1]")
+
+    @property
+    def halt_pose(self) -> AbstractPose:
+        return AbstractPose(
+            left_leg=AbstractLimb(eta=self.halt_eta),
+            right_leg=AbstractLimb(eta=self.halt_eta),
+            left_arm=AbstractArm(eta=self.halt_arm_eta),
+            right_arm=AbstractArm(eta=self.halt_arm_eta),
+        )
 
     def to_array(self) -> np.ndarray:
         out = np.empty(24)

@@ -67,7 +67,8 @@ class PlantParams:
     a resonance.
     """
 
-    natural_freq: tuple[float, float] = (1.2, 4.0)  # rad/s, (pitch, roll)
+    natural_freq_pitch: float = 1.2  # rad/s
+    natural_freq_roll: float = 4.0  # rad/s
     damping: float = 0.4  # 1/s
     gait_coupling: float = 0.35  # rad/s^2 excitation amplitude
     action_effectiveness: np.ndarray = field(default_factory=default_effectiveness)
@@ -77,14 +78,13 @@ class PlantParams:
     seed: int = 0
 
     def __post_init__(self):
-        self.natural_freq = tuple(np.broadcast_to(np.asarray(self.natural_freq, float), (2,)))
         self.action_effectiveness = np.asarray(self.action_effectiveness, dtype=float)
         if self.action_effectiveness.shape != (2, 6):
             raise InvalidInputError("action_effectiveness must have shape (2, 6)")
         if not np.all(np.isfinite(self.action_effectiveness)):
             raise InvalidInputError("action_effectiveness must be finite")
-        for plane, freq in zip(("pitch", "roll"), self.natural_freq):
-            check_nonnegative(f"{plane} natural_freq", freq, positive=True)
+        check_nonnegative("natural_freq_pitch", self.natural_freq_pitch, positive=True)
+        check_nonnegative("natural_freq_roll", self.natural_freq_roll, positive=True)
         check_nonnegative("damping", self.damping)
         check_nonnegative("gait_coupling", self.gait_coupling)
         check_nonnegative("noise_std", self.noise_std)
@@ -92,7 +92,8 @@ class PlantParams:
         check_nonnegative("fall_threshold", self.fall_threshold, positive=True)
 
     def to_array(self) -> np.ndarray:
-        return np.array([*self.natural_freq, self.damping, self.gait_coupling, self.fall_threshold])
+        return np.array([self.natural_freq_pitch, self.natural_freq_roll, self.damping,
+                         self.gait_coupling, self.fall_threshold])
 
 
 @dataclass
@@ -139,7 +140,8 @@ def make_real_plant(p: PlantParams, gap: RealGap | None = None) -> PlantParams:
     gap = gap or RealGap()
     return replace(
         p,
-        natural_freq=tuple(f * gap.natural_freq_scale for f in p.natural_freq),
+        natural_freq_pitch=p.natural_freq_pitch * gap.natural_freq_scale,
+        natural_freq_roll=p.natural_freq_roll * gap.natural_freq_scale,
         action_effectiveness=p.action_effectiveness * gap.effectiveness_scale,
         gait_coupling=p.gait_coupling * gap.coupling_scale,
         noise_std=p.noise_std * gap.noise_scale,
@@ -273,6 +275,8 @@ def _segment_commands(seq, dt: float) -> np.ndarray:
     for i, (cmd, duration) in enumerate(seq):
         check_nonnegative(f"segment {i} duration", duration, positive=True)
         n = int(round(duration / dt))
+        if n == 0:
+            raise InvalidInputError(f"segment {i} duration {duration} s rounds to 0 steps of {dt} s")
         chunks.append(np.tile([cmd.vx, cmd.vy, cmd.wz], (n, 1)))
     return np.concatenate(chunks, axis=0)
 
@@ -284,7 +288,6 @@ def run_sequence(
     p: PlantParams,
     disturbances: list[Disturbance] = (),
     filter_params: FilterParams | None = None,
-    geom: LegGeometry | None = None,
 ) -> RunTrace:
     """Run the closed loop (CPG + corrective actions + plant) at dt = 0.01 s.
 
@@ -293,19 +296,18 @@ def run_sequence(
     which parameters that pass validation can still cause.
     """
     filter_params = filter_params or FilterParams()
-    geom = geom or LegGeometry()
     cmds = _segment_commands(seq, DT)
     n = cmds.shape[0]
 
     rng = np.random.default_rng(p.seed)
     noise = rng.normal(0.0, p.noise_std, size=(n, 2)) if p.noise_std > 0 else np.zeros((n, 2))
 
-    dist_steps = np.array([int(round(d.time / DT)) for d in disturbances], dtype=np.int64)
+    # a push timed after the last step never lands; its step may not fit an int64
+    pushes = [(step, d) for d in disturbances if (step := round(d.time / DT)) < n]
+    dist_steps = np.array([step for step, _ in pushes], dtype=np.int64)
     dist_kicks = np.array(
-        [d.rate_kick(p.effective_inertia) for d in disturbances], dtype=float
-    ).reshape(len(disturbances), 2)
-
-    halt_eta = 0.5 * (cpg.halt_pose.left_leg.eta + cpg.halt_pose.right_leg.eta)
+        [d.rate_kick(p.effective_inertia) for _, d in pushes], dtype=float
+    ).reshape(len(pushes), 2)
 
     floats = _kernels.float_tuple
     cpg_floats = floats(cpg.to_array())
@@ -335,6 +337,7 @@ def run_sequence(
             "check the plant and gain parameters"
         )
     t = np.arange(end) * DT
+    geom = LegGeometry()
     return RunTrace(
         dt=DT,
         t=t,
@@ -348,7 +351,7 @@ def run_sequence(
         activations=act[:end],
         cmds=cmds[:end],
         fall=fell,
-        pose_params=(cpg_floats, floats([geom.thigh, geom.shank, halt_eta])),
+        pose_params=(cpg_floats, floats([geom.thigh, geom.shank, cpg.halt_eta])),
     )
 
 

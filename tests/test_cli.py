@@ -107,6 +107,17 @@ def test_gait_run_rejects_bad_push(tmp_path, capsys, spec, field):
     assert not (tmp_path / "trace.csv").exists()
 
 
+def test_gait_run_push_past_any_int64_step_never_lands(tmp_path, capsys):
+    # 1e300 s / DT does not fit an int64; like any push after the run, it is dropped
+    late, without = tmp_path / "late", tmp_path / "without"
+    assert run_cli("gait", "run", "--seq", "forward", "--disturb", "1@1e300s:front",
+                   "--out", late) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert run_cli("gait", "run", "--seq", "forward", "--out", without) == 0
+    for name in ("trace.csv", "phase.csv"):
+        assert (late / name).read_bytes() == (without / name).read_bytes()
+
+
 def test_gait_run_non_finite_state_is_an_error(tmp_path, capsys):
     # passes parameter validation, but wn^2 overflows and the state turns NaN
     cfg = tmp_path / "stiff.cfg"

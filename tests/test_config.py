@@ -27,10 +27,10 @@ def test_defaults_build_all_objects():
     assert gains.arm_angle_y.kp == cfg["gains.arm_angle_y.kp"]
     cpg = cpg_from_config(cfg)
     assert cpg.frequency == cfg["cpg.frequency"]
-    assert cpg.halt_pose.left_leg.eta == cfg["cpg.halt_eta"]
+    assert cpg.halt_eta == cfg["cpg.halt_eta"]
     plant = plant_from_config(cfg, seed=5)
     assert plant.seed == 5
-    assert plant.natural_freq == (cfg["plant.natural_freq_pitch"], cfg["plant.natural_freq_roll"])
+    assert plant.natural_freq_roll == cfg["plant.natural_freq_roll"]
     filt = filter_from_config(cfg)
     assert filt.deadband == cfg["filter.deadband"]
 
@@ -81,18 +81,17 @@ def test_missing_file(tmp_path):
 
 def test_keys_follow_the_parameter_fields():
     cfg = default_config()
+    expected = {}
     for section, cls in SECTIONS.items():
         obj = cls()
         for f in fields(obj):
             value = getattr(obj, f.name)
             if isinstance(value, ACTION_GAIN_TYPES):
                 for term in fields(value):
-                    assert cfg[f"{section}.{f.name}.{term.name}"] == getattr(value, term.name)
+                    expected[f"{section}.{f.name}.{term.name}"] = getattr(value, term.name)
             elif f.type == "float":
-                assert cfg[f"{section}.{f.name}"] == value
-    derived = {"cpg.halt_eta", "cpg.halt_arm_eta",
-               "plant.natural_freq_pitch", "plant.natural_freq_roll"}
-    assert derived <= set(cfg)
+                expected[f"{section}.{f.name}"] = value
+    assert cfg == expected  # every key is one field, and no key is anything else
     assert len(cfg) == 30
 
 
@@ -117,7 +116,7 @@ def test_rebuild_runs_the_dataclass_checks_and_names_the_key_path():
         rebuild(FeedbackGains(), {"gains.arm_angle_y.kp": -1.0}, "gains.")
     with pytest.raises(InvalidInputError, match=r"^cpg: halt arm retraction"):
         cpg_from_config({"cpg.halt_arm_eta": 1.5})
-    with pytest.raises(InvalidInputError, match=r"^plant: roll natural_freq"):
+    with pytest.raises(InvalidInputError, match=r"^plant: natural_freq_roll must be finite"):
         plant_from_config({"plant.natural_freq_roll": 0.0})
     base = FeedbackGains()
     gains = rebuild(base, {"arm_angle_y.kd": 0.9, "not.a.gain": 1.0})
@@ -127,10 +126,14 @@ def test_rebuild_runs_the_dataclass_checks_and_names_the_key_path():
 
 def test_halt_and_natural_frequency_keys_set_both_sides():
     cfg = {"cpg.halt_eta": 0.3, "cpg.halt_arm_eta": 0.2, "plant.natural_freq_roll": 3.5}
-    halt = cpg_from_config(cfg).halt_pose
+    cpg = cpg_from_config(cfg)
+    assert (cpg.halt_eta, cpg.halt_arm_eta) == (0.3, 0.2)
+    halt = cpg.halt_pose
     assert halt.left_leg.eta == halt.right_leg.eta == 0.3
     assert halt.left_arm.eta == halt.right_arm.eta == 0.2
-    assert plant_from_config(cfg).natural_freq == (1.2, 3.5)
+    plant = plant_from_config(cfg)
+    assert (plant.natural_freq_pitch, plant.natural_freq_roll) == (1.2, 3.5)
+    assert plant.to_array()[:2].tolist() == [1.2, 3.5]
 
 
 def _doc_config_table():

@@ -1,12 +1,16 @@
-"""Property tests of config text: any text parses or fails cleanly, and every
-in-range value survives a trip through a config file unchanged."""
+"""Property tests of config text: any text parses or fails cleanly, every
+in-range value survives a trip through a config file unchanged, and the keys
+map every parameter object to itself."""
 
 import math
+from dataclasses import fields, is_dataclass
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaitlab.config import (
+    SECTIONS,
     cpg_from_config,
     default_config,
     filter_from_config,
@@ -15,6 +19,7 @@ from gaitlab.config import (
     load_config,
     parse_config_text,
     plant_from_config,
+    rebuild,
     write_config,
 )
 from gaitlab.errors import ConfigurationError, InvalidInputError
@@ -84,3 +89,40 @@ def test_values_round_trip_through_a_file_or_fail_naming_the_section(
     loaded = load_config(path)
     assert loaded == cfg
     assert build_and_flatten(loaded) == built == cfg
+
+
+def built_from_drawn_keys(section):
+    """Objects of a section built by their constructors, one keyword per key
+    (``<field>`` or ``<action>.<term>``), each value drawn from (0, 0.5), a
+    range every field accepts."""
+    value = st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)
+    default = SECTIONS[section]()
+    kwargs, terms = {}, {}
+    for key in KEYS:
+        key_section, name, *term = key.split(".")
+        if key_section != section:
+            continue
+        if term:
+            terms.setdefault(name, {})[term[0]] = value
+        else:
+            kwargs[name] = value
+    for name, action_terms in terms.items():
+        kwargs[name] = st.builds(type(getattr(default, name)), **action_terms)
+    return st.builds(SECTIONS[section], **kwargs)
+
+
+def same(a, b):
+    """Field-by-field equality that also compares array fields."""
+    if not is_dataclass(a):
+        return np.array_equal(a, b)
+    return type(a) is type(b) and all(same(getattr(a, f.name), getattr(b, f.name))
+                                      for f in fields(a))
+
+
+@derandomized
+@given(st.sampled_from(sorted(SECTIONS)).flatmap(
+    lambda section: st.tuples(st.just(section), built_from_drawn_keys(section))))
+def test_rebuild_of_flatten_is_the_object(section_and_obj):
+    section, obj = section_and_obj
+    prefix = f"{section}."
+    assert same(rebuild(SECTIONS[section](), flatten(obj, prefix), prefix), obj)

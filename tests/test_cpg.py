@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gaitlab.cpg import CpgParams, GaitCommand, default_halt_pose, evaluate_cpg, step_phase
+from gaitlab.cpg import CpgParams, GaitCommand, evaluate_cpg, step_phase
 from gaitlab.errors import InvalidInputError
 
 
@@ -99,8 +99,7 @@ def test_no_discontinuities_on_fine_grid():
 
 
 def test_eta_stays_in_unit_interval():
-    halt = default_halt_pose(eta=0.3)
-    params = CpgParams(halt_pose=halt, lift_amplitude=1.0 - 0.3)
+    params = CpgParams(halt_eta=0.3, lift_amplitude=1.0 - 0.3)
     for mu in np.linspace(-math.pi, math.pi, 999):
         pose = evaluate_cpg(mu, GaitCommand(), params)
         for eta in (pose.left_leg.eta, pose.right_leg.eta):
@@ -112,6 +111,14 @@ def test_command_clamping():
     assert cmd.vx == 1.0 and cmd.vy == -1.0 and cmd.wz == 0.5
 
 
+@pytest.mark.parametrize("name", ["vx", "vy", "wz"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_command_rejects_non_finite_components(name, bad):
+    # max(-1.0, nan) is -1.0: unchecked, a NaN vx would walk backward at full speed
+    with pytest.raises(InvalidInputError, match=f"walk command {name} must be finite"):
+        GaitCommand(**{name: bad})
+
+
 def test_params_validation():
     with pytest.raises(InvalidInputError):
         CpgParams(lift_amplitude=-0.1)
@@ -120,19 +127,16 @@ def test_params_validation():
     with pytest.raises(InvalidInputError):
         CpgParams(frequency=0.0)
     for eta in (-0.1, 1.5):
-        with pytest.raises(InvalidInputError, match="retraction"):
-            CpgParams(halt_pose=default_halt_pose(eta=eta))
-        halt = default_halt_pose()
-        halt.right_arm.eta = eta
+        with pytest.raises(InvalidInputError, match="halt leg retraction"):
+            CpgParams(halt_eta=eta)
         with pytest.raises(InvalidInputError, match="halt arm retraction"):
-            CpgParams(halt_pose=halt)
+            CpgParams(halt_arm_eta=eta)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_params_reject_non_finite(bad):
-    for name in ("lift_amplitude", "swing_amplitude", "lateral_sway_amplitude",
-                 "arm_swing_amplitude", "double_support_fraction", "frequency"):
+    for name in ("halt_eta", "halt_arm_eta", "lift_amplitude", "swing_amplitude",
+                 "lateral_sway_amplitude", "arm_swing_amplitude", "double_support_fraction",
+                 "frequency"):
         with pytest.raises(InvalidInputError):
             CpgParams(**{name: bad})
-    with pytest.raises(InvalidInputError):
-        CpgParams(halt_pose=default_halt_pose(eta=bad))

@@ -43,9 +43,10 @@ def quiet_plant(**kwargs):
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(natural_freq=(0.0, 4.0)),
-        dict(natural_freq=(1.2, -4.0)),
-        dict(natural_freq=(math.nan, 4.0)),
+        dict(natural_freq_pitch=0.0),
+        dict(natural_freq_roll=-4.0),
+        dict(natural_freq_pitch=math.nan),
+        dict(natural_freq_roll=math.inf),
         dict(fall_threshold=-0.5),
         dict(fall_threshold=0.0),
         dict(fall_threshold=math.inf),
@@ -62,7 +63,7 @@ def test_plant_params_reject_out_of_range(kwargs):
         PlantParams(**kwargs)
 
 
-@pytest.mark.parametrize("duration", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("duration", [-1.0, 0.0, math.nan, math.inf, 0.004])
 def test_bad_segment_duration_rejected(duration):
     seq = [(GaitCommand(vx=0.5), 2.0), (GaitCommand(), duration)]
     with pytest.raises(InvalidInputError, match="segment 1 duration"):
@@ -87,15 +88,21 @@ def test_disturbance_rejects_bad_push(time, impulse, field):
 
 def test_push_after_the_run_ends_never_lands():
     seq = [(GaitCommand(vx=0.5), 2.0)]
-    late = run_sequence(FeedbackGains(), CpgParams(), seq, PlantParams(seed=2),
-                        [Disturbance(60.0, 9.0, "front")])
-    none = run_sequence(FeedbackGains(), CpgParams(), seq, PlantParams(seed=2))
-    assert np.array_equal(late.pitch_rate, none.pitch_rate) and len(late) == 200
+    landing = Disturbance(1.0, 9.0, "left")
+    without = run_sequence(FeedbackGains(), CpgParams(), seq, PlantParams(seed=2), [landing])
+    # 1.996 s is step 200, the first past a 2 s run; 1e300 s / DT does not fit an int64
+    for late_time in (1.996, 60.0, 1e300):
+        late = run_sequence(FeedbackGains(), CpgParams(), seq, PlantParams(seed=2),
+                            [Disturbance(late_time, 9.0, "front"), landing])
+        assert len(late) == 200 and late.fall == without.fall
+        for name in ("t", "mu", "pitch", "roll", "pitch_rate", "roll_rate", "e_p_alpha",
+                     "e_p_beta", "activations", "cmds", "pose"):
+            assert np.array_equal(getattr(late, name), getattr(without, name)), (late_time, name)
 
 
 def test_non_finite_state_is_an_error_naming_the_sample_time():
     # passes validation, but wn^2 overflows and the first step turns NaN
-    p = PlantParams(natural_freq=(1e200, 4.0))
+    p = PlantParams(natural_freq_pitch=1e200)
     with pytest.raises(NonFiniteStateError, match=r"not finite from t=0\.01 s") as info:
         run_sequence(FeedbackGains(), CpgParams(), [(GaitCommand(vx=0.7), 10.0)], p)
     assert isinstance(info.value, GaitlabError)
@@ -156,7 +163,7 @@ def test_pendulum_energy_dissipates_after_kick():
     p = quiet_plant(damping=0.4)
     s = TorsoState()
     s = step_plant(s, (0.0, 0.0), Activations(), Disturbance(0.0, 6.0, "back"), p, 0.01)
-    wn_p, wn_r = p.natural_freq
+    wn_p, wn_r = p.natural_freq_pitch, p.natural_freq_roll
 
     def energy(st):
         return (
@@ -244,7 +251,6 @@ def test_public_step_helpers_reproduce_run_sequence_bitwise():
     noise = np.random.default_rng(p.seed).normal(0.0, p.noise_std, (len(cmds), 2))
     push_at = {int(round(d.time / DT)): d for d in pushes}
     geom = LegGeometry()
-    halt_eta = 0.5 * (cpg.halt_pose.left_leg.eta + cpg.halt_pose.right_leg.eta)
     filters = DeviationFilters(FilterParams())
     mu, s = 0.0, TorsoState()
     mus, states, eps, acts, poses = [], [], [], [], []
@@ -257,7 +263,7 @@ def test_public_step_helpers_reproduce_run_sequence_bitwise():
         eps.append((pitch_terms.p, roll_terms.p))
         act = compute_activations(pitch_terms, roll_terms, gains, sign)
         acts.append(act.to_array())
-        pose, saturated = apply_actions(evaluate_cpg(mu, cmd, cpg), act, sign, geom, halt_eta)
+        pose, saturated = apply_actions(evaluate_cpg(mu, cmd, cpg), act, sign, geom, cpg.halt_eta)
         poses.append(pose.to_array())
         saturations += saturated
         exc = _kernels.gait_excitation(mu, cmd.vx, cmd.vy, cmd.wz, p.gait_coupling)
@@ -303,13 +309,16 @@ def test_phase_plot_of_sinusoid_is_an_ellipse():
 def test_make_real_plant_gap():
     base = PlantParams(seed=3)
     same = make_real_plant(base, RealGap(1.0, 1.0, 1.0, 1.0, 0))
-    assert same.natural_freq == base.natural_freq
+    assert same.natural_freq_pitch == base.natural_freq_pitch
+    assert same.natural_freq_roll == base.natural_freq_roll
     assert np.array_equal(same.action_effectiveness, base.action_effectiveness)
     assert same.seed == base.seed
 
     real = make_real_plant(base)
     real2 = make_real_plant(base)
-    assert real.natural_freq == real2.natural_freq  # deterministic perturbation
+    assert real.to_array().tolist() == real2.to_array().tolist()  # deterministic perturbation
+    assert real.natural_freq_pitch == base.natural_freq_pitch * RealGap().natural_freq_scale
+    assert real.natural_freq_roll == base.natural_freq_roll * RealGap().natural_freq_scale
 
     seq = standard_test_sequence()
     cost_sim = np.trapezoid(
