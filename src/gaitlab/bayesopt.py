@@ -11,7 +11,11 @@ the selection biased toward simulation queries to spare the real budget.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import signal
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -318,10 +322,102 @@ def _derived_seed(seed: int, iteration: int, k: int) -> int:
     return int(np.random.SeedSequence([int(seed), int(iteration), int(k)]).generate_state(1)[0])
 
 
-def _eval_sim_averaged(problem: GainProblem, x, n: int, seed: int, iteration: int):
-    costs = np.array(
-        [problem.evaluate(x, SIM, _derived_seed(seed, iteration, k)) for k in range(n)]
-    )
+def _cpu_count() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say (no sched_getaffinity)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else 1
+
+
+def _run_share(problem: GainProblem, jobs) -> list:
+    """Costs of ``(x, delta, run_seed)`` jobs in order.
+
+    The first job that raises ends the list, with its exception in its place.
+    """
+    out = []
+    for job in jobs:
+        try:
+            out.append(problem.evaluate(*job))
+        except Exception as exc:  # carried back to the caller, which raises it in job order
+            out.append(exc)
+            break
+    return out
+
+
+def _helper_main(conn, problem: GainProblem) -> None:
+    """A forked helper: run each share of jobs received and send back its outcomes, until None."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's, which stops the helpers
+    while (jobs := conn.recv()) is not None:
+        conn.send(_run_share(problem, jobs))
+
+
+class _RunPool:
+    """Evaluates batches of independent runs of one problem on every CPU.
+
+    A batch of n >= 2 runs uses min(CPUs, n) processes: this one plus forked
+    helpers, forked at the first such batch and kept until ``close``.  The
+    main process keeps jobs ``0::n`` and helper h gets jobs ``h::n``; results
+    go back in job order, so they equal the serial loop's bit for bit.  A
+    batch runs serially, forking nothing, with one CPU, one run, no
+    ``sched_getaffinity`` or more than one thread (fork is unsafe there).
+    """
+
+    def __init__(self, problem: GainProblem):
+        self.problem = problem
+        self._helpers: list = []  # (process, connection)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def costs(self, jobs: list) -> list:
+        """Cost of each ``(x, delta, run_seed)`` job, in job order.
+
+        Raises the exception of the first failing job, as the serial loop would.
+        """
+        n = min(_cpu_count(), len(jobs))
+        if n < 2 or threading.active_count() > 1:
+            return [self.problem.evaluate(*job) for job in jobs]
+        if not self._helpers:
+            self._fork(n - 1)
+        n = min(n, len(self._helpers) + 1)
+        conns = [conn for _, conn in self._helpers[: n - 1]]
+        for h, conn in enumerate(conns, start=1):
+            conn.send(jobs[h::n])
+        shares = [_run_share(self.problem, jobs[::n])] + [conn.recv() for conn in conns]
+        outcomes = [None] * len(jobs)
+        for h, share in enumerate(shares):  # a share ends early only at its first failure
+            outcomes[h : h + n * len(share) : n] = share
+        for out in outcomes:
+            if isinstance(out, Exception):
+                raise out
+        return outcomes
+
+    def _fork(self, count: int) -> None:
+        import multiprocessing  # here, not at module level: `import gaitlab` stays as fast
+
+        ctx = multiprocessing.get_context("fork")
+        for _ in range(count):
+            mine, theirs = ctx.Pipe()
+            proc = ctx.Process(target=_helper_main, args=(theirs, self.problem), daemon=True)
+            proc.start()
+            theirs.close()
+            self._helpers.append((proc, mine))
+
+    def close(self) -> None:
+        """Stop and join every helper."""
+        for _, conn in self._helpers:
+            with contextlib.suppress(OSError):  # a helper that died has closed its end
+                conn.send(None)
+        for proc, conn in self._helpers:
+            proc.join()
+            conn.close()
+        self._helpers = []
+
+
+def _eval_sim_averaged(pool: _RunPool, x, n: int, seed: int, iteration: int):
+    costs = np.array(pool.costs([(x, SIM, _derived_seed(seed, iteration, k)) for k in range(n)]))
     return tuple(costs.mean(axis=0))
 
 
@@ -452,56 +548,61 @@ def optimize(
     The default gain vector is evaluated first (in simulation, then on the
     real plant if real budget exists), after which points proposed by
     select_next are evaluated until the total budget is spent.  Sim queries
-    average sim_average_n seeded runs.  The result is the best
-    real-evaluated point when any real evaluation exists, else the best sim.
+    average sim_average_n seeded runs, which run at the same time on up to
+    sim_average_n CPUs (see ``_RunPool``); the history is the same on any
+    number of CPUs.  The result is the best real-evaluated point when any
+    real evaluation exists, else the best sim.
     """
     budget = budget or OptBudget()
     kernel = kernel or CompositeKernel()
     records: list[EvalRecord] = []
 
-    x0 = problem.default_x()
-    records.append(
-        EvalRecord(
-            AugmentedPoint(x0, SIM),
-            _eval_sim_averaged(problem, x0, budget.sim_average_n, seed, 0),
-        )
-    )
-    if budget.max_real > 0 and len(records) < budget.max_total:
+    with _RunPool(problem) as pool:
+        x0 = problem.default_x()
         records.append(
             EvalRecord(
-                AugmentedPoint(x0, REAL),
-                problem.evaluate(x0, REAL, _derived_seed(seed, 1, 0)),
+                AugmentedPoint(x0, SIM),
+                _eval_sim_averaged(pool, x0, budget.sim_average_n, seed, 0),
             )
         )
+        if budget.max_real > 0 and len(records) < budget.max_total:
+            records.append(
+                EvalRecord(
+                    AugmentedPoint(x0, REAL),
+                    problem.evaluate(x0, REAL, _derived_seed(seed, 1, 0)),
+                )
+            )
 
-    while len(records) < budget.max_total:
-        iteration = len(records)
-        point = select_next(
-            records, kernel, problem.bounds, budget, seed=seed, noise=noise,
-            plane=problem.plane,
-        )
-        if point.delta == REAL:
-            cost = problem.evaluate(point.x, REAL, _derived_seed(seed, iteration, 0))
-        else:
-            cost = _eval_sim_averaged(
-                problem, point.x, budget.sim_average_n, seed, iteration
+        while len(records) < budget.max_total:
+            iteration = len(records)
+            point = select_next(
+                records, kernel, problem.bounds, budget, seed=seed, noise=noise,
+                plane=problem.plane,
             )
-        records.append(EvalRecord(point, cost))
+            if point.delta == REAL:
+                cost = problem.evaluate(point.x, REAL, _derived_seed(seed, iteration, 0))
+            else:
+                cost = _eval_sim_averaged(pool, point.x, budget.sim_average_n, seed, iteration)
+            records.append(EvalRecord(point, cost))
     return _result(records, problem.cost_index())
 
 
 def random_search(problem: GainProblem, budget: OptBudget | None = None, seed: int = 0) -> OptResult:
-    """Baseline with the same real budget: uniform draws evaluated on the real plant."""
+    """Baseline with the same real budget: uniform draws evaluated on the real plant.
+
+    All max_real points are drawn first, then their runs go as one batch to
+    up to max_real CPUs (see ``_RunPool``); the history is the same on any
+    number of CPUs.
+    """
     budget = budget or OptBudget()
     if budget.max_real < 1:
         raise InvalidInputError("random_search evaluates only on the real plant: need max_real >= 1")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 424242]))
-    records: list[EvalRecord] = []
     lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
-    for iteration in range(budget.max_real):
-        x = lo + rng.random(problem.bounds.shape[0]) * (hi - lo)
-        cost = problem.evaluate(x, REAL, _derived_seed(seed, iteration, 0))
-        records.append(EvalRecord(AugmentedPoint(x, REAL), cost))
+    xs = [lo + rng.random(problem.bounds.shape[0]) * (hi - lo) for _ in range(budget.max_real)]
+    with _RunPool(problem) as pool:
+        costs = pool.costs([(x, REAL, _derived_seed(seed, i, 0)) for i, x in enumerate(xs)])
+    records = [EvalRecord(AugmentedPoint(x, REAL), cost) for x, cost in zip(xs, costs)]
     return _result(records, problem.cost_index())
 
 

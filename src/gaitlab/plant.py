@@ -23,6 +23,9 @@ from .pose import LegGeometry
 
 DT = 0.01  # closed-loop step, 100 Hz servo rate
 FALL_THRESHOLD = 0.7  # rad
+# the most steps one sequence segment may take (10^4 s at DT); a longer segment
+# is rejected before any array is built, so a huge duration cannot exhaust memory
+MAX_SEGMENT_STEPS = 1_000_000
 
 # column order of the activation effectiveness matrix
 _ACT_COLUMNS = ("arm_angle_x", "arm_angle_y", "supp_foot_angle_x",
@@ -271,14 +274,20 @@ def _segment_commands(seq, dt: float) -> np.ndarray:
     total = sum(d for _, d in seq)
     if total <= 0:
         raise InvalidInputError("total sequence duration must be > 0")
-    chunks = []
-    for i, (cmd, duration) in enumerate(seq):
+    steps = []
+    for i, (_, duration) in enumerate(seq):
         check_nonnegative(f"segment {i} duration", duration, positive=True)
         n = int(round(duration / dt))
         if n == 0:
             raise InvalidInputError(f"segment {i} duration {duration} s rounds to 0 steps of {dt} s")
-        chunks.append(np.tile([cmd.vx, cmd.vy, cmd.wz], (n, 1)))
-    return np.concatenate(chunks, axis=0)
+        if n > MAX_SEGMENT_STEPS:
+            raise InvalidInputError(
+                f"segment {i} duration {duration} s exceeds {MAX_SEGMENT_STEPS} steps of {dt} s"
+            )
+        steps.append(n)
+    return np.concatenate(
+        [np.tile([cmd.vx, cmd.vy, cmd.wz], (n, 1)) for (cmd, _), n in zip(seq, steps)], axis=0
+    )
 
 
 def run_sequence(
@@ -292,6 +301,7 @@ def run_sequence(
     """Run the closed loop (CPG + corrective actions + plant) at dt = 0.01 s.
 
     Deterministic: identical arguments and seed give bit-identical traces.
+    A segment may last at most MAX_SEGMENT_STEPS steps.
     Raises NonFiniteStateError if the plant state turns NaN or infinite,
     which parameters that pass validation can still cause.
     """

@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -25,9 +28,9 @@ from gaitlab.bayesopt import (
     select_next,
 )
 from gaitlab.cpg import CpgParams, GaitCommand
-from gaitlab.errors import BudgetExhaustedError, InvalidInputError
+from gaitlab.errors import BudgetExhaustedError, InvalidInputError, NonFiniteStateError
 from gaitlab.feedback import zero_gains
-from gaitlab.plant import PlantParams, make_real_plant, run_sequence
+from gaitlab.plant import Disturbance, PlantParams, make_real_plant, run_sequence
 
 
 def make_problem(**kwargs):
@@ -428,3 +431,85 @@ def test_cost_runs_never_read_the_pose(monkeypatch):
     prob.evaluate(prob.default_x(), REAL, 3)
     optimize(prob, OptBudget(max_real=1, max_total=3), seed=2)
     random_search(prob, OptBudget(max_real=2, max_total=2), seed=2)
+
+
+def history_bytes(result):
+    return [(r.point.delta, r.point.x.tobytes(), np.asarray(r.cost).tobytes())
+            for r in result.history]
+
+
+@pytest.mark.parametrize("sim_average_n", [4, 3])
+def test_optimize_history_is_the_same_on_any_cpu_count(monkeypatch, sim_average_n):
+    prob = make_problem()
+    budget = OptBudget(max_real=2, max_total=5, sim_average_n=sim_average_n)
+    histories = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(bayesopt, "_cpu_count", lambda: cpus)
+        histories.append(history_bytes(optimize(prob, budget, seed=6)))
+        assert multiprocessing.active_children() == []
+    assert sum(delta == SIM for delta, _, _ in histories[0]) >= 2
+    assert histories[1] == histories[0] and histories[2] == histories[0]
+
+
+def test_random_search_history_is_the_same_on_any_cpu_count(monkeypatch):
+    # a push this strong makes some of the drawn gains fall and not others
+    prob = make_problem(disturbances=[Disturbance(5.0, 60.0, "back")])
+    budget = OptBudget(max_real=6, max_total=6)
+    histories = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(bayesopt, "_cpu_count", lambda: cpus)
+        result = random_search(prob, budget, seed=3)
+        histories.append(history_bytes(result))
+        assert multiprocessing.active_children() == []
+    falls = [r.cost[0] >= prob.fall_penalty for r in result.history]
+    assert any(falls) and not all(falls)
+    assert histories[1] == histories[0] and histories[2] == histories[0]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("failing, expected", [
+    # job 1 is a helper's with 2 or 3 CPUs; job 2 is the main process's with 2
+    ({1: NonFiniteStateError, 2: InvalidInputError}, NonFiniteStateError),
+    ({2: InvalidInputError, 3: NonFiniteStateError}, InvalidInputError),
+])
+def test_a_run_error_reaches_the_caller_in_job_order(monkeypatch, cpus, failing, expected):
+    seed = 4
+    bad = {bayesopt._derived_seed(seed, 0, k): error for k, error in failing.items()}
+
+    def failing_run_sequence(gains, cpg, seq, plant, **kwargs):
+        if plant.seed in bad:
+            raise bad[plant.seed](f"injected for run seed {plant.seed}")
+        return run_sequence(gains, cpg, seq, plant, **kwargs)
+
+    monkeypatch.setattr(bayesopt, "run_sequence", failing_run_sequence)
+    monkeypatch.setattr(bayesopt, "_cpu_count", lambda: cpus)
+    with pytest.raises(expected, match="injected"):
+        optimize(make_problem(), OptBudget(max_real=1, max_total=3), seed=seed)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("why", ["one cpu", "a second thread"])
+def test_batches_run_serially_without_forking(monkeypatch, why):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    prob = make_problem()
+    budget = OptBudget(max_real=2, max_total=3, sim_average_n=2)
+    monkeypatch.setattr(bayesopt, "_cpu_count", lambda: 2)
+    with pytest.raises(AssertionError, match="forked"):  # the patch does see a fork
+        random_search(prob, budget, seed=1)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30,))
+    if why == "one cpu":
+        monkeypatch.setattr(bayesopt, "_cpu_count", lambda: 1)
+    else:
+        thread.start()
+    try:
+        optimize(prob, budget, seed=1)
+        random_search(prob, budget, seed=1)
+    finally:
+        release.set()
+        if thread.is_alive():
+            thread.join(timeout=30)
+    assert not thread.is_alive()

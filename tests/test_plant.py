@@ -20,6 +20,7 @@ from gaitlab.feedback import (
 )
 from gaitlab.plant import (
     DT,
+    MAX_SEGMENT_STEPS,
     Disturbance,
     PlantParams,
     RealGap,
@@ -30,6 +31,7 @@ from gaitlab.plant import (
     standard_test_sequence,
     step_plant,
     trace_to_csv,
+    _segment_commands,
 )
 from gaitlab.pose import LegGeometry
 
@@ -63,11 +65,18 @@ def test_plant_params_reject_out_of_range(kwargs):
         PlantParams(**kwargs)
 
 
-@pytest.mark.parametrize("duration", [-1.0, 0.0, math.nan, math.inf, 0.004])
+@pytest.mark.parametrize(
+    "duration", [-1.0, 0.0, math.nan, math.inf, 0.004, 1e300, (MAX_SEGMENT_STEPS + 1) * DT]
+)
 def test_bad_segment_duration_rejected(duration):
     seq = [(GaitCommand(vx=0.5), 2.0), (GaitCommand(), duration)]
     with pytest.raises(InvalidInputError, match="segment 1 duration"):
         run_sequence(zero_gains(), CpgParams(), seq, quiet_plant())
+
+
+def test_segment_at_the_step_bound_is_accepted():
+    cmds = _segment_commands([(GaitCommand(vx=0.5), MAX_SEGMENT_STEPS * DT)], DT)
+    assert cmds.shape == (MAX_SEGMENT_STEPS, 3)
 
 
 @pytest.mark.parametrize(
