@@ -1,10 +1,7 @@
 """Hot numeric kernels shared by the gait, feedback, and plant modules.
 
-Everything here operates on plain floats, tuples of floats and float64
-arrays so the functions compile under numba when it is importable; the
-public modules wrap them with dataclass interfaces.  Without numba the same
-code runs under CPython and produces bit-identical results (a compiled
-kernel's ``.py_func`` runs it that way too).
+The step kernels operate on Python floats and tuples of them; the public
+modules wrap them with dataclass interfaces.
 
 The closed loop is split in two.  ``run_closed_loop`` is the one per-step
 dynamics loop: filters, activations, gait excitation, ``plant_step`` and the
@@ -19,14 +16,16 @@ the saturation count used to be, now an empty (0, 18) array and 0, so that
 that reads the result by position (the benchmark's tracer,
 ``perfbench/tracer.py``, does); they go once it reads the ``RunTrace``.
 
-Under CPython the cost of a step is the interpreter's, so the step kernels
-take their parameters as tuples of Python floats, keep state in scalars and
-return tuples: indexing a float64 array and doing arithmetic on the
-resulting NumPy scalars costs several times as much as the same work on
-Python floats.  The dataclasses still pack their parameters into float64
-vectors (``to_array``); callers turn those into float tuples once with
-``float_tuple``, and the loop and the readout derive everything that is
-fixed for a run once before their first step:
+The cost of a step is the interpreter's, so the step kernels take their
+parameters as tuples of Python floats, keep state in scalars and return
+tuples: indexing a float64 array and doing arithmetic on the resulting
+NumPy scalars costs several times as much as the same work on Python
+floats.  For the same reason the loop and the readout read their input
+arrays once through ``tolist()``, record their rows in flat lists and turn
+each into an array once at the end.  The dataclasses still pack their
+parameters into float64 vectors (``to_array``); callers turn those into
+float tuples once with ``float_tuple``, and the loop and the readout derive
+everything that is fixed for a run once before their first step:
 
     swing_window(cpg)          -> (swing_start, swing_len) of cpg_pose
     filter_coeffs(filt, dt)    -> (alpha, deadband, decay, gain_i) of filters_step
@@ -39,7 +38,7 @@ reproduces ``run_closed_loop`` and ``pose_readout`` bit for bit;
 ``plant_step`` is the one integration step both the loop and ``step_plant``
 take.  The loop and the readout look their step kernels up as module
 globals on every call, so wrappers installed on this module's attributes
-see each call under CPython.
+see each call.
 
 Flat abstract-pose layout (18 floats):
     [0:6]   left leg   (lx, ly, lz, fx, fy, eta)
@@ -75,23 +74,17 @@ import math
 
 import numpy as np
 
-from ._accel import maybe_njit
-
 POSE_SIZE = 18
 ACT_SIZE = 7  # armX, armY, suppX, contX, comX, comY, timing_factor
 FILTER_STATE_SIZE = 6  # smoothed, d-estimate, integral -- pitch then roll plane
 
 
 def float_tuple(a):
-    """A packed float vector (any shape) as a flat tuple of Python floats.
-
-    This is the parameter form the kernels take; it runs in the caller,
-    outside the compiled code.
-    """
+    """A packed float vector (any shape) as a flat tuple of Python floats,
+    the parameter form the kernels take."""
     return tuple(np.asarray(a, dtype=float).ravel().tolist())
 
 
-@maybe_njit(cache=True)
 def wrap_pi(a):
     x = (a + math.pi) % (2.0 * math.pi)  # in [0, 2*pi); 0 only for a = pi + 2*pi*k
     if x == 0.0:
@@ -99,7 +92,6 @@ def wrap_pi(a):
     return x - math.pi
 
 
-@maybe_njit(cache=True)
 def foot_ik_core(x, y, z, thigh, shank):
     """Two-link leg IK: hip pitch, hip roll, knee pitch for an ankle target.
 
@@ -120,7 +112,6 @@ def foot_ik_core(x, y, z, thigh, shank):
     return hip_pitch, hip_roll, knee
 
 
-@maybe_njit(cache=True)
 def foot_fk_core(hip_pitch, hip_roll, knee, thigh, shank):
     """Forward kinematics matching foot_ik_core's chain."""
     x = thigh * math.sin(hip_pitch) + shank * math.sin(hip_pitch + knee)
@@ -130,14 +121,12 @@ def foot_fk_core(hip_pitch, hip_roll, knee, thigh, shank):
     return x, y, z
 
 
-@maybe_njit(cache=True)
 def swing_window(cpg):
     """(swing_start, swing_len): the phase window of each leg's lift pulse."""
     swing_len = math.pi * (1.0 - 2.0 * cpg[22])
     return 0.5 * math.pi - 0.5 * swing_len, swing_len
 
 
-@maybe_njit(cache=True)
 def cpg_pose(mu, vx, vy, wz, cpg, window):
     """The open-loop gait pose at phase mu as an 18-tuple.
 
@@ -186,7 +175,6 @@ def cpg_pose(mu, vx, vy, wz, cpg, window):
     )
 
 
-@maybe_njit(cache=True)
 def filter_coeffs(filt, dt):
     """(alpha, deadband, decay, gain_i) of filters_step at sample period dt."""
     tau = filt[0]
@@ -197,7 +185,6 @@ def filter_coeffs(filt, dt):
     return alpha, filt[1], decay, gain_i
 
 
-@maybe_njit(cache=True)
 def _filter_plane(y_old, dv_old, i_old, d, dt, coeffs):
     alpha, deadband, decay, gain_i = coeffs
     y = y_old + (d - y_old) * alpha
@@ -212,7 +199,6 @@ def _filter_plane(y_old, dv_old, i_old, d, dt, coeffs):
     return y, p, dv, i_old * decay + p * gain_i
 
 
-@maybe_njit(cache=True)
 def filters_step(fs, d_theta, d_phi, dt, coeffs):
     """Advance both deviation filters by one sample.
 
@@ -230,7 +216,6 @@ def filters_step(fs, d_theta, d_phi, dt, coeffs):
     return (y_t, dv_t, i_t, y_p, dv_p, i_p), (p_t, dv_t, i_t, p_p, dv_p, i_p)
 
 
-@maybe_njit(cache=True)
 def activations_from(pdi, gains, support_sign):
     """Corrective-action activations (7-tuple) from (P, D, I) per plane."""
     p_t, d_t, i_t, p_p, d_p, i_p = pdi
@@ -256,7 +241,6 @@ def activations_from(pdi, gains, support_sign):
     )
 
 
-@maybe_njit(cache=True)
 def com_shift_reference(geom):
     """Halt-pose leg reference of the CoM shift: a 6-tuple of floats.
 
@@ -272,7 +256,6 @@ def com_shift_reference(geom):
     return thigh, shank, dist, qh0 + 0.5 * qk0, qr0, math.cos(0.5 * qk0)
 
 
-@maybe_njit(cache=True)
 def _clamp_retraction(eta):
     if eta < 0.0:
         return 0.0, 1
@@ -281,7 +264,6 @@ def _clamp_retraction(eta):
     return eta, 0
 
 
-@maybe_njit(cache=True)
 def apply_actions_flat(pose, act, support_sign, ref):
     """Superimpose activations onto an abstract pose (18-tuple).
 
@@ -329,7 +311,6 @@ def apply_actions_flat(pose, act, support_sign, ref):
     return out, s0 | s1 | s2 | s3
 
 
-@maybe_njit(cache=True)
 def plant_accels(pitch, roll, pitch_rate, roll_rate, exc_p, exc_r, act, plant, eff):
     """Per-plane angular accelerations of the surrogate torso."""
     wn_p = plant[0]
@@ -346,7 +327,6 @@ def plant_accels(pitch, roll, pitch_rate, roll_rate, exc_p, exc_r, act, plant, e
     return acc_p, acc_r
 
 
-@maybe_njit(cache=True)
 def gait_excitation(mu, vx, vy, wz, coupling):
     """Phase-locked excitation the stepping gait applies to the torso."""
     exc_p = coupling * (0.5 + abs(vx)) * (0.3 * math.sin(mu) + 0.7 * math.sin(2.0 * mu))
@@ -354,7 +334,6 @@ def gait_excitation(mu, vx, vy, wz, coupling):
     return exc_p, exc_r
 
 
-@maybe_njit(cache=True)
 def plant_step(pitch, roll, pitch_rate, roll_rate, exc_p, exc_r, act, plant, eff,
                noise_p, noise_r, dt):
     """One semi-implicit Euler step of the torso, the rates already kicked.
@@ -373,79 +352,66 @@ def plant_step(pitch, roll, pitch_rate, roll_rate, exc_p, exc_r, act, plant, eff
     return (pitch, roll, pitch_rate, roll_rate), fell
 
 
-@maybe_njit(cache=True)
-def run_closed_loop(cmds, noise, dist_steps, dist_kicks, cpg, gains, filt, plant, eff, dt, mu0,
-                    state0):
+def run_closed_loop(cmds, noise, pushes, cpg, gains, filt, plant, eff, dt):
     """Run the closed-loop dynamics: filters -> activations -> plant -> phase.
 
-    ``cmds`` (n, 3), ``noise`` (n, 2), ``dist_steps`` (k,) and
-    ``dist_kicks`` (k, 2) are arrays; the parameters are float tuples.
-    Returns (mu, state, dev, ep, act, pose, fall_idx, saturations, end) where
-    the time-series arrays have one row per executed step; ``fall_idx`` is
-    the index of the last recorded sample if the torso fell, else -1, and
-    ``end`` is the unrecorded state the last step produced (the one that
-    fell, if any).  Sample i holds the state at t = i*dt and the control
-    computed from it.  The deviations fed back are the fused angles, so
-    ``dev`` is a view of the first two columns of ``state``.
+    ``cmds`` (n, 3) and ``noise`` (n, 2) are arrays, ``pushes`` is a sequence
+    of ``(step, (pitch kick, roll kick))`` pairs and the parameters are float
+    tuples.  The run starts upright at phase 0.  Returns (mu, state, dev, ep,
+    act, pose, fall_idx, saturations, end) where the time-series arrays have
+    one row per executed step; ``fall_idx`` is the index of the last recorded
+    sample if the torso fell, else -1, and ``end`` is the unrecorded state
+    the last step produced (the one that fell, if any).  Sample i holds the
+    state at t = i*dt and the control computed from it.  The deviations fed
+    back are the fused angles, so ``dev`` is a view of the first two columns
+    of ``state``.
 
     ``pose`` is an empty (0, 18) array and ``saturations`` is 0: the pose
     is ``pose_readout``'s, and the two slots only hold the positions of
     ``fall_idx`` and ``end`` (see the module docstring).
 
-    Pushes land in order of their step, pushes at the same step in the
-    order given; a push outside [0, n) never lands.
+    A push lands at the start of its step; pushes at the same step land in
+    the order given, and a push outside [0, n) never lands.
     """
-    n = cmds.shape[0]
-    mu_out = np.empty(n)
-    state_out = np.empty((n, 4))
-    ep_out = np.empty((n, 2))
-    act_out = np.empty((n, ACT_SIZE))
+    kicks = {}
+    for step, kick in pushes:
+        kicks.setdefault(step, []).append(kick)
 
     coeffs = filter_coeffs(filt, dt)
     phase_rate = 2.0 * math.pi * cpg[23]
     coupling = plant[3]
 
-    # pushes sorted stably by step; next_push is the step of the next one, -1 when none is left
-    order = np.argsort(dist_steps, kind="mergesort")
-    n_dist = order.shape[0]
-    k = 0
-    while k < n_dist and dist_steps[order[k]] < 0:
-        k += 1
-    next_push = int(dist_steps[order[k]]) if k < n_dist else -1
-
     fs = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    mu = float(mu0)
-    state = (float(state0[0]), float(state0[1]), float(state0[2]), float(state0[3]))
-
+    mu = 0.0
+    state = (0.0, 0.0, 0.0, 0.0)
+    # the rows are recorded flat: a list of floats holds no per-row tuple for
+    # the cyclic garbage collector to count and scan
+    mu_rows, state_rows, ep_rows, act_rows = [], [], [], []
     fall_idx = -1
 
-    for i in range(n):
+    for i, (vx, vy, wz, noise_p, noise_r) in enumerate(zip(*cmds.T.tolist(), *noise.T.tolist())):
         support_sign = -1.0 if mu > 0.0 else 1.0
 
-        mu_out[i] = mu
-        state_out[i] = state
+        mu_rows.append(mu)
+        state_rows += state
 
         # the deviations fed back are the fused angles themselves
         fs, pdi = filters_step(fs, state[0], state[1], dt, coeffs)
-        ep_out[i] = (pdi[0], pdi[3])
+        ep_rows += pdi[0], pdi[3]
 
         act = activations_from(pdi, gains, support_sign)
-        act_out[i] = act
+        act_rows += act
 
         pitch, roll, pitch_rate, roll_rate = state
-        while i == next_push:
-            j = order[k]
-            pitch_rate += float(dist_kicks[j, 0])
-            roll_rate += float(dist_kicks[j, 1])
-            k += 1
-            next_push = int(dist_steps[order[k]]) if k < n_dist else -1
+        if i in kicks:
+            for kick_p, kick_r in kicks[i]:
+                pitch_rate += kick_p
+                roll_rate += kick_r
 
-        exc_p, exc_r = gait_excitation(
-            mu, float(cmds[i, 0]), float(cmds[i, 1]), float(cmds[i, 2]), coupling
-        )
+        exc_p, exc_r = gait_excitation(mu, vx, vy, wz, coupling)
         state, fell = plant_step(
             pitch, roll, pitch_rate, roll_rate, exc_p, exc_r, act, plant, eff,
-            float(noise[i, 0]), float(noise[i, 1]), dt,
+            noise_p, noise_r, dt,
         )
         if fell:
             fall_idx = i
@@ -453,11 +419,12 @@ def run_closed_loop(cmds, noise, dist_steps, dist_kicks, cpg, gains, filt, plant
 
         mu = wrap_pi(mu + phase_rate * act[6] * dt)
 
-    return (mu_out, state_out, state_out[:, :2], ep_out, act_out, np.empty((0, POSE_SIZE)),
-            fall_idx, 0, state)
+    state_out = np.array(state_rows).reshape(-1, 4)
+    return (np.array(mu_rows), state_out, state_out[:, :2], np.array(ep_rows).reshape(-1, 2),
+            np.array(act_rows).reshape(-1, ACT_SIZE), np.empty((0, POSE_SIZE)), fall_idx, 0,
+            state)
 
 
-@maybe_njit(cache=True)
 def pose_readout(mu, cmds, act, cpg, geom):
     """The abstract pose of each recorded sample and the saturation count.
 
@@ -469,20 +436,15 @@ def pose_readout(mu, cmds, act, cpg, geom):
     had to be clamped.  The support leg follows from the phase, as it does
     for the activations in the loop.
     """
-    n = mu.shape[0]
-    pose_out = np.empty((n, POSE_SIZE))
     window = swing_window(cpg)
     ref = com_shift_reference(geom)
+    poses = []
     saturations = 0
-    for i in range(n):
-        m = float(mu[i])
+    for m, (vx, vy, wz), a in zip(mu.tolist(), cmds.tolist(), act.tolist()):
         support_sign = -1.0 if m > 0.0 else 1.0
-        a = (float(act[i, 0]), float(act[i, 1]), float(act[i, 2]), float(act[i, 3]),
-             float(act[i, 4]), float(act[i, 5]), float(act[i, 6]))
         pose, saturated = apply_actions_flat(
-            cpg_pose(m, float(cmds[i, 0]), float(cmds[i, 1]), float(cmds[i, 2]), cpg, window),
-            a, support_sign, ref,
+            cpg_pose(m, vx, vy, wz, cpg, window), a, support_sign, ref
         )
         saturations += saturated
-        pose_out[i] = pose
-    return pose_out, saturations
+        poses += pose
+    return np.array(poses).reshape(-1, POSE_SIZE), saturations

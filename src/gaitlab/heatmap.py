@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._accel import maybe_njit
 from .errors import (
     BehindCameraError,
     DegenerateComponentError,
@@ -81,11 +80,9 @@ def dilate(b) -> np.ndarray:
     return np.any(_shifted_stack(b, False), axis=0).astype(np.uint8)
 
 
-@maybe_njit(cache=True)
 def _label_unionfind(mask):
     """Two-pass 8-connectivity labeling with union-find.
 
-    numba compiles it when available; CPython runs the same code otherwise.
     Both passes visit only foreground pixels.  The first pass takes them in
     scan order on a grid padded with one background row on top and one
     background column on each side, so every already-scanned neighbour (NW,
@@ -94,17 +91,20 @@ def _label_unionfind(mask):
     tree of Wu, Otoo & Suzuki, Pattern Anal. Appl. 2009).  A union links the
     larger root under the smaller, so a component's root is the label of its
     first pixel in scan order; flattening the parent table in increasing
-    order then numbers the components 1, 2, ... in that order.
+    order then numbers the components 1, 2, ... in that order.  The label
+    and parent tables are Python lists, which CPython indexes several times
+    faster than it reads NumPy scalars.
     """
     h, w = mask.shape
     s = w + 2
     grid = np.zeros((h + 1, s), np.uint8)
     grid[1:, 1:-1] = mask
     fg = np.flatnonzero(grid)
-    labels = np.zeros((h + 1) * s, np.int64)
-    parent = np.zeros(fg.size + 1, np.int64)
+    fg_list = fg.tolist()
+    labels = [0] * ((h + 1) * s)
+    parent = [0] * (len(fg_list) + 1)
     n = 0
-    for p in fg:
+    for p in fg_list:
         a = labels[p - s]  # N
         if a == 0:
             a = labels[p - 1]  # W
@@ -135,8 +135,9 @@ def _label_unionfind(mask):
             parent[lab] = k
         else:
             parent[lab] = parent[parent[lab]]
-    labels[fg] = parent[labels[fg]]
-    return labels.reshape(h + 1, s)[1:, 1:-1]
+    out = np.zeros((h + 1) * s, np.int64)
+    out[fg] = [parent[labels[p]] for p in fg_list]
+    return out.reshape(h + 1, s)[1:, 1:-1]
 
 
 def connected_components(b) -> list[np.ndarray]:

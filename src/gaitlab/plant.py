@@ -312,28 +312,20 @@ def run_sequence(
     rng = np.random.default_rng(p.seed)
     noise = rng.normal(0.0, p.noise_std, size=(n, 2)) if p.noise_std > 0 else np.zeros((n, 2))
 
-    # a push timed after the last step never lands; its step may not fit an int64
-    pushes = [(step, d) for d in disturbances if (step := round(d.time / DT)) < n]
-    dist_steps = np.array([step for step, _ in pushes], dtype=np.int64)
-    dist_kicks = np.array(
-        [d.rate_kick(p.effective_inertia) for _, d in pushes], dtype=float
-    ).reshape(len(pushes), 2)
+    pushes = [(round(d.time / DT), d.rate_kick(p.effective_inertia)) for d in disturbances]
 
     floats = _kernels.float_tuple
     cpg_floats = floats(cpg.to_array())
     mu_out, state, _, ep, act, _, fall_idx, _, end_state = _kernels.run_closed_loop(
         cmds,
         noise,
-        dist_steps,
-        dist_kicks,
+        pushes,
         cpg_floats,
         floats(gains.to_array()),
         floats(filter_params.to_array()),
         floats(p.to_array()),
         floats(p.action_effectiveness),
         DT,
-        0.0,
-        np.zeros(4),
     )
 
     fell = fall_idx >= 0

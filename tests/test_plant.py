@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gaitlab import _kernels
+from gaitlab import _kernels, config
 from gaitlab.cpg import CpgParams, GaitCommand, evaluate_cpg, step_phase
 from gaitlab.errors import GaitlabError, InvalidInputError, NonFiniteStateError
 from gaitlab.feedback import (
@@ -245,16 +245,10 @@ def test_zero_gain_closed_loop_is_bit_identical_to_open_loop():
         assert np.array_equal(trace.pose[i], open_pose)
 
 
-def test_public_step_helpers_reproduce_run_sequence_bitwise():
-    # nonzero CoM-shift I-gains run the IK branch, the lift pulse saturates the
-    # swing-leg retraction, and the second push fells the torso
-    gains = FeedbackGains(com_shift_x=IGain(ki=0.3), com_shift_y=IGain(ki=0.2))
-    cpg = CpgParams(lift_amplitude=0.95)
-    p = PlantParams(seed=4)
-    seq = standard_test_sequence()
-    pushes = [Disturbance(4.0, 9.0, "left"), Disturbance(11.0, 30.0, "back")]
+def replay_with_public_helpers(gains, cpg, seq, p, pushes):
+    """Run the closed loop with ``run_sequence`` and again by hand through the
+    public step helpers; every recorded row must agree bit for bit."""
     trace = run_sequence(gains, cpg, seq, p, pushes)
-    assert trace.fall and trace.saturations > 0 and np.any(trace.activations[:, 4:6] != 0.0)
 
     cmds = [cmd for cmd, duration in seq for _ in range(int(round(duration / DT)))]
     noise = np.random.default_rng(p.seed).normal(0.0, p.noise_std, (len(cmds), 2))
@@ -281,7 +275,7 @@ def test_public_step_helpers_reproduce_run_sequence_bitwise():
             break
         mu = step_phase(mu, DT, cpg.frequency, act.timing_factor)
 
-    assert s.fallen and len(mus) == len(trace)
+    assert s.fallen == trace.fall and len(mus) == len(trace)
     assert np.array_equal(trace.mu, mus)
     assert np.array_equal(
         np.column_stack([trace.pitch, trace.roll, trace.pitch_rate, trace.roll_rate]), states
@@ -290,6 +284,32 @@ def test_public_step_helpers_reproduce_run_sequence_bitwise():
     assert np.array_equal(trace.activations, acts)
     assert np.array_equal(trace.pose, poses)
     assert trace.saturations == saturations
+    return trace
+
+
+def test_public_step_helpers_reproduce_run_sequence_bitwise():
+    # nonzero CoM-shift I-gains run the IK branch, the lift pulse saturates the
+    # swing-leg retraction, and the second push fells the torso
+    gains = FeedbackGains(com_shift_x=IGain(ki=0.3), com_shift_y=IGain(ki=0.2))
+    pushes = [Disturbance(4.0, 9.0, "left"), Disturbance(11.0, 30.0, "back")]
+    trace = replay_with_public_helpers(
+        gains, CpgParams(lift_amplitude=0.95), standard_test_sequence(), PlantParams(seed=4), pushes
+    )
+    assert trace.fall and trace.saturations > 0 and np.any(trace.activations[:, 4:6] != 0.0)
+
+
+@pytest.mark.parametrize("seed, falls", [(0, False), (1, False), (5, True), (6, True)])
+def test_public_step_helpers_reproduce_run_sequence_on_random_gains(seed, falls):
+    # every gain scaled by its own factor in [0, 3), and one push of random size
+    rng = np.random.default_rng(seed)
+    defaults = FeedbackGains()
+    scaled = {key: value * rng.uniform(0.0, 3.0) for key, value in config.flatten(defaults).items()}
+    gains = config.rebuild(defaults, scaled)
+    push = Disturbance(rng.uniform(1.0, 18.0), rng.uniform(0.0, 30.0), "back")
+    trace = replay_with_public_helpers(
+        gains, CpgParams(), standard_test_sequence(), PlantParams(seed=seed), [push]
+    )
+    assert trace.fall == falls
 
 
 def test_phase_plot_series():
@@ -378,6 +398,48 @@ def test_one_step_overflow_to_inf_is_an_error_not_a_fall(monkeypatch):
         run_sequence(gains, CpgParams(), seq, PlantParams(fall_threshold=1e300))
     state, fall_idx, end = runs[0][1], runs[0][6], runs[0][8]
     assert fall_idx == 48 and np.isfinite(state[:49]).all() and math.isinf(end[0])
+
+
+@pytest.mark.parametrize("pushes", [[], [Disturbance(11.0, 30.0, "back")]], ids=["upright", "falls"])
+def test_loop_calls_its_step_kernels_as_module_globals(monkeypatch, pushes):
+    # the benchmark's tracer splits a run's time by wrapping these attributes of
+    # _kernels, and reads the loop's result by position: fall_idx from slot 6,
+    # the saturation slot 7 and, for the step count, cmds from the first argument
+    calls = {}
+
+    def count(name):
+        kernel = getattr(_kernels, name)
+        calls[name] = 0
+
+        def counted(*args):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels, name, counted)
+
+    step_kernels = ("filters_step", "activations_from", "gait_excitation", "plant_accels")
+    for name in (*step_kernels, "wrap_pi", "cpg_pose", "apply_actions_flat"):
+        count(name)
+    runs = []
+    loop = _kernels.run_closed_loop
+    monkeypatch.setattr(
+        _kernels, "run_closed_loop", lambda *a: runs.append((a, loop(*a))) or runs[-1][1]
+    )
+
+    p = PlantParams(seed=4)
+    trace = run_sequence(FeedbackGains(), CpgParams(), standard_test_sequence(), p, pushes)
+    (args, out), = runs
+    steps = len(trace)
+    assert args[0].shape == (2000, 3) and len(out) == 9 and out[7] == 0
+    assert out[6] == (steps - 1 if trace.fall else -1) and trace.fall == bool(pushes)
+    end = out[8]
+    assert len(end) == 4 and (max(abs(end[0]), abs(end[1])) > p.fall_threshold) == trace.fall
+    assert [calls[name] for name in step_kernels] == [steps] * 4
+    # the phase advances after every step but the one that fell
+    assert calls["wrap_pi"] == steps - trace.fall
+    assert calls["cpg_pose"] == calls["apply_actions_flat"] == 0
+    trace.pose
+    assert calls["cpg_pose"] == calls["apply_actions_flat"] == steps
 
 
 def test_pose_is_read_out_once_and_replace_reads_it_anew(monkeypatch):
