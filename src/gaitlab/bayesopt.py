@@ -40,6 +40,9 @@ from .plant import (
 SIM = "sim"
 REAL = "real"
 _PLANES = ("alpha", "beta")  # cost index of each plane
+_NOISE = 1e-4  # GP observation noise variance
+_N_CANDIDATES = 128  # seeded uniform candidates per proposal, plus up to two incumbents
+_N_SAMPLES = 192  # joint posterior draws that score them
 
 
 def _plane_index(plane: str) -> int:
@@ -289,6 +292,8 @@ class GainProblem:
         for corner in self.bounds.T:  # both ends of every range must be valid gains
             self.gains_with(corner)
         _plane_index(self.plane)
+        check_nonnegative("regularization", self.regularization)
+        check_nonnegative("fall_penalty", self.fall_penalty)
 
     def default_x(self) -> np.ndarray:
         gains = flatten(self.base_gains)
@@ -314,9 +319,6 @@ class GainProblem:
         trace = self._run(x, plant, run_seed)
         return evaluate_cost(trace, self.regularization, x, self.fall_penalty)
 
-    def cost_index(self) -> int:
-        return _plane_index(self.plane)
-
 
 def _derived_seed(seed: int, iteration: int, k: int) -> int:
     return int(np.random.SeedSequence([int(seed), int(iteration), int(k)]).generate_state(1)[0])
@@ -329,17 +331,13 @@ def _cpu_count() -> int:
 
 
 def _run_share(problem: GainProblem, jobs) -> list:
-    """Costs of ``(x, delta, run_seed)`` jobs in order.
-
-    The first job that raises ends the list, with its exception in its place.
-    """
+    """Cost of each ``(x, delta, run_seed)`` job in order, or the exception it raised."""
     out = []
     for job in jobs:
         try:
             out.append(problem.evaluate(*job))
         except Exception as exc:  # carried back to the caller, which raises it in job order
             out.append(exc)
-            break
     return out
 
 
@@ -351,69 +349,62 @@ def _helper_main(conn, problem: GainProblem) -> None:
 
 
 class _RunPool:
-    """Evaluates batches of independent runs of one problem on every CPU.
+    """Evaluates batches of independent runs of one problem on up to ``batch`` CPUs.
 
-    A batch of n >= 2 runs uses min(CPUs, n) processes: this one plus forked
-    helpers, forked at the first such batch and kept until ``close``.  The
-    main process keeps jobs ``0::n`` and helper h gets jobs ``h::n``; results
-    go back in job order, so they equal the serial loop's bit for bit.  A
-    batch runs serially, forking nothing, with one CPU, one run, no
-    ``sched_getaffinity`` or more than one thread (fork is unsafe there).
+    On entry it forks min(CPUs, batch) - 1 helpers, kept until exit.  It forks
+    none with one CPU, a batch of one, no ``sched_getaffinity`` or more than
+    one thread (fork is unsafe there); its batches then run serially.  A batch
+    of n jobs uses k = min(processes, n) processes: the main process runs jobs
+    ``0::k`` and helper h jobs ``h::k``.  Each share runs to its end and the
+    results go back in job order, so they equal the serial loop's bit for bit.
     """
 
-    def __init__(self, problem: GainProblem):
+    def __init__(self, problem: GainProblem, batch: int):
         self.problem = problem
+        self.batch = batch
         self._helpers: list = []  # (process, connection)
 
     def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-
-    def costs(self, jobs: list) -> list:
-        """Cost of each ``(x, delta, run_seed)`` job, in job order.
-
-        Raises the exception of the first failing job, as the serial loop would.
-        """
-        n = min(_cpu_count(), len(jobs))
+        n = min(_cpu_count(), self.batch)
         if n < 2 or threading.active_count() > 1:
-            return [self.problem.evaluate(*job) for job in jobs]
-        if not self._helpers:
-            self._fork(n - 1)
-        n = min(n, len(self._helpers) + 1)
-        conns = [conn for _, conn in self._helpers[: n - 1]]
-        for h, conn in enumerate(conns, start=1):
-            conn.send(jobs[h::n])
-        shares = [_run_share(self.problem, jobs[::n])] + [conn.recv() for conn in conns]
-        outcomes = [None] * len(jobs)
-        for h, share in enumerate(shares):  # a share ends early only at its first failure
-            outcomes[h : h + n * len(share) : n] = share
-        for out in outcomes:
-            if isinstance(out, Exception):
-                raise out
-        return outcomes
-
-    def _fork(self, count: int) -> None:
+            return self
         import multiprocessing  # here, not at module level: `import gaitlab` stays as fast
 
         ctx = multiprocessing.get_context("fork")
-        for _ in range(count):
-            mine, theirs = ctx.Pipe()
-            proc = ctx.Process(target=_helper_main, args=(theirs, self.problem), daemon=True)
-            proc.start()
-            theirs.close()
-            self._helpers.append((proc, mine))
+        try:
+            for _ in range(n - 1):
+                mine, theirs = ctx.Pipe()
+                proc = ctx.Process(target=_helper_main, args=(theirs, self.problem), daemon=True)
+                proc.start()
+                theirs.close()
+                self._helpers.append((proc, mine))
+        except BaseException:
+            self.__exit__()
+            raise
+        return self
 
-    def close(self) -> None:
-        """Stop and join every helper."""
+    def __exit__(self, *exc_info):  # stops and joins every helper
         for _, conn in self._helpers:
             with contextlib.suppress(OSError):  # a helper that died has closed its end
                 conn.send(None)
         for proc, conn in self._helpers:
             proc.join()
             conn.close()
-        self._helpers = []
+
+    def costs(self, jobs: list) -> list:
+        """Costs of ``(x, delta, run_seed)`` jobs in job order; raises the first failing job's error."""
+        k = min(len(self._helpers) + 1, len(jobs))
+        conns = [conn for _, conn in self._helpers[: k - 1]]
+        for h, conn in enumerate(conns, start=1):
+            conn.send(jobs[h::k])
+        outcomes = [None] * len(jobs)
+        outcomes[::k] = _run_share(self.problem, jobs[::k])
+        for h, conn in enumerate(conns, start=1):
+            outcomes[h::k] = conn.recv()
+        for out in outcomes:
+            if isinstance(out, Exception):
+                raise out
+        return outcomes
 
 
 def _eval_sim_averaged(pool: _RunPool, x, n: int, seed: int, iteration: int):
@@ -445,10 +436,7 @@ def select_next(
     bounds: np.ndarray,
     budget: OptBudget,
     seed: int = 0,
-    noise: float = 1e-4,
     plane: str = "alpha",
-    n_candidates: int = 128,
-    n_samples: int = 192,
 ) -> AugmentedPoint:
     """Propose the next augmented query point.
 
@@ -469,7 +457,7 @@ def select_next(
     d = bounds.shape[0]
     lo, span = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), len(records)]))
-    cand = rng.random((n_candidates, d))  # unit box; kernel scales refer to it
+    cand = rng.random((_N_CANDIDATES, d))  # unit box; kernel scales refer to it
 
     x_tr, real_tr, y_tr = _records_arrays(records, plane)
     x_tr = (x_tr - lo) / span
@@ -482,24 +470,23 @@ def select_next(
             incumbents.append(x_tr[pool[np.argmin(y_tr[pool])]])
     if incumbents:
         cand = np.vstack([cand, incumbents])
-    n_candidates = cand.shape[0]
+    n = cand.shape[0]
     y_mean = y_tr.mean()
     y_std = y_tr.std()
     if y_std < 1e-12:
         y_std = 1.0
-    fit = _GpFit(x_tr, real_tr, (y_tr - y_mean) / y_std, kernel, noise)
+    fit = _GpFit(x_tr, real_tr, (y_tr - y_mean) / y_std, kernel, _NOISE)
 
     # joint posterior over every candidate observed as real and as sim
     xq = np.vstack([cand, cand])
-    real_q = np.concatenate([np.ones(n_candidates, bool), np.zeros(n_candidates, bool)])
+    real_q = np.concatenate([np.ones(n, bool), np.zeros(n, bool)])
     mean, cov = fit.predict(xq, real_q, full_cov=True)
     chol = _chol_with_escalation(cov, 1e-10)
-    z = mean[None, :] + rng.standard_normal((n_samples, 2 * n_candidates)) @ chol.T
+    z = mean[None, :] + rng.standard_normal((_N_SAMPLES, 2 * n)) @ chol.T
 
-    argmin_idx = np.argmin(z[:, :n_candidates], axis=1)
-    mi = _mutual_information(z, argmin_idx, noise)
-    acq_real = mi[:n_candidates]
-    acq_sim = mi[n_candidates:]
+    argmin_idx = np.argmin(z[:, :n], axis=1)
+    mi = _mutual_information(z, argmin_idx, _NOISE)
+    acq_real, acq_sim = mi[:n], mi[n:]
 
     best_real = int(np.argmax(acq_real))
     best_sim = int(np.argmax(acq_sim))
@@ -536,55 +523,40 @@ def _result(records: list[EvalRecord], cost_idx: int) -> OptResult:
     return OptResult(best.point.x.copy(), best.cost[cost_idx], best.point.delta, records)
 
 
-def optimize(
-    problem: GainProblem,
-    budget: OptBudget | None = None,
-    seed: int = 0,
-    kernel: CompositeKernel | None = None,
-    noise: float = 1e-4,
-) -> OptResult:
+def optimize(problem: GainProblem, budget: OptBudget | None = None, seed: int = 0) -> OptResult:
     """Run the budgeted sim/real optimization loop.
 
-    The default gain vector is evaluated first (in simulation, then on the
-    real plant if real budget exists), after which points proposed by
-    select_next are evaluated until the total budget is spent.  Sim queries
-    average sim_average_n seeded runs, which run at the same time on up to
-    sim_average_n CPUs (see ``_RunPool``); the history is the same on any
-    number of CPUs.  The result is the best real-evaluated point when any
-    real evaluation exists, else the best sim.
+    The first points are the default gain vector in simulation, then on the
+    real plant if real budget exists; select_next proposes the rest, until
+    the total budget is spent.  Sim queries average sim_average_n seeded
+    runs, which run at the same time on up to sim_average_n CPUs: the call
+    forks its helpers once, on entry, and joins them before it returns or
+    raises (see ``_RunPool``).  The history is the same on any number of
+    CPUs.  The result is the best real-evaluated point when any real
+    evaluation exists, else the best sim.
     """
     budget = budget or OptBudget()
-    kernel = kernel or CompositeKernel()
+    kernel = CompositeKernel()
+    x0 = problem.default_x()
     records: list[EvalRecord] = []
 
-    with _RunPool(problem) as pool:
-        x0 = problem.default_x()
-        records.append(
-            EvalRecord(
-                AugmentedPoint(x0, SIM),
-                _eval_sim_averaged(pool, x0, budget.sim_average_n, seed, 0),
-            )
-        )
-        if budget.max_real > 0 and len(records) < budget.max_total:
-            records.append(
-                EvalRecord(
-                    AugmentedPoint(x0, REAL),
-                    problem.evaluate(x0, REAL, _derived_seed(seed, 1, 0)),
-                )
-            )
-
+    with _RunPool(problem, budget.sim_average_n) as pool:
         while len(records) < budget.max_total:
             iteration = len(records)
-            point = select_next(
-                records, kernel, problem.bounds, budget, seed=seed, noise=noise,
-                plane=problem.plane,
-            )
+            if iteration == 0:
+                point = AugmentedPoint(x0, SIM)
+            elif iteration == 1 and budget.max_real > 0:
+                point = AugmentedPoint(x0, REAL)
+            else:
+                point = select_next(
+                    records, kernel, problem.bounds, budget, seed=seed, plane=problem.plane
+                )
             if point.delta == REAL:
                 cost = problem.evaluate(point.x, REAL, _derived_seed(seed, iteration, 0))
             else:
                 cost = _eval_sim_averaged(pool, point.x, budget.sim_average_n, seed, iteration)
             records.append(EvalRecord(point, cost))
-    return _result(records, problem.cost_index())
+    return _result(records, _plane_index(problem.plane))
 
 
 def random_search(problem: GainProblem, budget: OptBudget | None = None, seed: int = 0) -> OptResult:
@@ -600,10 +572,10 @@ def random_search(problem: GainProblem, budget: OptBudget | None = None, seed: i
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 424242]))
     lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
     xs = [lo + rng.random(problem.bounds.shape[0]) * (hi - lo) for _ in range(budget.max_real)]
-    with _RunPool(problem) as pool:
+    with _RunPool(problem, budget.max_real) as pool:
         costs = pool.costs([(x, REAL, _derived_seed(seed, i, 0)) for i, x in enumerate(xs)])
     records = [EvalRecord(AugmentedPoint(x, REAL), cost) for x, cost in zip(xs, costs)]
-    return _result(records, problem.cost_index())
+    return _result(records, _plane_index(problem.plane))
 
 
 def history_to_csv(result: OptResult, param_names, path) -> None:

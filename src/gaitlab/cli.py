@@ -190,6 +190,8 @@ def _read_csv_rows(path, n_cols: int):
             raise GaitlabError(
                 f"{path}: line {lineno}: expected {n_cols} columns, got {len(parts)}"
             )
+        if not all(map(math.isfinite, rows[-1])):
+            raise GaitlabError(f"{path}: line {lineno}: not finite: {raw!r}")
     if not rows:
         raise GaitlabError(f"{path}: no data rows")
     return np.array(rows)
@@ -245,8 +247,16 @@ def cmd_gear(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error; argparse's own code, 2, means "robot fell" here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gaitlab", description=__doc__.split("\n")[0])
+    parser = _Parser(prog="gaitlab", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     gait = sub.add_parser("gait", help="closed-loop gait experiments")

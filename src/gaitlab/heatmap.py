@@ -214,6 +214,10 @@ class CameraIntrinsics:
 
     def __post_init__(self):
         check_nonnegative("focal length", self.focal, positive=True)
+        for name in ("cx", "cy"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidInputError(f"principal point {name} must be finite, got {value}")
 
 
 @dataclass

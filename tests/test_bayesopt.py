@@ -488,7 +488,7 @@ def test_a_run_error_reaches_the_caller_in_job_order(monkeypatch, cpus, failing,
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("why", ["one cpu", "a second thread"])
+@pytest.mark.parametrize("why", ["one cpu", "a second thread", "a batch of one"])
 def test_batches_run_serially_without_forking(monkeypatch, why):
     def no_fork():
         raise AssertionError("forked")
@@ -503,8 +503,10 @@ def test_batches_run_serially_without_forking(monkeypatch, why):
     thread = threading.Thread(target=release.wait, args=(30,))
     if why == "one cpu":
         monkeypatch.setattr(bayesopt, "_cpu_count", lambda: 1)
-    else:
+    elif why == "a second thread":
         thread.start()
+    else:  # sim queries of one run each, and a random search of one draw
+        budget = OptBudget(max_real=1, max_total=3, sim_average_n=1)
     try:
         optimize(prob, budget, seed=1)
         random_search(prob, budget, seed=1)
@@ -513,3 +515,50 @@ def test_batches_run_serially_without_forking(monkeypatch, why):
         if thread.is_alive():
             thread.join(timeout=30)
     assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("cpus, batch, helpers", [(3, 4, 2), (4, 3, 2), (3, 2, 1)])
+def test_a_call_forks_its_helpers_once(monkeypatch, cpus, batch, helpers):
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:  # a helper's copy of the list is its own
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(bayesopt, "_cpu_count", lambda: cpus)
+    prob = make_problem()
+    optimize(prob, OptBudget(max_real=1, max_total=4, sim_average_n=batch), seed=2)
+    assert len(forks) == helpers  # three sim batches share them
+    random_search(prob, OptBudget(max_real=batch, max_total=batch), seed=2)
+    assert len(forks) == 2 * helpers
+    assert multiprocessing.active_children() == []
+
+
+def test_a_failed_fork_stops_the_helpers_already_forked(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def second_fork_fails():
+        forks.append(None)
+        if len(forks) == 2:
+            raise OSError("injected: no more processes")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    monkeypatch.setattr(bayesopt, "_cpu_count", lambda: 3)
+    with pytest.raises(OSError, match="injected"):
+        optimize(make_problem(), OptBudget(max_real=1, max_total=3, sim_average_n=3), seed=1)
+    assert len(forks) == 2
+    assert multiprocessing.active_children() == []
+
+@pytest.mark.parametrize("field, value", [
+    ("regularization", math.nan), ("regularization", -0.01), ("regularization", math.inf),
+    ("fall_penalty", math.nan), ("fall_penalty", -1.0),
+])
+def test_gain_problem_rejects_bad_cost_weights(field, value):
+    with pytest.raises(InvalidInputError, match=f"{field} must be finite and >= 0"):
+        make_problem(**{field: value})

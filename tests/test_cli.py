@@ -370,3 +370,51 @@ def test_negative_count_flag_is_a_usage_error(tmp_path, capsys, monkeypatch, arg
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gait", "run", "--seed", "abc"],
+    ["gait", "run", "--no-such-flag"],
+    ["gear", "--teeth", "3.5", "--module", "1.5"],
+    ["calib", "torque"],
+    [],
+])
+def test_argument_errors_exit_1_not_the_fall_code(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gaitlab") and "error: " in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["gait", "run", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gaitlab gait run")
+
+
+@pytest.mark.parametrize("command, rows, bad", [
+    (["calib", "torque"], ["current_A,torque_Nm", "0.1,0.3", "0.2,inf", "0.3,0.9"], 3),
+    (["calib", "torque"], ["0.1,0.3", "-inf,0.6", "0.3,0.9"], 2),
+    (["calib", "camera", "--focal", 500, "--cx", 320, "--cy", 240],
+     ["X,Y,Z,u,v", "0,0,4,320,240", "1,0,4,nan,240", "0,1,4,320,365"], 3),
+])
+def test_calib_non_finite_cell_is_an_input_error(tmp_path, capsys, command, rows, bad):
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(rows) + "\n")
+    assert run_cli(*command, "--input", path) == 1
+    assert capsys.readouterr().err == f"error: {path}: line {bad}: not finite: {rows[bad - 1]!r}\n"
+
+
+@pytest.mark.parametrize("reg", ["nan", "-0.5"])
+def test_optimize_rejects_bad_regularization_before_any_run(tmp_path, capsys, monkeypatch, reg):
+    from gaitlab import bayesopt
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran the closed loop")
+
+    monkeypatch.setattr(bayesopt, "run_sequence", no_run)
+    assert run_cli("gait", "optimize", "--reg", reg, "--out", tmp_path) == 1
+    assert "regularization must be finite and >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "history.csv").exists()

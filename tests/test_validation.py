@@ -42,6 +42,8 @@ CASES = [
     ("shank-inf", "shank", lambda: LegGeometry(shank=inf)),
     ("focal-nan", "focal", lambda: CameraIntrinsics(nan, 320.0, 240.0)),
     ("focal-inf", "focal", lambda: CameraIntrinsics(inf, 320.0, 240.0)),
+    ("cx-nan", "cx", lambda: CameraIntrinsics(500.0, nan, 240.0)),
+    ("cy-inf", "cy", lambda: CameraIntrinsics(500.0, 320.0, -inf)),
     ("k_t-nan", "k_t", lambda: TorqueModel(k_t=nan)),
     ("k_t-inf", "k_t", lambda: TorqueModel(k_t=inf)),
     ("rq-variance-nan", "variance", lambda: RqKernelParams(variance=nan)),
