@@ -4,19 +4,20 @@ The step kernels operate on Python floats and tuples of them; the public
 modules wrap them with dataclass interfaces.
 
 The closed loop is split in two.  ``run_closed_loop`` is the one per-step
-dynamics loop: filters, activations, gait excitation, ``plant_step`` and the
+dynamics loop: filters, activations, gait excitation, plant step and the
 phase update.  The pose does not drive the plant, so the loop does not
 compute it; ``pose_readout`` recomputes it afterwards from the recorded
 phase, commands and activations (the support leg follows from the phase)
 and counts the clamped retractions.  A run whose cost reads only the
 feedback errors and the fall, as every run of the optimizer does, never
 pays for the pose.  The loop's result keeps two slots where the pose and
-the saturation count used to be, now an empty (0, 18) array and 0, so that
-``fall_idx`` stays at index 6 and the end state at index 8 for a caller
-that reads the result by position (the benchmark's tracer,
-``perfbench/tracer.py``, does); they go once it reads the ``RunTrace``.
+the saturation count used to be, now an empty (0, 18) array and 0: the
+benchmark's tracer (``perfbench/tracer.py``) reads the result by position,
+``fall_idx`` at index 6 and the saturation count at index 7, and
+``run_sequence`` takes the end state from index 8.  They go once the
+tracer reads the ``RunTrace`` instead.
 
-The cost of a step is the interpreter's, so the step kernels take their
+The cost of a step is the interpreter's, so the kernels take their
 parameters as tuples of Python floats, keep state in scalars and return
 tuples: indexing a float64 array and doing arithmetic on the resulting
 NumPy scalars costs several times as much as the same work on Python
@@ -31,14 +32,19 @@ everything that is fixed for a run once before their first step:
     filter_coeffs(filt, dt)    -> (alpha, deadband, decay, gain_i) of filters_step
     com_shift_reference(geom)  -> halt-pose leg reference of apply_actions_flat
 
-The public step helpers (``evaluate_cpg``, ``DeviationFilters.update``,
-``compute_activations``, ``apply_actions``, ``step_plant``) call the same
-kernels with the same derived constants, so stepping them by hand
-reproduces ``run_closed_loop`` and ``pose_readout`` bit for bit;
-``plant_step`` is the one integration step both the loop and ``step_plant``
-take.  The loop and the readout look their step kernels up as module
-globals on every call, so wrappers installed on this module's attributes
-see each call.
+A Python call costs as much as several lines of float arithmetic, so the
+loop and the readout are each one flat body per sample.  The loop writes
+out ``filters_step``, ``activations_from``, ``gait_excitation``,
+``plant_step`` and the phase's ``wrap_pi``; the readout writes out
+``cpg_pose`` and ``apply_actions_flat`` and calls ``foot_ik_core``, the one
+IK formula, only for a nonzero CoM shift.  Both unpack their parameter
+tuples into locals once per run.  Every expression keeps its kernel's
+order of operations, because a regrouped sum rounds differently.  The step
+kernels stay the one definition of each formula: the public step helpers
+(``evaluate_cpg``, ``DeviationFilters.update``, ``compute_activations``,
+``apply_actions``, ``step_plant``) call them with the same derived
+constants, and the replay tests in ``tests/test_plant.py`` step those
+helpers by hand and hold both bodies to them bit for bit.
 
 Flat abstract-pose layout (18 floats):
     [0:6]   left leg   (lx, ly, lz, fx, fy, eta)
@@ -372,57 +378,108 @@ def run_closed_loop(cmds, noise, pushes, cpg, gains, filt, plant, eff, dt):
 
     A push lands at the start of its step; pushes at the same step land in
     the order given, and a push outside [0, n) never lands.
+
+    The body is the step kernels written out (see the module docstring).
     """
     kicks = {}
     for step, kick in pushes:
         kicks.setdefault(step, []).append(kick)
 
-    coeffs = filter_coeffs(filt, dt)
+    alpha, deadband, decay, gain_i = filter_coeffs(filt, dt)
+    (arm_x_kp, arm_x_kd, arm_y_kp, arm_y_kd, supp_x_kp, supp_x_kd,
+     cont_x_ki, com_x_ki, com_y_ki, speed_up, slow_down, min_tf) = gains
+    wn_p, wn_r, damping, coupling, fall_threshold = plant
+    e0, e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, e11 = eff
+    # -wn * wn * sin(x) is (-wn * wn) * sin(x): the product is exact to hoist
+    nwp2 = -wn_p * wn_p
+    nwr2 = -wn_r * wn_r
     phase_rate = 2.0 * math.pi * cpg[23]
-    coupling = plant[3]
+    pi = math.pi
+    two_pi = 2.0 * math.pi
 
-    fs = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    # filter state (smoothed, d-estimate, integral) of the pitch and roll plane
+    y_t = dv_t = i_t = y_p = dv_p = i_p = 0.0
     mu = 0.0
-    state = (0.0, 0.0, 0.0, 0.0)
+    pitch = roll = pitch_rate = roll_rate = 0.0
     # the rows are recorded flat: a list of floats holds no per-row tuple for
     # the cyclic garbage collector to count and scan
     mu_rows, state_rows, ep_rows, act_rows = [], [], [], []
     fall_idx = -1
 
     for i, (vx, vy, wz, noise_p, noise_r) in enumerate(zip(*cmds.T.tolist(), *noise.T.tolist())):
-        support_sign = -1.0 if mu > 0.0 else 1.0
-
         mu_rows.append(mu)
-        state_rows += state
+        state_rows += pitch, roll, pitch_rate, roll_rate
 
-        # the deviations fed back are the fused angles themselves
-        fs, pdi = filters_step(fs, state[0], state[1], dt, coeffs)
-        ep_rows += pdi[0], pdi[3]
+        # filters_step: the deviations fed back are the fused angles themselves
+        y_old = y_t
+        y_t = y_old + (pitch - y_old) * alpha
+        dv_t = dv_t + ((y_t - y_old) / dt - dv_t) * alpha
+        if y_t > deadband:
+            p_t = y_t - deadband
+        elif y_t < -deadband:
+            p_t = y_t + deadband
+        else:
+            p_t = 0.0
+        i_t = i_t * decay + p_t * gain_i
+        y_old = y_p
+        y_p = y_old + (roll - y_old) * alpha
+        dv_p = dv_p + ((y_p - y_old) / dt - dv_p) * alpha
+        if y_p > deadband:
+            p_p = y_p - deadband
+        elif y_p < -deadband:
+            p_p = y_p + deadband
+        else:
+            p_p = 0.0
+        i_p = i_p * decay + p_p * gain_i
+        ep_rows += p_t, p_p
 
-        act = activations_from(pdi, gains, support_sign)
-        act_rows += act
+        # activations_from; tilting toward the support leg is outward
+        tilt = p_p * (-1.0 if mu > 0.0 else 1.0)
+        outward = tilt if tilt > 0.0 else 0.0
+        inward = -tilt if tilt < 0.0 else 0.0
+        tf = 1.0 + speed_up * inward - slow_down * outward
+        if tf < min_tf:
+            tf = min_tf
+        a0 = arm_x_kp * p_p + arm_x_kd * dv_p
+        a1 = arm_y_kp * p_t + arm_y_kd * dv_t
+        a2 = supp_x_kp * p_p + supp_x_kd * dv_p
+        a3 = cont_x_ki * i_p
+        a4 = com_x_ki * i_t
+        a5 = com_y_ki * i_p
+        act_rows += a0, a1, a2, a3, a4, a5, tf
 
-        pitch, roll, pitch_rate, roll_rate = state
         if i in kicks:
             for kick_p, kick_r in kicks[i]:
                 pitch_rate += kick_p
                 roll_rate += kick_r
 
-        exc_p, exc_r = gait_excitation(mu, vx, vy, wz, coupling)
-        state, fell = plant_step(
-            pitch, roll, pitch_rate, roll_rate, exc_p, exc_r, act, plant, eff,
-            noise_p, noise_r, dt,
-        )
-        if fell:
+        # gait_excitation and plant_step; the activation terms are added left
+        # to right in column order, as in plant_accels
+        sin_mu = math.sin(mu)
+        exc_p = coupling * (0.5 + abs(vx)) * (0.3 * sin_mu + 0.7 * math.sin(2.0 * mu))
+        exc_r = coupling * (0.5 + 0.5 * abs(vy) + 0.3 * abs(wz)) * sin_mu
+        acc_p = nwp2 * math.sin(pitch) - damping * pitch_rate + exc_p
+        acc_p = acc_p + e0 * a0 + e1 * a1 + e2 * a2 + e3 * a3 + e4 * a4 + e5 * a5
+        acc_r = nwr2 * math.sin(roll) - damping * roll_rate + exc_r
+        acc_r = acc_r + e6 * a0 + e7 * a1 + e8 * a2 + e9 * a3 + e10 * a4 + e11 * a5
+        pitch_rate += dt * (acc_p + noise_p)
+        pitch += dt * pitch_rate
+        roll_rate += dt * (acc_r + noise_r)
+        roll += dt * roll_rate
+        if abs(pitch) > fall_threshold or abs(roll) > fall_threshold:
             fall_idx = i
             break
 
-        mu = wrap_pi(mu + phase_rate * act[6] * dt)
+        # wrap_pi of the advanced phase
+        x = (mu + phase_rate * tf * dt + pi) % two_pi
+        if x == 0.0:
+            x = two_pi
+        mu = x - pi
 
     state_out = np.array(state_rows).reshape(-1, 4)
     return (np.array(mu_rows), state_out, state_out[:, :2], np.array(ep_rows).reshape(-1, 2),
             np.array(act_rows).reshape(-1, ACT_SIZE), np.empty((0, POSE_SIZE)), fall_idx, 0,
-            state)
+            (pitch, roll, pitch_rate, roll_rate))
 
 
 def pose_readout(mu, cmds, act, cpg, geom):
@@ -435,16 +492,95 @@ def pose_readout(mu, cmds, act, cpg, geom):
     activations superimposed, and the number of samples whose retraction
     had to be clamped.  The support leg follows from the phase, as it does
     for the activations in the loop.
+
+    The body is ``cpg_pose`` and ``apply_actions_flat`` written out (see the
+    module docstring).
     """
-    window = swing_window(cpg)
-    ref = com_shift_reference(geom)
+    swing_start, swing_len = swing_window(cpg)
+    thigh, shank, dist, ly0, lx0, eta_c0 = com_shift_reference(geom)
+    (h0, h1, h2, h3, h4, h5, h6, h7, h8, h9, h10, h11, h12, h13, h14, h15, h16, h17,
+     lift, swing, sway_amp, arm_swing) = cpg[:22]
+    nsway = -sway_amp
+    pi = math.pi
+    two_pi = 2.0 * math.pi
+    # Nothing moves an arm's retraction off the halt one, which CpgParams
+    # range-checks to [0, 1]; so the arm clamps are the same for every
+    # sample and are taken once.  apply_actions_flat keeps all four clamps
+    # because the public apply_actions takes any pose.
+    la_eta, s_la = _clamp_retraction(h14)
+    ra_eta, s_ra = _clamp_retraction(h17)
+    s_arms = s_la | s_ra
+
     poses = []
     saturations = 0
-    for m, (vx, vy, wz), a in zip(mu.tolist(), cmds.tolist(), act.tolist()):
-        support_sign = -1.0 if m > 0.0 else 1.0
-        pose, saturated = apply_actions_flat(
-            cpg_pose(m, vx, vy, wz, cpg, window), a, support_sign, ref
-        )
+    for m, (vx, vy, wz), (arm_x, arm_y, supp_x, cont_x, com_x, com_y, _) in zip(
+        mu.tolist(), cmds.tolist(), act.tolist()
+    ):
+        # cpg_pose: the left leg keys off m, the right leg off m + pi
+        sway_term = nsway * math.sin(m)
+        lat = swing * vy
+        sag = swing * vx
+        yaw = swing * wz
+        arm = arm_swing * vx
+        x = m + pi
+        x_r = (x + pi) % two_pi
+        x = x % two_pi
+        if x == 0.0:
+            x = two_pi
+        if x_r == 0.0:
+            x_r = two_pi
+        mu_l = x - pi
+        mu_r = x_r - pi
+        cos_l = math.cos(mu_l)
+        cos_r = math.cos(mu_r)
+        u_l = (mu_l - swing_start) / swing_len
+        u_r = (mu_r - swing_start) / swing_len
+        pulse_l = math.sin(pi * u_l) if (u_l > 0.0 and u_l < 1.0) else 0.0
+        pulse_r = math.sin(pi * u_r) if (u_r > 0.0 and u_r < 1.0) else 0.0
+
+        # apply_actions_flat on that pose
+        l_lx = h0 + lat + sway_term
+        l_ly = h1 - sag * cos_l
+        l_fx = h3 + cont_x
+        l_eta = h5 + lift * pulse_l
+        r_lx = h6 + lat + sway_term
+        r_ly = h7 - sag * cos_r
+        r_fx = h9 + cont_x
+        r_eta = h11 + lift * pulse_r
+        if m > 0.0:
+            r_fx += supp_x
+        else:
+            l_fx += supp_x
+        if com_x != 0.0 or com_y != 0.0:
+            qh1, qr1, qk1 = foot_ik_core(-com_x, -com_y, -dist, thigh, shank)
+            d_ly = (qh1 + 0.5 * qk1) - ly0
+            d_lx = qr1 - lx0
+            d_eta = eta_c0 - math.cos(0.5 * qk1)
+            l_lx += d_lx
+            r_lx += d_lx
+            l_ly += d_ly
+            r_ly += d_ly
+            l_eta += d_eta
+            r_eta += d_eta
+
+        saturated = s_arms
+        if l_eta < 0.0:
+            l_eta = 0.0
+            saturated = 1
+        elif l_eta > 1.0:
+            l_eta = 1.0
+            saturated = 1
+        if r_eta < 0.0:
+            r_eta = 0.0
+            saturated = 1
+        elif r_eta > 1.0:
+            r_eta = 1.0
+            saturated = 1
         saturations += saturated
-        poses += pose
+        poses += (
+            l_lx, l_ly, h2 + yaw * math.sin(mu_l), l_fx, h4, l_eta,
+            r_lx, r_ly, h8 + yaw * math.sin(mu_r), r_fx, h10, r_eta,
+            h12 + arm_x, h13 + arm * cos_l + arm_y, la_eta,
+            h15 + arm_x, h16 + arm * cos_r + arm_y, ra_eta,
+        )
     return np.array(poses).reshape(-1, POSE_SIZE), saturations

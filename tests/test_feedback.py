@@ -189,6 +189,16 @@ def test_eta_clamp_sets_saturation_flag():
     assert 0.0 <= out.left_leg.eta <= 1.0
 
 
+def test_arm_eta_clamp_sets_saturation_flag():
+    # the closed loop never moves an arm's retraction off the range-checked
+    # halt one, but apply_actions takes any pose
+    pose = AbstractPose()
+    pose.right_arm.eta = 1.2
+    out, saturated = apply_actions(pose, Activations())
+    assert saturated
+    assert out.right_arm.eta == 1.0 and out.left_arm.eta == 0.0
+
+
 @pytest.mark.parametrize("halt_eta", [-0.1, 2.5, math.nan])
 def test_apply_actions_rejects_halt_eta_outside_unit_interval(halt_eta):
     with pytest.raises(InvalidInputError, match="halt_eta"):
