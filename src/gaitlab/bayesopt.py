@@ -60,6 +60,8 @@ class AugmentedPoint:
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
+        if self.x.ndim != 1 or not np.isfinite(self.x).all():
+            raise InvalidInputError(f"x must be a finite gain vector, got {self.x}")
         if self.delta not in (SIM, REAL):
             raise InvalidInputError(f"delta must be '{SIM}' or '{REAL}'")
 
@@ -89,6 +91,8 @@ class EvalRecord:
     cost: tuple[float, float]  # (J_alpha, J_beta)
 
     def __post_init__(self):
+        if np.shape(self.cost) != (2,):  # the planes index it
+            raise InvalidInputError(f"cost must be (J_alpha, J_beta), got {self.cost}")
         if not all(math.isfinite(c) for c in self.cost):
             raise InvalidInputError("costs must be finite")
 
@@ -111,6 +115,25 @@ class OptBudget:
             raise InvalidInputError(f"sim_bias_weight must be >= 1, got {self.sim_bias_weight}")
 
 
+def _checked_bounds(bounds) -> np.ndarray:
+    """``bounds`` as a float (d, 2) array of d >= 1 finite (lo, hi) rows with lo < hi."""
+    bounds = np.asarray(bounds, dtype=float)
+    if bounds.ndim != 2 or bounds.shape[1] != 2 or len(bounds) < 1:
+        raise InvalidInputError(f"bounds must be one (lo, hi) row per gain, got {bounds.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite end makes a non-finite span
+        span = bounds[:, 1] - bounds[:, 0]
+    if not np.isfinite(span).all():
+        raise InvalidInputError(f"bounds must be finite with finite hi - lo, got {bounds.tolist()}")
+    if np.any(span <= 0):
+        raise InvalidInputError(f"each bound must satisfy lo < hi, got {bounds.tolist()}")
+    return bounds
+
+
+def _check_seed(seed) -> None:
+    if seed < 0:  # numpy's SeedSequence rejects it without naming the seed
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+
+
 def _rq_matrix(xa: np.ndarray, xb: np.ndarray, p: RqKernelParams) -> np.ndarray:
     """RQ gram between the rows of ``xa`` (n, d) and ``xb`` (m, d).
 
@@ -122,12 +145,16 @@ def _rq_matrix(xa: np.ndarray, xb: np.ndarray, p: RqKernelParams) -> np.ndarray:
     """
     if xa.shape[1] != xb.shape[1]:  # broadcasting would pair mismatched vectors silently
         raise InvalidInputError(f"dimension mismatch: {xa.shape[1]} vs {xb.shape[1]}")
-    r2 = np.zeros((xa.shape[0], xb.shape[0]))
+    r2, d = np.zeros((xa.shape[0], xb.shape[0])), np.empty((xa.shape[0], xb.shape[0]))
     for k in range(xa.shape[1]):
-        d = np.subtract.outer(xa[:, k], xb[:, k])
+        np.subtract.outer(xa[:, k], xb[:, k], out=d)
         d *= d
         r2 += d
-    return p.variance * (1.0 + r2 / (2.0 * p.shape * p.length_scale**2)) ** (-p.shape)
+    r2 /= 2.0 * p.shape * p.length_scale**2  # variance * (1 + r2 / c) ** -shape, in place
+    r2 += 1.0
+    r2 **= -p.shape
+    r2 *= p.variance
+    return r2
 
 
 def rq_kernel(x1, x2, p: RqKernelParams) -> float:
@@ -168,11 +195,14 @@ _JITTER_LADDER = (1e-4, 1e-3, 1e-2)
 
 
 def _chol_with_escalation(gram: np.ndarray, noise: float) -> np.ndarray:
-    """Cholesky of gram + diag, escalating the diagonal x10 up to 1e-2."""
+    """Cholesky of gram + diag (on a copy), escalating the diagonal x10 up to 1e-2."""
     diags = [noise] + [j for j in _JITTER_LADDER if j > noise]
+    base = np.diagonal(gram)
+    work = gram.copy()
     for d in diags:
+        np.fill_diagonal(work, base + d)
         try:
-            return np.linalg.cholesky(gram + d * np.eye(gram.shape[0]))
+            return np.linalg.cholesky(work)
         except np.linalg.LinAlgError:
             continue
     raise NumericalConditioningError(
@@ -192,16 +222,20 @@ class _GpFit:
             self.chol.T, np.linalg.solve(self.chol, np.asarray(y, dtype=float))
         )
 
-    def predict(self, xq, real_q, full_cov=False):
-        cross = composite_gram(xq, real_q, self.x, self.real, self.kernel)
-        mean = cross @ self.alpha
+    def predict(self, cand):
+        """Joint posterior (mean, cov) of ``cand`` as real (first n rows), then as sim; the
+        prior blocks equal the composite gram of ``[cand; cand]`` entry by entry, bit for bit."""
+        n, k, rt = cand.shape[0], self.kernel, np.flatnonzero(self.real)
+        cross = np.empty((2 * n, self.x.shape[0]))
+        cross[:n] = cross[n:] = _rq_matrix(cand, self.x, k.k_sim)
+        cross[:n, rt] += _rq_matrix(cand, self.x[rt], k.k_eps)
+        ks = _rq_matrix(cand, cand, k.k_sim)
+        cov = np.empty((2 * n, 2 * n))
+        cov[:n, :n] = ks + _rq_matrix(cand, cand, k.k_eps)
+        cov[:n, n:] = cov[n:, :n] = cov[n:, n:] = ks
         v = np.linalg.solve(self.chol, cross.T)
-        prior = composite_gram(xq, real_q, xq, real_q, self.kernel)
-        if full_cov:
-            cov = prior - v.T @ v
-            return mean, cov
-        var = np.maximum(np.diag(prior) - np.sum(v * v, axis=0), 0.0)
-        return mean, var
+        cov -= v.T @ v
+        return cross @ self.alpha, cov
 
 
 def _records_arrays(records, plane):
@@ -225,8 +259,11 @@ def gp_posterior(
     check_nonnegative("noise variance", noise)
     x, real, y = _records_arrays(records, plane)
     fit = _GpFit(x, real, y, kernel, noise)
-    mean, var = fit.predict(query.x[None, :], np.array([query.delta == REAL]))
-    return float(mean[0]), float(var[0])
+    xq, real_q = query.x[None, :], np.array([query.delta == REAL])
+    cross = composite_gram(xq, real_q, x, real, kernel)
+    v = np.linalg.solve(fit.chol, cross.T)
+    var = composite_gram(xq, real_q, xq, real_q, kernel)[0, 0] - np.sum(v * v, axis=0)[0]
+    return float((cross @ fit.alpha)[0]), max(float(var), 0.0)
 
 
 def evaluate_cost(
@@ -422,11 +459,13 @@ def _mutual_information(samples: np.ndarray, argmin_idx: np.ndarray, noise: floa
     h_marg = 0.5 * np.log(var_marg)
     h_cond = np.zeros(samples.shape[1])
     n = samples.shape[0]
-    for g in np.unique(argmin_idx):
-        mask = argmin_idx == g
-        w = mask.sum() / n
-        var_g = samples[mask].var(axis=0) + noise
-        h_cond += w * 0.5 * np.log(var_g)
+    # a stable sort keeps each group's rows in sample order, so a group is one slice
+    order = np.argsort(argmin_idx, kind="stable")
+    grouped = samples[order]
+    _, starts, counts = np.unique(argmin_idx[order], return_index=True, return_counts=True)
+    for start, count in zip(starts, counts):
+        var_g = grouped[start : start + count].var(axis=0) + noise
+        h_cond += count / n * 0.5 * np.log(var_g)
     return h_marg - h_cond
 
 
@@ -452,9 +491,13 @@ def select_next(
     if len(records) >= budget.max_total:
         raise BudgetExhaustedError(f"total budget {budget.max_total} exhausted")
     real_used = sum(1 for r in records if r.point.delta == REAL)
+    _check_seed(seed)
 
-    bounds = np.asarray(bounds, dtype=float)
+    bounds = _checked_bounds(bounds)
     d = bounds.shape[0]
+    for i, r in enumerate(records):
+        if r.point.x.shape != (d,):
+            raise InvalidInputError(f"record {i} has {r.point.x.size} gains, the bounds {d} rows")
     lo, span = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), len(records)]))
     cand = rng.random((_N_CANDIDATES, d))  # unit box; kernel scales refer to it
@@ -478,9 +521,7 @@ def select_next(
     fit = _GpFit(x_tr, real_tr, (y_tr - y_mean) / y_std, kernel, _NOISE)
 
     # joint posterior over every candidate observed as real and as sim
-    xq = np.vstack([cand, cand])
-    real_q = np.concatenate([np.ones(n, bool), np.zeros(n, bool)])
-    mean, cov = fit.predict(xq, real_q, full_cov=True)
+    mean, cov = fit.predict(cand)
     chol = _chol_with_escalation(cov, 1e-10)
     z = mean[None, :] + rng.standard_normal((_N_SAMPLES, 2 * n)) @ chol.T
 
@@ -536,6 +577,7 @@ def optimize(problem: GainProblem, budget: OptBudget | None = None, seed: int = 
     evaluation exists, else the best sim.
     """
     budget = budget or OptBudget()
+    _check_seed(seed)
     kernel = CompositeKernel()
     x0 = problem.default_x()
     records: list[EvalRecord] = []
@@ -569,6 +611,7 @@ def random_search(problem: GainProblem, budget: OptBudget | None = None, seed: i
     budget = budget or OptBudget()
     if budget.max_real < 1:
         raise InvalidInputError("random_search evaluates only on the real plant: need max_real >= 1")
+    _check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 424242]))
     lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
     xs = [lo + rng.random(problem.bounds.shape[0]) * (hi - lo) for _ in range(budget.max_real)]

@@ -301,18 +301,112 @@ def test_select_next_budget_contracts():
     assert select_next(recs, k, bounds, budget, seed=0).delta == SIM
 
 
-@pytest.mark.parametrize("n", [20, 80, 160])
-def test_select_next_proposals_match_the_broadcast_gram(n, monkeypatch):
-    records = seeded_records(n, np.random.default_rng(n))
-    bounds = np.array([[0.0, 6.0], [0.0, 4.0]])
-    budget = OptBudget(max_real=200, max_total=400)
-    seeds = range(3)
-    fast = [select_next(records, CompositeKernel(), bounds, budget, seed=s) for s in seeds]
-    monkeypatch.setattr(bayesopt, "composite_gram", reference_gram)
-    ref = [select_next(records, CompositeKernel(), bounds, budget, seed=s) for s in seeds]
-    for a, b in zip(fast, ref, strict=True):
-        assert a.delta == b.delta
-        assert np.array_equal(a.x, b.x)
+def oracle_chol(gram, noise):
+    """The jitter ladder as a fresh ``gram + d * eye`` per rung; returns (rung, factor)."""
+    for d in [noise] + [j for j in bayesopt._JITTER_LADDER if j > noise]:
+        try:
+            return d, np.linalg.cholesky(gram + d * np.eye(gram.shape[0]))
+        except np.linalg.LinAlgError:
+            continue
+    raise AssertionError("no rung factored")
+
+
+def oracle_mutual_information(samples, argmin_idx, noise):
+    """The MI with one boolean mask per minimizer group, groups in ascending order."""
+    h_cond = np.zeros(samples.shape[1])
+    for g in np.unique(argmin_idx):
+        mask = argmin_idx == g
+        h_cond += mask.sum() / samples.shape[0] * 0.5 * np.log(samples[mask].var(axis=0) + noise)
+    return 0.5 * np.log(samples.var(axis=0) + noise) - h_cond
+
+
+def oracle_select_next(records, kernel, bounds, budget, seed):
+    """select_next's proposal and MI vector, the joint prior a stacked [cand; cand] gram."""
+    lo, span = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
+    rng = np.random.default_rng(np.random.SeedSequence([seed, len(records)]))
+    cand = rng.random((bayesopt._N_CANDIDATES, len(bounds)))
+    x = (np.array([r.point.x for r in records]) - lo) / span
+    real = np.array([r.point.delta == REAL for r in records])
+    y = np.array([r.cost[0] for r in records])
+    pools = [p for p in (np.flatnonzero(real), np.flatnonzero(~real)) if p.size]
+    if pools:
+        cand = np.vstack([cand] + [x[p[np.argmin(y[p])]] for p in pools])
+    n = len(cand)
+    y_std = y.std() if y.std() >= 1e-12 else 1.0
+    _, chol = oracle_chol(reference_gram(x, real, x, real, kernel), bayesopt._NOISE)
+    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, (y - y.mean()) / y_std))
+    xq, real_q = np.vstack([cand, cand]), np.arange(2 * n) < n
+    cross = reference_gram(xq, real_q, x, real, kernel)
+    v = np.linalg.solve(chol, cross.T)
+    _, chol_q = oracle_chol(reference_gram(xq, real_q, xq, real_q, kernel) - v.T @ v, 1e-10)
+    z = cross @ alpha + rng.standard_normal((bayesopt._N_SAMPLES, 2 * n)) @ chol_q.T
+    mi = oracle_mutual_information(z, np.argmin(z[:, :n], axis=1), bayesopt._NOISE)
+    best_real, best_sim = np.argmax(mi[:n]), np.argmax(mi[n:])
+    if real.sum() < budget.max_real and mi[best_real] > budget.sim_bias_weight * mi[n + best_sim]:
+        return lo + cand[best_real] * span, REAL, mi
+    return lo + cand[best_sim] * span, SIM, mi
+
+
+@pytest.mark.parametrize("history", ["all_sim", "all_real", "mixed"])
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+@pytest.mark.parametrize("n", [1, 2, 20, 80, 160])
+def test_select_next_matches_the_stacked_posterior_bit_for_bit(n, d, history, monkeypatch):
+    rng = np.random.default_rng([n, d, len(history)])
+    bounds = np.column_stack([-1.0 - np.arange(d), 2.0 + 0.5 * np.arange(d)])
+    real = {"all_sim": [False] * n, "all_real": [True] * n, "mixed": [i % 3 == 0 for i in range(n)]}
+    records = [
+        EvalRecord(AugmentedPoint(rng.uniform(bounds[:, 0], bounds[:, 1]), REAL if r else SIM),
+                   (rng.uniform(0, 2), 0.5))
+        for r in real[history]
+    ]
+    budget = OptBudget(max_real=400, max_total=400)
+    seen = []
+    mutual_information = bayesopt._mutual_information
+
+    def keep_mi(*args):
+        seen.append(mutual_information(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(bayesopt, "_mutual_information", keep_mi)
+    point = select_next(records, CompositeKernel(), bounds, budget, seed=n + d)
+    x, delta, mi = oracle_select_next(records, CompositeKernel(), bounds, budget, seed=n + d)
+    assert point.delta == delta
+    assert np.array_equal(point.x, x)
+    assert np.array_equal(seen[0], mi)
+
+
+def test_chol_with_escalation_is_the_ladder_of_fresh_diagonals():
+    rng = np.random.default_rng(4)
+    x = rng.random((30, 2))
+    duplicated = np.vstack([x, x[:5]])  # five repeated points: singular at noise 0
+    a = rng.standard_normal((8, 8))
+    indefinite = a @ a.T - (np.linalg.eigvalsh(a @ a.T)[0] + 5e-4) * np.eye(8)
+    cases = [
+        (composite_gram(x, np.arange(30) % 2 == 0, x, np.arange(30) % 2 == 0, CompositeKernel()),
+         1e-4, 1e-4),
+        (composite_gram(duplicated, np.zeros(35, bool), duplicated, np.zeros(35, bool),
+                        CompositeKernel()), 0.0, 1e-4),
+        (indefinite, 1e-4, 1e-3),  # smallest eigenvalue -5e-4: the second rung factors
+    ]
+    for gram, noise, stop in cases:
+        before = gram.copy()
+        rung, want = oracle_chol(gram, noise)
+        assert rung == stop
+        assert np.array_equal(bayesopt._chol_with_escalation(gram, noise), want)
+        assert np.array_equal(gram, before)
+
+
+@pytest.mark.parametrize("groups", ["one_group", "all_distinct", "unsorted"])
+def test_mutual_information_matches_a_mask_per_group(groups):
+    rng = np.random.default_rng(len(groups))
+    samples = rng.standard_normal((64, 9)) @ rng.random((9, 9))
+    argmin_idx = {
+        "one_group": np.full(64, 3),
+        "all_distinct": rng.permutation(64),
+        "unsorted": rng.integers(0, 7, 64),
+    }[groups]
+    want = oracle_mutual_information(samples, argmin_idx, 1e-4)
+    assert np.array_equal(bayesopt._mutual_information(samples, argmin_idx, 1e-4), want)
 
 
 def test_select_next_explores_away_from_single_record():

@@ -10,17 +10,21 @@ from gaitlab.bayesopt import (
     AugmentedPoint,
     CompositeKernel,
     EvalRecord,
+    GainProblem,
     OptBudget,
     RqKernelParams,
     evaluate_cost,
     gp_posterior,
+    optimize,
+    random_search,
+    select_next,
 )
 from gaitlab.cpg import CpgParams, GaitCommand, step_phase
 from gaitlab.errors import InvalidInputError
 from gaitlab.feedback import Activations, DeviationFilters, zero_gains
 from gaitlab.heatmap import CameraIntrinsics
 from gaitlab.numopt import SimplexConfig
-from gaitlab.plant import PlantParams, run_sequence
+from gaitlab.plant import PlantParams, make_real_plant, run_sequence
 from gaitlab.pose import LegGeometry
 
 nan, inf = math.nan, math.inf
@@ -86,3 +90,39 @@ def test_finite_values_still_pass():
     assert GearSpec(30, 1.5).module == 1.5
     assert rad_to_ticks(0.0) == 2048
     assert np.isfinite(evaluate_cost(short_trace(), 0.0, [1.0])).all()
+
+
+def propose(bounds, seed=0):
+    return select_next(one_record(), CompositeKernel(), bounds, OptBudget(), seed)
+
+
+def problem():
+    return GainProblem(sim_plant=PlantParams(), real_plant=make_real_plant(PlantParams()))
+
+
+UNIT = np.array([[0.0, 1.0], [0.0, 1.0]])
+OPTIMIZER_CASES = [
+    ("bounds-nan", "bounds must be finite", lambda: propose(np.array([[0.0, nan], [0.0, 1.0]]))),
+    ("bounds-inf", "bounds must be finite", lambda: propose(np.array([[0.0, inf], [0.0, 1.0]]))),
+    ("bounds-span-overflow", "finite with finite hi - lo",
+     lambda: propose(np.array([[-1e308, 1e308], [0.0, 1.0]]))),
+    ("bounds-flat", "lo < hi", lambda: propose(np.array([[0.5, 0.5], [0.0, 1.0]]))),
+    ("bounds-1d", r"one \(lo, hi\) row per gain", lambda: propose(np.array([0.0, 1.0]))),
+    ("record-dimension", "record 0 has 2 gains, the bounds 3 rows",
+     lambda: propose(np.array([[0.0, 1.0]] * 3))),
+    ("select-next-seed", "seed must be >= 0", lambda: propose(UNIT, seed=-1)),
+    ("optimize-seed", "seed must be >= 0", lambda: optimize(problem(), seed=-1)),
+    ("random-search-seed", "seed must be >= 0", lambda: random_search(problem(), seed=-1)),
+    ("record-one-cost", r"cost must be \(J_alpha, J_beta\)",  # the beta plane would index past it
+     lambda: EvalRecord(AugmentedPoint([0.5, 0.5], "sim"), (1.0,))),
+    ("point-nan", "x must be a finite gain vector", lambda: AugmentedPoint([nan, 0.5], "sim")),
+    ("point-matrix", "x must be a finite gain vector", lambda: AugmentedPoint(UNIT, "sim")),
+]
+
+
+@pytest.mark.parametrize("cause, make", [c[1:] for c in OPTIMIZER_CASES],
+                         ids=[c[0] for c in OPTIMIZER_CASES])
+def test_optimizer_rejects_bad_input_naming_the_cause(cause, make):
+    # raw numpy errors and RuntimeWarnings (errors under this suite) fail the match
+    with pytest.raises(InvalidInputError, match=cause):
+        make()
