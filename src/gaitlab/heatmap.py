@@ -58,86 +58,68 @@ def threshold(h, t: float) -> np.ndarray:
     return (h >= t).astype(np.uint8)
 
 
-def _shifted_stack(b: np.ndarray, fill: bool) -> np.ndarray:
-    padded = np.pad(b, 1, constant_values=fill)
-    views = [
-        padded[dr : dr + b.shape[0], dc : dc + b.shape[1]]
-        for dr in range(3)
-        for dc in range(3)
-    ]
-    return np.stack(views)
+def _box3(b: np.ndarray, op) -> np.ndarray:
+    """3x3 box filter of a bool mask, rows then columns; out-of-image pixels are False."""
+    padded = np.zeros((b.shape[0] + 2, b.shape[1] + 2), bool)
+    padded[1:-1, 1:-1] = b
+    rows = op(op(padded[:, :-2], padded[:, 1:-1]), padded[:, 2:])
+    return op(op(rows[:-2], rows[1:-1]), rows[2:]).astype(np.uint8)
 
 
 def erode(b) -> np.ndarray:
     """3x3 erosion; the border counts as background."""
-    b = _check_mask(b)
-    return np.all(_shifted_stack(b, False), axis=0).astype(np.uint8)
+    return _box3(_check_mask(b), np.logical_and)
 
 
 def dilate(b) -> np.ndarray:
     """3x3 dilation; nothing grows in from outside the image."""
-    b = _check_mask(b)
-    return np.any(_shifted_stack(b, False), axis=0).astype(np.uint8)
+    return _box3(_check_mask(b), np.logical_or)
 
 
-def _label_unionfind(mask):
-    """Two-pass 8-connectivity labeling with union-find.
+def _label_runs(mask):
+    """8-connected labeling of a 0/1 mask by horizontal runs.
 
-    Both passes visit only foreground pixels.  The first pass takes them in
-    scan order on a grid padded with one background row on top and one
-    background column on each side, so every already-scanned neighbour (NW,
-    N, NE, W) is a plain offset.  N touches the other three and W touches
-    NW, so at most one union (W or NW with NE) is ever needed (the decision
-    tree of Wu, Otoo & Suzuki, Pattern Anal. Appl. 2009).  A union links the
-    larger root under the smaller, so a component's root is the label of its
-    first pixel in scan order; flattening the parent table in increasing
-    order then numbers the components 1, 2, ... in that order.  The label
-    and parent tables are Python lists, which CPython indexes several times
-    faster than it reads NumPy scalars.
+    Returns (labels, rows, cols), one entry per foreground pixel in scan
+    order; labels number the components 0, 1, ... in scan order of their
+    first pixel.  This is the run-based two-scan labeling of He, Chao &
+    Suzuki (IEEE Trans. Image Process. 2008).  The runs are found on a grid
+    padded with a background column on each side, so a run is a flat range
+    [start, end) and, one row stride back, that range widened by one pixel
+    each way holds exactly the runs above that touch it; two searchsorted
+    calls find them.  Union-find then works on runs, not pixels.  A union
+    links the larger root under the smaller, so a component's root is its
+    first run and flattening the parent list in order numbers the
+    components in scan order.  After a 3x3 opening every run is at least 3
+    pixels long, so the Python loop visits at most a third of the
+    foreground.
     """
-    h, w = mask.shape
-    s = w + 2
-    grid = np.zeros((h + 1, s), np.uint8)
-    grid[1:, 1:-1] = mask
-    fg = np.flatnonzero(grid)
-    fg_list = fg.tolist()
-    labels = [0] * ((h + 1) * s)
-    parent = [0] * (len(fg_list) + 1)
-    n = 0
-    for p in fg_list:
-        a = labels[p - s]  # N
-        if a == 0:
-            a = labels[p - 1]  # W
-            if a == 0:
-                a = labels[p - s - 1]  # NW
-            b = labels[p - s + 1]  # NE
-            if a == 0 and b == 0:
-                n += 1
-                parent[n] = n
-                a = n
-            elif a == 0:
-                a = b
-            elif b != 0:
-                while parent[a] != a:  # find both roots, halving the paths
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                while parent[b] != b:
-                    parent[b] = parent[parent[b]]
-                    b = parent[b]
-                if b < a:
-                    a, b = b, a
-                parent[b] = a
-        labels[p] = a
+    s = mask.shape[1] + 2
+    grid = np.zeros((mask.shape[0], s), bool)
+    grid[:, 1:-1] = mask
+    edges = np.flatnonzero(np.diff(grid.ravel())) + 1  # a bool diff is True where it changes
+    starts, ends = edges[0::2], edges[1::2]
+    lo = np.searchsorted(ends, starts - s).tolist()
+    hi = np.searchsorted(starts, ends - s, "right").tolist()
+    parent = list(range(len(lo)))
+    for i, j, stop in zip(range(len(lo)), lo, hi):
+        a = i
+        for b in range(j, stop):  # the runs above that touch run i
+            while parent[b] != b:  # find b's root, halving the path
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if b < a:
+                a, b = b, a
+            parent[b] = a
     k = 0
-    for lab in range(1, n + 1):  # parent[lab] < lab unless lab is a root
-        if parent[lab] == lab:
+    for i, p in enumerate(parent):  # parent[i] < i unless i is a root
+        if p == i:
+            parent[i] = k
             k += 1
-            parent[lab] = k
         else:
-            parent[lab] = parent[parent[lab]]
-    out = np.zeros((h + 1) * s, np.int64)
-    out[fg] = [parent[labels[p]] for p in fg_list]
-    return out.reshape(h + 1, s)[1:, 1:-1]
+            parent[i] = parent[p]
+    lengths = ends - starts
+    flat = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return np.repeat(np.array(parent, np.intp), lengths), flat // s, flat % s - 1
 
 
 def connected_components(b) -> list[np.ndarray]:
@@ -146,18 +128,12 @@ def connected_components(b) -> list[np.ndarray]:
     Returns one (n, 2) array of (row, col) indices per component, pixels in
     row-major order, components ordered by their first pixel in scan order.
     """
-    b = _check_mask(b)
-    if b.size == 0 or not b.any():
+    labels, rows, cols = _label_runs(_check_mask(b))
+    if labels.size == 0:
         return []
-    flat = _label_unionfind(b.astype(np.uint8)).ravel()
-    fg = np.flatnonzero(flat)
-    # labels number the components in scan order of their first pixel, and a
-    # stable sort keeps each component's pixels in scan order
-    order = np.argsort(flat[fg], kind="stable")
-    sorted_labels = flat[fg][order]
-    boundaries = np.flatnonzero(np.diff(sorted_labels)) + 1
-    w = b.shape[1]
-    return [np.column_stack([g // w, g % w]) for g in np.split(fg[order], boundaries)]
+    # a stable sort keeps each component's pixels in scan order
+    order = np.argsort(labels, kind="stable")
+    return np.split(np.column_stack([rows, cols])[order], np.cumsum(np.bincount(labels))[:-1])
 
 
 @dataclass
@@ -168,6 +144,23 @@ class Detection:
     cy: float
     mass: float
     pixel_count: int
+
+
+def _detections(weights, labels, rows, cols, min_pixels: int = 1) -> list[Detection]:
+    """One Detection per label with at least min_pixels pixels.
+
+    Count, mass and both weighted moments are one bincount each, which sums
+    each label's pixels in the order given.
+    """
+    count = np.bincount(labels)
+    mass = np.bincount(labels, weights)
+    keep = count >= min_pixels
+    mass = mass[keep]
+    if np.any(mass <= 0.0):
+        raise DegenerateComponentError("component has zero total mass")
+    cx = np.bincount(labels, weights * cols)[keep] / mass
+    cy = np.bincount(labels, weights * rows)[keep] / mass
+    return [Detection(*d) for d in zip(cx.tolist(), cy.tolist(), mass.tolist(), count[keep].tolist())]
 
 
 def subpixel_centroid(h, component: np.ndarray) -> Detection:
@@ -184,26 +177,21 @@ def subpixel_centroid(h, component: np.ndarray) -> Detection:
     cols = component[:, 1]
     weights = h[rows, cols]
     _check_finite(weights)
-    mass = float(weights.sum())
-    if mass <= 0.0:
-        raise DegenerateComponentError("component has zero total mass")
-    return Detection(
-        cx=float(np.dot(weights, cols) / mass),
-        cy=float(np.dot(weights, rows) / mass),
-        mass=mass,
-        pixel_count=int(component.shape[0]),
-    )
+    return _detections(weights, np.zeros(len(weights), np.intp), rows, cols)[0]
 
 
 def detect_blobs(h, t: float = 0.2, min_pixels: int = 1) -> list[Detection]:
-    """Threshold, open (erode then dilate), label, and take centroids."""
-    h = _check_heatmap(h)
-    mask = dilate(erode(threshold(h, t)))
-    out = []
-    for comp in connected_components(mask):
-        if comp.shape[0] >= min_pixels:
-            out.append(subpixel_centroid(h, comp))
-    return out
+    """Threshold, open (erode then dilate), label, and take centroids.
+
+    The same as subpixel_centroid of each component of the opened mask with
+    at least min_pixels pixels, bit for bit.
+    """
+    if not isinstance(min_pixels, (int, np.integer)) or min_pixels < 0:
+        raise InvalidInputError(f"min_pixels must be an integer >= 0, got {min_pixels!r}")
+    h = _as_heatmap(h)
+    # threshold checks the whole frame for finiteness
+    labels, rows, cols = _label_runs(dilate(erode(threshold(h, t))))
+    return _detections(h[rows, cols], labels, rows, cols, min_pixels)
 
 
 @dataclass

@@ -212,6 +212,14 @@ def test_blob_empty_heatmap(tmp_path, capsys):
     assert out_csv.read_text().splitlines() == ["channel,cx,cy,mass,pixels"]
 
 
+def test_blob_zero_mass_component_is_an_error(tmp_path, capsys):
+    path = tmp_path / "zero.pgm"
+    write_pgm(np.zeros((16, 16)), path)
+    assert run_cli("blob", "--input", path, "--threshold", 0, "--out", tmp_path / "det.csv") == 1
+    err = capsys.readouterr().err
+    assert "zero total mass" in err and "Traceback" not in err
+
+
 def test_blob_finds_gaussian(tmp_path):
     yy, xx = np.mgrid[0:32, 0:32]
     h = np.exp(-((xx - 20.2) ** 2 + (yy - 11.6) ** 2) / (2 * 2.0**2))

@@ -164,6 +164,58 @@ def test_labeling_cost_is_bounded_on_long_serpentine():
     assert elapsed < 3.0, f"detect_blobs took {elapsed:.2f} s on a 256x256 serpentine"
 
 
+def checkerboard(shape):
+    return (np.indices(shape).sum(axis=0) % 2).astype(np.uint8)
+
+
+def test_labeling_cost_is_bounded_on_checkerboard():
+    board = checkerboard((480, 640))  # every run is one pixel: the most runs a mask can have
+    start = time.perf_counter()
+    comps = connected_components(board)
+    elapsed = time.perf_counter() - start
+    assert len(comps) == 1 and len(comps[0]) == board.sum()
+    assert elapsed < 3.0, f"connected_components took {elapsed:.2f} s on a 480x640 checkerboard"
+
+
+def test_detect_blobs_cost_is_bounded_on_dense_cell_noise():
+    rng = np.random.default_rng(6)
+    cells = rng.random((240, 320)) < 0.63
+    frame = np.kron(cells, np.ones((2, 2)))
+    start = time.perf_counter()
+    dets = detect_blobs(frame, t=0.5)
+    elapsed = time.perf_counter() - start
+    want = flood_fill_components(dilate(erode(threshold(frame, 0.5))))
+    assert len(dets) == len(want) > 100
+    assert [d.pixel_count for d in dets] == [len(w) for w in want]
+    assert elapsed < 3.0, f"detect_blobs took {elapsed:.2f} s on 480x640 dense noise"
+
+
+def test_detect_blobs_is_subpixel_centroid_of_each_component():
+    rng = np.random.default_rng(7)
+    frames = [rng.random((rng.integers(1, 40), rng.integers(1, 40))) for _ in range(100)]
+    frames += [m * rng.uniform(0.5, 1.0, m.shape) for m in structured_masks(rng)]
+    for h in frames:
+        for t in (0.3, 0.5):
+            comps = connected_components(dilate(erode(threshold(h, t))))
+            assert detect_blobs(h, t) == [subpixel_centroid(h, c) for c in comps]
+
+
+def test_detect_blobs_min_pixels():
+    h = np.zeros((12, 12))
+    h[1:4, 1:4] = 0.5  # 9 pixels
+    h[6:10, 6:10] = 0.5  # 16 pixels
+    assert [d.pixel_count for d in detect_blobs(h, min_pixels=0)] == [9, 16]
+    assert [d.pixel_count for d in detect_blobs(h, min_pixels=10)] == [16]
+    for bad in (-3, 2.5, "2"):
+        with pytest.raises(InvalidInputError, match="min_pixels"):
+            detect_blobs(h, min_pixels=bad)
+
+
+def test_detect_blobs_zero_mass_component_rejected():
+    with pytest.raises(DegenerateComponentError, match="zero total mass"):
+        detect_blobs(np.zeros((4, 4)), t=0.0)
+
+
 def test_single_pixel_centroid():
     h = np.zeros((32, 32))
     h[20, 10] = 0.7
