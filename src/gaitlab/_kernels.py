@@ -15,7 +15,9 @@ the saturation count used to be, now an empty (0, 18) array and 0: the
 benchmark's tracer (``perfbench/tracer.py``) reads the result by position,
 ``fall_idx`` at index 6 and the saturation count at index 7, and
 ``run_sequence`` takes the end state from index 8.  They go once the
-tracer reads the ``RunTrace`` instead.
+tracer reads the ``RunTrace`` instead.  A run whose cost reads only the
+feedback errors also skips recording the phase, state and activations
+(``record=False``).
 
 The cost of a step is the interpreter's, so the kernels take their
 parameters as tuples of Python floats, keep state in scalars and return
@@ -358,7 +360,7 @@ def plant_step(pitch, roll, pitch_rate, roll_rate, exc_p, exc_r, act, plant, eff
     return (pitch, roll, pitch_rate, roll_rate), fell
 
 
-def run_closed_loop(cmds, noise, pushes, cpg, gains, filt, plant, eff, dt):
+def run_closed_loop(cmds, noise, pushes, cpg, gains, filt, plant, eff, dt, record=True):
     """Run the closed-loop dynamics: filters -> activations -> plant -> phase.
 
     ``cmds`` (n, 3) and ``noise`` (n, 2) are arrays, ``pushes`` is a sequence
@@ -375,6 +377,12 @@ def run_closed_loop(cmds, noise, pushes, cpg, gains, filt, plant, eff, dt):
     ``pose`` is an empty (0, 18) array and ``saturations`` is 0: the pose
     is ``pose_readout``'s, and the two slots only hold the positions of
     ``fall_idx`` and ``end`` (see the module docstring).
+
+    With ``record=False`` only ``ep`` is recorded: ``mu``, ``state``,
+    ``dev`` and ``act`` are empty (0,), (0, 4), (0, 2) and (0, 7) arrays,
+    and ``ep``, ``fall_idx`` and ``end`` are those of the recording run,
+    bit for bit.  A cost that reads only the feedback errors and the fall
+    runs this way.
 
     A push lands at the start of its step; pushes at the same step land in
     the order given, and a push outside [0, n) never lands.
@@ -406,10 +414,12 @@ def run_closed_loop(cmds, noise, pushes, cpg, gains, filt, plant, eff, dt):
     mu_rows, state_rows, ep_rows, act_rows = [], [], [], []
     fall_idx = -1
 
-    for i, (vx, vy, wz, noise_p, noise_r) in enumerate(zip(*cmds.T.tolist(), *noise.T.tolist())):
-        mu_rows.append(mu)
-        state_rows += pitch, roll, pitch_rate, roll_rate
-
+    # the excitation amplitudes depend only on the commands; NumPy rounds the
+    # elementwise abs, + and * as Python floats do
+    abs_vx, abs_vy, abs_wz = np.abs(cmds.T)
+    amps_p = (coupling * (0.5 + abs_vx)).tolist()
+    amps_r = (coupling * (0.5 + 0.5 * abs_vy + 0.3 * abs_wz)).tolist()
+    for i, (amp_p, amp_r, noise_p, noise_r) in enumerate(zip(amps_p, amps_r, *noise.T.tolist())):
         # filters_step: the deviations fed back are the fused angles themselves
         y_old = y_t
         y_t = y_old + (pitch - y_old) * alpha
@@ -446,7 +456,11 @@ def run_closed_loop(cmds, noise, pushes, cpg, gains, filt, plant, eff, dt):
         a3 = cont_x_ki * i_p
         a4 = com_x_ki * i_t
         a5 = com_y_ki * i_p
-        act_rows += a0, a1, a2, a3, a4, a5, tf
+        if record:
+            # nothing has moved mu or the state since the top of the step
+            mu_rows.append(mu)
+            state_rows += pitch, roll, pitch_rate, roll_rate
+            act_rows += a0, a1, a2, a3, a4, a5, tf
 
         if i in kicks:
             for kick_p, kick_r in kicks[i]:
@@ -456,8 +470,8 @@ def run_closed_loop(cmds, noise, pushes, cpg, gains, filt, plant, eff, dt):
         # gait_excitation and plant_step; the activation terms are added left
         # to right in column order, as in plant_accels
         sin_mu = math.sin(mu)
-        exc_p = coupling * (0.5 + abs(vx)) * (0.3 * sin_mu + 0.7 * math.sin(2.0 * mu))
-        exc_r = coupling * (0.5 + 0.5 * abs(vy) + 0.3 * abs(wz)) * sin_mu
+        exc_p = amp_p * (0.3 * sin_mu + 0.7 * math.sin(2.0 * mu))
+        exc_r = amp_r * sin_mu
         acc_p = nwp2 * math.sin(pitch) - damping * pitch_rate + exc_p
         acc_p = acc_p + e0 * a0 + e1 * a1 + e2 * a2 + e3 * a3 + e4 * a4 + e5 * a5
         acc_r = nwr2 * math.sin(roll) - damping * roll_rate + exc_r

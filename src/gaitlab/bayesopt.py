@@ -33,6 +33,7 @@ from .plant import (
     Disturbance,
     PlantParams,
     RunTrace,
+    _run_ep_integrals,
     run_sequence,
     standard_test_sequence,
 )
@@ -276,11 +277,16 @@ def evaluate_cost(
 
     A fallen trace contributes its partial integral plus the fall penalty.
     """
+    return _penalized(trace.ep_integrals(), trace.fall, regularization, x, fall_penalty)
+
+
+def _penalized(integrals, fell: bool, regularization: float, x, fall_penalty: float):
+    """``evaluate_cost`` of a run given its e_P integrals and fall flag."""
     check_nonnegative("regularization", regularization)
     x = np.asarray(x, dtype=float)
     nu = regularization * float(np.dot(x, x))
-    j_alpha, j_beta = (j + nu for j in trace.ep_integrals())
-    if trace.fall:
+    j_alpha, j_beta = (j + nu for j in integrals)
+    if fell:
         j_alpha += fall_penalty
         j_beta += fall_penalty
     return j_alpha, j_beta
@@ -341,8 +347,9 @@ class GainProblem:
         values = np.asarray(x, dtype=float).tolist()
         return rebuild(self.base_gains, dict(zip(self.param_names, values)))
 
-    def _run(self, x, plant: PlantParams, run_seed: int) -> RunTrace:
-        return run_sequence(
+    def _run(self, x, plant: PlantParams, run_seed: int, runner=None) -> RunTrace:
+        """``run_sequence``'s trace of one run, or ``runner``'s result on the same arguments."""
+        return (runner or run_sequence)(
             self.gains_with(x),
             self.cpg,
             self.sequence,
@@ -352,9 +359,10 @@ class GainProblem:
         )
 
     def evaluate(self, x, delta: str, run_seed: int) -> tuple[float, float]:
+        """``evaluate_cost`` of ``_run``'s trace, from a run that records only e_P."""
         plant = self.real_plant if delta == REAL else self.sim_plant
-        trace = self._run(x, plant, run_seed)
-        return evaluate_cost(trace, self.regularization, x, self.fall_penalty)
+        integrals, fell = self._run(x, plant, run_seed, runner=_run_ep_integrals)
+        return _penalized(integrals, fell, self.regularization, x, self.fall_penalty)
 
 
 def _derived_seed(seed: int, iteration: int, k: int) -> int:

@@ -10,6 +10,7 @@ qualitative signs; no quantitative match with any robot is attempted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -249,9 +250,11 @@ class RunTrace:
 
     def ep_integrals(self) -> tuple[float, float]:
         """Trapezoidal integral of |e_P| over the run, (alpha, beta) plane."""
-        return tuple(
-            float(np.trapezoid(np.abs(e), dx=self.dt)) for e in (self.e_p_alpha, self.e_p_beta)
-        )
+        return _ep_integrals(self.e_p_alpha, self.e_p_beta, self.dt)
+
+
+def _ep_integrals(e_p_alpha, e_p_beta, dt: float) -> tuple[float, float]:
+    return tuple(float(np.trapezoid(np.abs(e), dx=dt)) for e in (e_p_alpha, e_p_beta))
 
 
 def standard_test_sequence() -> list[tuple[GaitCommand, float]]:
@@ -290,6 +293,27 @@ def _segment_commands(seq, dt: float) -> np.ndarray:
     )
 
 
+def _loop_args(gains, cpg, seq, p, disturbances, filter_params) -> tuple:
+    """``run_closed_loop``'s arguments for one run.
+
+    The commands, the seeded noise, the pushes as ``(step, kick)`` pairs and
+    the parameters as float tuples.
+    """
+    filter_params = filter_params or FilterParams()
+    cmds = _segment_commands(seq, DT)
+    n = cmds.shape[0]
+
+    rng = np.random.default_rng(p.seed)
+    noise = rng.normal(0.0, p.noise_std, size=(n, 2)) if p.noise_std > 0 else np.zeros((n, 2))
+
+    pushes = [(round(d.time / DT), d.rate_kick(p.effective_inertia)) for d in disturbances]
+
+    floats = _kernels.float_tuple
+    return (cmds, noise, pushes, floats(cpg.to_array()), floats(gains.to_array()),
+            floats(filter_params.to_array()), floats(p.to_array()),
+            floats(p.action_effectiveness), DT)
+
+
 def run_sequence(
     gains: FeedbackGains,
     cpg: CpgParams,
@@ -305,28 +329,10 @@ def run_sequence(
     Raises NonFiniteStateError if the plant state turns NaN or infinite,
     which parameters that pass validation can still cause.
     """
-    filter_params = filter_params or FilterParams()
-    cmds = _segment_commands(seq, DT)
+    args = _loop_args(gains, cpg, seq, p, disturbances, filter_params)
+    cmds, cpg_floats = args[0], args[3]
     n = cmds.shape[0]
-
-    rng = np.random.default_rng(p.seed)
-    noise = rng.normal(0.0, p.noise_std, size=(n, 2)) if p.noise_std > 0 else np.zeros((n, 2))
-
-    pushes = [(round(d.time / DT), d.rate_kick(p.effective_inertia)) for d in disturbances]
-
-    floats = _kernels.float_tuple
-    cpg_floats = floats(cpg.to_array())
-    mu_out, state, _, ep, act, _, fall_idx, _, end_state = _kernels.run_closed_loop(
-        cmds,
-        noise,
-        pushes,
-        cpg_floats,
-        floats(gains.to_array()),
-        floats(filter_params.to_array()),
-        floats(p.to_array()),
-        floats(p.action_effectiveness),
-        DT,
-    )
+    mu_out, state, _, ep, act, _, fall_idx, _, end_state = _kernels.run_closed_loop(*args)
 
     fell = fall_idx >= 0
     end = fall_idx + 1 if fell else n
@@ -353,8 +359,36 @@ def run_sequence(
         activations=act[:end],
         cmds=cmds[:end],
         fall=fell,
-        pose_params=(cpg_floats, floats([geom.thigh, geom.shank, cpg.halt_eta])),
+        pose_params=(cpg_floats, _kernels.float_tuple([geom.thigh, geom.shank, cpg.halt_eta])),
     )
+
+
+def _run_ep_integrals(
+    gains: FeedbackGains,
+    cpg: CpgParams,
+    seq: list[tuple[GaitCommand, float]],
+    p: PlantParams,
+    disturbances: list[Disturbance] = (),
+    filter_params: FilterParams | None = None,
+) -> tuple[tuple[float, float], bool]:
+    """``run_sequence(...).ep_integrals()`` and ``.fall``, recording only e_P.
+
+    The cost path of the optimizer's runs: the loop skips the phase, state
+    and activation rows.  A NaN state stays NaN and an infinite angle ends
+    the run as a fall on the step it appears, so a non-finite state anywhere
+    leaves a non-finite end state; then ``run_sequence`` runs the same loop
+    with recording and raises its NonFiniteStateError, naming the first bad
+    sample.
+    """
+    args = _loop_args(gains, cpg, seq, p, disturbances, filter_params)
+    out = _kernels.run_closed_loop(*args, record=False)
+    ep, fall_idx, end_state = out[3], out[6], out[8]
+    if not all(map(math.isfinite, end_state)):
+        # raises: its finiteness check includes this same end state
+        run_sequence(gains, cpg, seq, p, disturbances, filter_params)
+    fell = fall_idx >= 0
+    end = fall_idx + 1 if fell else ep.shape[0]
+    return _ep_integrals(ep[:end, 0], ep[:end, 1], DT), fell
 
 
 def phase_plot_series(trace: RunTrace) -> np.ndarray:

@@ -516,6 +516,43 @@ def test_random_search_rejects_zero_real_budget():
         random_search(make_problem(), OptBudget(max_real=0, max_total=5), seed=0)
 
 
+@pytest.mark.parametrize("delta, kwargs, falls", [
+    (SIM, {}, False),
+    (REAL, {}, False),
+    (REAL, dict(disturbances=[*bayesopt.default_disturbance_schedule(),
+                              Disturbance(11.0, 30.0, "back")]), True),
+    (SIM, dict(sim_plant=PlantParams(noise_std=0.0)), False),
+    (SIM, dict(disturbances=[Disturbance(7.0, 9.0, "back"), Disturbance(7.0, 5.0, "left")]), False),
+], ids=["sim", "real", "falls", "noiseless", "two_pushes_one_step"])
+def test_evaluate_is_the_cost_of_the_recorded_trace_bit_for_bit(delta, kwargs, falls):
+    prob = make_problem(**kwargs)
+    plant = prob.real_plant if delta == REAL else prob.sim_plant
+    # the default gains fall under the 30 kg*m/s push; these do not
+    for x, fell in ((prob.default_x(), falls), (np.array([5.5, 0.25]), False)):
+        trace = prob._run(x, plant, 17)
+        assert trace.fall == fell
+        expected = evaluate_cost(trace, prob.regularization, x, prob.fall_penalty)
+        got = prob.evaluate(x, delta, 17)
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("kwargs, x, message", [
+    (dict(sim_plant=PlantParams(natural_freq_pitch=1e200)), [1.2, 0.35],
+     r"not finite from t=0\.01 s"),
+    # the gains of PdGains(kp=1e300), out of a threshold's reach
+    (dict(sim_plant=PlantParams(fall_threshold=1e300), bounds=[[0.0, 1e300], [0.0, 4.0]],
+          sequence=[(GaitCommand(vx=0.7), 2.0)], disturbances=[]), [1e300, 0.0],
+     r"t=0\.49 s \(sample 49\)"),
+], ids=["nan_from_the_first_step", "one_step_overflow_to_inf"])
+def test_evaluate_raises_the_run_sequence_error_naming_the_first_bad_sample(kwargs, x, message):
+    prob = make_problem(**kwargs)
+    with pytest.raises(NonFiniteStateError, match=message) as recorded:
+        prob._run(x, prob.sim_plant, 0)
+    with pytest.raises(NonFiniteStateError, match=message) as cost_only:
+        prob.evaluate(x, SIM, 0)
+    assert str(cost_only.value) == str(recorded.value)
+
+
 def test_cost_runs_never_read_the_pose(monkeypatch):
     def readout(*args):
         raise AssertionError("the cost path read the pose")
@@ -570,12 +607,14 @@ def test_a_run_error_reaches_the_caller_in_job_order(monkeypatch, cpus, failing,
     seed = 4
     bad = {bayesopt._derived_seed(seed, 0, k): error for k, error in failing.items()}
 
-    def failing_run_sequence(gains, cpg, seq, plant, **kwargs):
+    cost_run = bayesopt._run_ep_integrals
+
+    def failing_cost_run(gains, cpg, seq, plant, **kwargs):
         if plant.seed in bad:
             raise bad[plant.seed](f"injected for run seed {plant.seed}")
-        return run_sequence(gains, cpg, seq, plant, **kwargs)
+        return cost_run(gains, cpg, seq, plant, **kwargs)
 
-    monkeypatch.setattr(bayesopt, "run_sequence", failing_run_sequence)
+    monkeypatch.setattr(bayesopt, "_run_ep_integrals", failing_cost_run)
     monkeypatch.setattr(bayesopt, "_cpu_count", lambda: cpus)
     with pytest.raises(expected, match="injected"):
         optimize(make_problem(), OptBudget(max_real=1, max_total=3), seed=seed)

@@ -423,6 +423,7 @@ def test_optimize_rejects_bad_regularization_before_any_run(tmp_path, capsys, mo
         raise AssertionError("ran the closed loop")
 
     monkeypatch.setattr(bayesopt, "run_sequence", no_run)
+    monkeypatch.setattr(bayesopt, "_run_ep_integrals", no_run)
     assert run_cli("gait", "optimize", "--reg", reg, "--out", tmp_path) == 1
     assert "regularization must be finite and >= 0" in capsys.readouterr().err
     assert not (tmp_path / "history.csv").exists()

@@ -32,6 +32,7 @@ from gaitlab.plant import (
     standard_test_sequence,
     step_plant,
     trace_to_csv,
+    _loop_args,
     _segment_commands,
 )
 from gaitlab.pose import LegGeometry
@@ -313,6 +314,14 @@ def test_public_step_helpers_reproduce_run_sequence_on_random_gains(seed, falls)
     assert trace.fall == falls
 
 
+def test_public_step_helpers_reproduce_run_sequence_on_random_commands():
+    # the loop takes each row's excitation amplitudes from the commands in
+    # NumPy before its first step; gait_excitation computes them per step
+    rng = np.random.default_rng(8)
+    seq = [(GaitCommand(*rng.uniform(-1.0, 1.0, 3)), 0.25) for _ in range(40)]
+    replay_with_public_helpers(FeedbackGains(), CpgParams(), seq, PlantParams(seed=8), [])
+
+
 @pytest.mark.parametrize(
     "x, push_at_start",
     [(None, False), ((0.0, 0.0), False), ((6.0, 4.0), False), (None, True)],
@@ -468,6 +477,28 @@ def test_loop_result_keeps_the_slots_the_benchmark_tracer_reads(monkeypatch, pus
     assert out[6] == (steps - 1 if trace.fall else -1) and trace.fall == bool(pushes)
     end = out[8]
     assert len(end) == 4 and (max(abs(end[0]), abs(end[1])) > p.fall_threshold) == trace.fall
+
+
+@pytest.mark.parametrize("gains, p, pushes, fall_idx", [
+    (FeedbackGains(), PlantParams(seed=4), [], -1),
+    (FeedbackGains(), PlantParams(seed=4), [Disturbance(11.0, 30.0, "back")], 1137),
+    (FeedbackGains(), PlantParams(seed=4, noise_std=0.0),
+     [Disturbance(4.0, 9.0, "left"), Disturbance(4.0, 3.0, "front")], -1),
+    # the end state is -inf: the step that overflows ends the run as a fall
+    (FeedbackGains(arm_angle_y=PdGains(kp=1e300)), PlantParams(fall_threshold=1e300), [], 48),
+], ids=["upright", "falls", "two_pushes_one_step", "overflow_to_inf"])
+def test_loop_without_recording_keeps_ep_fall_and_end_state(gains, p, pushes, fall_idx):
+    args = _loop_args(gains, CpgParams(), standard_test_sequence(), p, pushes, None)
+    recorded = _kernels.run_closed_loop(*args)
+    cost_only = _kernels.run_closed_loop(*args, record=False)
+    assert len(cost_only) == 9
+    assert cost_only[3].tobytes() == recorded[3].tobytes() and len(recorded[3]) > 0
+    assert cost_only[6] == recorded[6] == fall_idx
+    assert np.array(cost_only[8]).tobytes() == np.array(recorded[8]).tobytes()
+    mu, state, dev, act = (cost_only[k] for k in (0, 1, 2, 4))
+    assert mu.shape == (0,) and state.shape == (0, 4) and dev.shape == (0, 2)
+    assert act.shape == (0, _kernels.ACT_SIZE)
+    assert len(recorded[1]) == len(recorded[3])
 
 
 def test_pose_is_read_out_once_and_replace_reads_it_anew(monkeypatch):
