@@ -6,12 +6,14 @@ modules wrap them with dataclass interfaces.
 The closed loop is split in two.  ``run_closed_loop`` is the one per-step
 dynamics loop: filters, activations, gait excitation, plant step and the
 phase update.  The pose does not drive the plant, so the loop does not
-compute it; ``pose_readout`` recomputes it afterwards from the recorded
-phase, commands and activations (the support leg follows from the phase)
-and counts the clamped retractions.  A run whose cost reads only the
-feedback errors and the fall, as every run of the optimizer does, never
-pays for the pose.  The loop's result keeps two slots where the pose and
-the saturation count used to be, now an empty (0, 18) array and 0: the
+compute it; it is read out afterwards from the recorded phase, commands and
+activations (the support leg follows from the phase), as whole NumPy
+columns.  ``leg_retractions`` gives the leg retractions and the samples
+whose retraction was clamped, which is all a saturation count reads, and
+``pose_readout`` builds the whole pose on top of it.  A run whose cost
+reads only the feedback errors and the fall, as every run of the optimizer
+does, pays for neither.  The loop's result keeps two slots where the pose
+and the saturation count used to be, now an empty (0, 18) array and 0: the
 benchmark's tracer (``perfbench/tracer.py``) reads the result by position,
 ``fall_idx`` at index 6 and the saturation count at index 7, and
 ``run_sequence`` takes the end state from index 8.  They go once the
@@ -23,30 +25,32 @@ The cost of a step is the interpreter's, so the kernels take their
 parameters as tuples of Python floats, keep state in scalars and return
 tuples: indexing a float64 array and doing arithmetic on the resulting
 NumPy scalars costs several times as much as the same work on Python
-floats.  For the same reason the loop and the readout read their input
-arrays once through ``tolist()``, record their rows in flat lists and turn
-each into an array once at the end.  The dataclasses still pack their
-parameters into float64 vectors (``to_array``); callers turn those into
-float tuples once with ``float_tuple``, and the loop and the readout derive
-everything that is fixed for a run once before their first step:
+floats.  For the same reason the loop reads its input arrays once through
+``tolist()``, records its rows in flat lists and turns each into an array
+once at the end.  The dataclasses still pack their parameters into float64
+vectors (``to_array``); callers turn those into float tuples once with
+``float_tuple``, and the loop and the readout derive everything that is
+fixed for a run once before their first step:
 
     swing_window(cpg)          -> (swing_start, swing_len) of cpg_pose
     filter_coeffs(filt, dt)    -> (alpha, deadband, decay, gain_i) of filters_step
     com_shift_reference(geom)  -> halt-pose leg reference of apply_actions_flat
 
 A Python call costs as much as several lines of float arithmetic, so the
-loop and the readout are each one flat body per sample.  The loop writes
-out ``filters_step``, ``activations_from``, ``gait_excitation``,
-``plant_step`` and the phase's ``wrap_pi``; the readout writes out
-``cpg_pose`` and ``apply_actions_flat`` and calls ``foot_ik_core``, the one
-IK formula, only for a nonzero CoM shift.  Both unpack their parameter
-tuples into locals once per run.  Every expression keeps its kernel's
+loop is one flat body per sample: it writes out ``filters_step``,
+``activations_from``, ``gait_excitation``, ``plant_step`` and the phase's
+``wrap_pi`` and unpacks its parameter tuples into locals once per run.  The
+readout is a map over samples, not a recurrence, so it writes out
+``cpg_pose`` and ``apply_actions_flat`` as NumPy columns, which round as
+the scalar code does; only ``math.acos`` and ``math.atan2`` run per row,
+on the rows with a nonzero CoM shift, because ``np.arccos`` and
+``np.arctan2`` do not match them.  Every expression keeps its kernel's
 order of operations, because a regrouped sum rounds differently.  The step
 kernels stay the one definition of each formula: the public step helpers
 (``evaluate_cpg``, ``DeviationFilters.update``, ``compute_activations``,
 ``apply_actions``, ``step_plant``) call them with the same derived
 constants, and the replay tests in ``tests/test_plant.py`` step those
-helpers by hand and hold both bodies to them bit for bit.
+helpers by hand and hold the loop and the readout to them bit for bit.
 
 Flat abstract-pose layout (18 floats):
     [0:6]   left leg   (lx, ly, lz, fx, fy, eta)
@@ -249,6 +253,14 @@ def activations_from(pdi, gains, support_sign):
     )
 
 
+def _halt_distance(geom):
+    """Hip-ankle distance of the leg at the halt retraction geom[2]."""
+    thigh = geom[0]
+    shank = geom[1]
+    knee0 = 2.0 * math.acos(1.0 - geom[2])
+    return math.sqrt(thigh * thigh + shank * shank + 2.0 * thigh * shank * math.cos(knee0))
+
+
 def com_shift_reference(geom):
     """Halt-pose leg reference of the CoM shift: a 6-tuple of floats.
 
@@ -258,8 +270,7 @@ def com_shift_reference(geom):
     """
     thigh = geom[0]
     shank = geom[1]
-    knee0 = 2.0 * math.acos(1.0 - geom[2])
-    dist = math.sqrt(thigh * thigh + shank * shank + 2.0 * thigh * shank * math.cos(knee0))
+    dist = _halt_distance(geom)
     qh0, qr0, qk0 = foot_ik_core(0.0, 0.0, -dist, thigh, shank)
     return thigh, shank, dist, qh0 + 0.5 * qk0, qr0, math.cos(0.5 * qk0)
 
@@ -496,6 +507,74 @@ def run_closed_loop(cmds, noise, pushes, cpg, gains, filt, plant, eff, dt, recor
             (pitch, roll, pitch_rate, roll_rate))
 
 
+def _com_shift_rows(act):
+    """Indices of the recorded rows whose CoM shift is nonzero."""
+    return np.flatnonzero((act[:, 4] != 0.0) | (act[:, 5] != 0.0))
+
+
+def leg_retractions(mu, act, cpg, geom):
+    """Each leg's phase and clamped retraction per sample, and its saturated flag.
+
+    ``mu`` (n,) and ``act`` (n, 7) are rows that ``run_closed_loop``
+    recorded; ``cpg`` and ``geom`` are as for ``pose_readout``.  Returns the
+    columns (mu_l, mu_r, eta_l, eta_r, saturated): the leg phases of
+    ``cpg_pose``, the leg retractions of ``apply_actions_flat`` on that pose,
+    and whether the sample had a retraction clamped into [0, 1].
+
+    Every column is NumPy arithmetic in the kernels' order of operations, and
+    rounds as they do: ``np.remainder`` is Python's float ``%``,
+    ``np.sqrt`` rounds correctly and ``np.sin`` and ``np.cos`` match
+    ``math``'s.  Only the knee's ``math.acos`` runs per row, on the rows with
+    a nonzero CoM shift, because ``np.arccos`` does not match it.  The knee
+    is ``foot_ik_core``'s, whose hip angles a retraction does not need; the
+    halt pose's knee (``com_shift_reference``) is that of the target (0, 0).
+    """
+    swing_start, swing_len = swing_window(cpg)
+    thigh, shank = geom[0], geom[1]
+    dist = _halt_distance(geom)
+    lift = cpg[18]
+    pi = math.pi
+    two_pi = 2.0 * math.pi
+
+    # wrap_pi of mu and of mu + pi
+    x = mu + pi
+    x_r = np.remainder(x + pi, two_pi)
+    x = np.remainder(x, two_pi)
+    x[x == 0.0] = two_pi
+    x_r[x_r == 0.0] = two_pi
+    mu_l = x - pi
+    mu_r = x_r - pi
+    u_l = (mu_l - swing_start) / swing_len
+    u_r = (mu_r - swing_start) / swing_len
+    eta_l = cpg[5] + lift * np.where((u_l > 0.0) & (u_l < 1.0), np.sin(pi * u_l), 0.0)
+    eta_r = cpg[11] + lift * np.where((u_r > 0.0) & (u_r < 1.0), np.sin(pi * u_r), 0.0)
+
+    rows = _com_shift_rows(act)
+    if rows.size:
+        # foot_ik_core's knee for the targets (-com_x, -com_y, -dist), the halt
+        # pose's (0, 0) first; (-a) * (-a) is a * a exactly
+        com_x = np.concatenate(([0.0], act[rows, 4]))
+        com_y = np.concatenate(([0.0], act[rows, 5]))
+        rho = np.sqrt(com_y * com_y + dist * dist)
+        c = (com_x * com_x + rho * rho - thigh * thigh - shank * shank) / (2.0 * thigh * shank)
+        knee = np.fromiter(map(math.acos, np.clip(c, -1.0, 1.0).tolist()), float, c.size)
+        half_cos = np.cos(0.5 * knee)
+        d_eta = half_cos[0] - half_cos[1:]
+        eta_l[rows] += d_eta
+        eta_r[rows] += d_eta
+
+    saturated = (eta_l < 0.0) | (eta_l > 1.0) | (eta_r < 0.0) | (eta_r > 1.0)
+    # Nothing moves an arm's retraction off the halt one, which CpgParams
+    # range-checks to [0, 1]; apply_actions_flat keeps the arm clamps because
+    # the public apply_actions takes any pose.
+    if _clamp_retraction(cpg[14])[1] | _clamp_retraction(cpg[17])[1]:
+        saturated[:] = True
+    for eta in (eta_l, eta_r):
+        eta[eta < 0.0] = 0.0
+        eta[eta > 1.0] = 1.0
+    return mu_l, mu_r, eta_l, eta_r, saturated
+
+
 def pose_readout(mu, cmds, act, cpg, geom):
     """The abstract pose of each recorded sample and the saturation count.
 
@@ -507,94 +586,57 @@ def pose_readout(mu, cmds, act, cpg, geom):
     had to be clamped.  The support leg follows from the phase, as it does
     for the activations in the loop.
 
-    The body is ``cpg_pose`` and ``apply_actions_flat`` written out (see the
-    module docstring).
+    The columns are ``cpg_pose`` and ``apply_actions_flat`` in NumPy, with
+    the phases and retractions from ``leg_retractions``; ``foot_ik_core``
+    gives the hip angles of the CoM shift, one call per row with a nonzero
+    shift, since ``np.arctan2`` does not match ``math.atan2``.
     """
-    swing_start, swing_len = swing_window(cpg)
-    thigh, shank, dist, ly0, lx0, eta_c0 = com_shift_reference(geom)
-    (h0, h1, h2, h3, h4, h5, h6, h7, h8, h9, h10, h11, h12, h13, h14, h15, h16, h17,
-     lift, swing, sway_amp, arm_swing) = cpg[:22]
-    nsway = -sway_amp
-    pi = math.pi
-    two_pi = 2.0 * math.pi
-    # Nothing moves an arm's retraction off the halt one, which CpgParams
-    # range-checks to [0, 1]; so the arm clamps are the same for every
-    # sample and are taken once.  apply_actions_flat keeps all four clamps
-    # because the public apply_actions takes any pose.
-    la_eta, s_la = _clamp_retraction(h14)
-    ra_eta, s_ra = _clamp_retraction(h17)
-    s_arms = s_la | s_ra
+    mu_l, mu_r, eta_l, eta_r, saturated = leg_retractions(mu, act, cpg, geom)
+    thigh, shank, dist, ly0, lx0, _ = com_shift_reference(geom)
+    (h0, h1, h2, h3, h4, _, h6, h7, h8, h9, h10, _, h12, h13, h14, h15, h16, h17,
+     _, swing, sway_amp, arm_swing) = cpg[:22]
+    vx, vy, wz = cmds.T
+    arm_x, arm_y, supp_x, cont_x = act[:, :4].T
 
-    poses = []
-    saturations = 0
-    for m, (vx, vy, wz), (arm_x, arm_y, supp_x, cont_x, com_x, com_y, _) in zip(
-        mu.tolist(), cmds.tolist(), act.tolist()
-    ):
-        # cpg_pose: the left leg keys off m, the right leg off m + pi
-        sway_term = nsway * math.sin(m)
-        lat = swing * vy
-        sag = swing * vx
-        yaw = swing * wz
-        arm = arm_swing * vx
-        x = m + pi
-        x_r = (x + pi) % two_pi
-        x = x % two_pi
-        if x == 0.0:
-            x = two_pi
-        if x_r == 0.0:
-            x_r = two_pi
-        mu_l = x - pi
-        mu_r = x_r - pi
-        cos_l = math.cos(mu_l)
-        cos_r = math.cos(mu_r)
-        u_l = (mu_l - swing_start) / swing_len
-        u_r = (mu_r - swing_start) / swing_len
-        pulse_l = math.sin(pi * u_l) if (u_l > 0.0 and u_l < 1.0) else 0.0
-        pulse_r = math.sin(pi * u_r) if (u_r > 0.0 and u_r < 1.0) else 0.0
+    # cpg_pose: the left leg keys off mu, the right leg off mu + pi
+    sway_term = -sway_amp * np.sin(mu)
+    lat = swing * vy
+    sag = swing * vx
+    yaw = swing * wz
+    arm = arm_swing * vx
+    cos_l = np.cos(mu_l)
+    cos_r = np.cos(mu_r)
 
-        # apply_actions_flat on that pose
-        l_lx = h0 + lat + sway_term
-        l_ly = h1 - sag * cos_l
-        l_fx = h3 + cont_x
-        l_eta = h5 + lift * pulse_l
-        r_lx = h6 + lat + sway_term
-        r_ly = h7 - sag * cos_r
-        r_fx = h9 + cont_x
-        r_eta = h11 + lift * pulse_r
-        if m > 0.0:
-            r_fx += supp_x
-        else:
-            l_fx += supp_x
-        if com_x != 0.0 or com_y != 0.0:
-            qh1, qr1, qk1 = foot_ik_core(-com_x, -com_y, -dist, thigh, shank)
-            d_ly = (qh1 + 0.5 * qk1) - ly0
-            d_lx = qr1 - lx0
-            d_eta = eta_c0 - math.cos(0.5 * qk1)
-            l_lx += d_lx
-            r_lx += d_lx
-            l_ly += d_ly
-            r_ly += d_ly
-            l_eta += d_eta
-            r_eta += d_eta
+    # apply_actions_flat on that pose; the support foot takes supp_x
+    l_lx = h0 + lat + sway_term
+    l_ly = h1 - sag * cos_l
+    r_lx = h6 + lat + sway_term
+    r_ly = h7 - sag * cos_r
+    l_fx = h3 + cont_x
+    r_fx = h9 + cont_x
+    right_support = mu > 0.0
+    l_fx = np.where(right_support, l_fx, l_fx + supp_x)
+    r_fx = np.where(right_support, r_fx + supp_x, r_fx)
+    rows = _com_shift_rows(act)
+    if rows.size:
+        qh1, qr1, qk1 = np.array([
+            foot_ik_core(-com_x, -com_y, -dist, thigh, shank)
+            for com_x, com_y in act[rows, 4:6].tolist()
+        ]).T
+        d_ly = (qh1 + 0.5 * qk1) - ly0
+        d_lx = qr1 - lx0
+        l_lx[rows] += d_lx
+        r_lx[rows] += d_lx
+        l_ly[rows] += d_ly
+        r_ly[rows] += d_ly
 
-        saturated = s_arms
-        if l_eta < 0.0:
-            l_eta = 0.0
-            saturated = 1
-        elif l_eta > 1.0:
-            l_eta = 1.0
-            saturated = 1
-        if r_eta < 0.0:
-            r_eta = 0.0
-            saturated = 1
-        elif r_eta > 1.0:
-            r_eta = 1.0
-            saturated = 1
-        saturations += saturated
-        poses += (
-            l_lx, l_ly, h2 + yaw * math.sin(mu_l), l_fx, h4, l_eta,
-            r_lx, r_ly, h8 + yaw * math.sin(mu_r), r_fx, h10, r_eta,
-            h12 + arm_x, h13 + arm * cos_l + arm_y, la_eta,
-            h15 + arm_x, h16 + arm * cos_r + arm_y, ra_eta,
-        )
-    return np.array(poses).reshape(-1, POSE_SIZE), saturations
+    columns = (
+        l_lx, l_ly, h2 + yaw * np.sin(mu_l), l_fx, h4, eta_l,
+        r_lx, r_ly, h8 + yaw * np.sin(mu_r), r_fx, h10, eta_r,
+        h12 + arm_x, h13 + arm * cos_l + arm_y, _clamp_retraction(h14)[0],
+        h15 + arm_x, h16 + arm * cos_r + arm_y, _clamp_retraction(h17)[0],
+    )
+    pose = np.empty((len(mu), POSE_SIZE))
+    for j, column in enumerate(columns):
+        pose[:, j] = column
+    return pose, int(np.count_nonzero(saturated))

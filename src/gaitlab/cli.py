@@ -222,7 +222,8 @@ def cmd_calib_camera(args) -> int:
     print(f"orientation_wxyz = {q.w:.8f} {q.x:.8f} {q.y:.8f} {q.z:.8f}")
     print(f"rms_residual = {result.rms_residual:.6f} px")
     if not result.converged:
-        print("warning: did not converge (iteration limit, or a point behind the camera)")
+        print("warning: did not converge (iteration limit, a point behind the camera, "
+              "or a non-finite residual)")
     return 0
 
 

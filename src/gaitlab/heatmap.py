@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     BehindCameraError,
     DegenerateComponentError,
+    DegenerateDataError,
     InvalidInputError,
     check_nonnegative,
 )
@@ -241,14 +242,45 @@ def project(point, pose: CameraPose) -> np.ndarray:
 
 
 _MIN_DEPTH = 1e-6  # m; calibration treats a point at or below this depth as behind the camera
+# m; the simplex's first position step is 2.5e-4 m, which rounds away in the
+# coordinates of points much farther from the guess than this
+_MAX_POINT_DISTANCE = 1e9
 
 
 @dataclass
 class CalibrationResult:
     pose: CameraPose
     rms_residual: float
-    converged: bool  # False at the iteration limit or with a point behind the camera
+    # False at the iteration limit, with a point behind the camera or with a
+    # non-finite residual
+    converged: bool
     iterations: int
+
+
+def _check_pose_determined(worlds: np.ndarray, guess: CameraPose) -> None:
+    """Raise DegenerateDataError unless the world points can fix a camera pose.
+
+    A pose needs at least 4 distinct points that are not all on one line: a
+    line of points leaves the rotation about it free.  Points must also lie
+    within _MAX_POINT_DISTANCE of the guess.
+    """
+    distinct = np.unique(worlds, axis=0)
+    if len(distinct) < 4:
+        raise DegenerateDataError(
+            f"need at least 4 distinct world points to fix a camera pose, got {len(distinct)}"
+        )
+    reach = float(np.max(np.abs(worlds - guess.position)))
+    if not reach <= _MAX_POINT_DISTANCE:
+        raise DegenerateDataError(
+            f"world points lie up to {reach:.3g} m from the guess position; "
+            f"calibration takes points within {_MAX_POINT_DISTANCE:.0e} m of it"
+        )
+    spread = np.linalg.svd(distinct - distinct.mean(axis=0), compute_uv=False)
+    # rounding leaves the points of a line about eps * |coordinate| off it
+    if spread[1] <= len(distinct) * np.finfo(float).eps * max(spread[0], np.abs(distinct).max()):
+        raise DegenerateDataError(
+            "the world points are collinear; the rotation about their line is undetermined"
+        )
 
 
 def calibrate_extrinsics(
@@ -261,13 +293,16 @@ def calibrate_extrinsics(
 
     Runs Nelder-Mead over a 6-vector (position offset, rotation-vector
     increment composed onto the guess), minimizing mean squared reprojection
-    error.  Needs at least 4 observations.
+    error.  Needs at least 4 observations of at least 4 distinct world
+    points, not all collinear, within 1e9 m of the guess position; raises
+    DegenerateDataError otherwise.
     """
     observations = list(observations)
     if len(observations) < 4:
         raise InvalidInputError("need at least 4 observations")
     worlds = np.array([w for w, _ in observations], dtype=float)
     pixels = np.array([px for _, px in observations], dtype=float)
+    _check_pose_determined(worlds, guess)
     cfg = cfg or SimplexConfig(max_iter=4000, x_tol=1e-12, f_tol=1e-16)
 
     def pose_from(params) -> CameraPose:
@@ -280,13 +315,14 @@ def calibrate_extrinsics(
     def objective(params) -> float:
         p_cam = _to_camera(worlds, pose_from(params))
         depth = p_cam[:, 2]
-        with np.errstate(all="ignore"):  # rows behind the camera are replaced below
+        # rows behind the camera are replaced below; a non-finite value the
+        # simplex reaches anyway is reported through ``converged``
+        with np.errstate(all="ignore"):
             u, v = _pinhole(p_cam, intrinsics)
-        err = np.where(
-            depth <= _MIN_DEPTH,
-            1e6 + (1.0 - depth) ** 2,  # keep the simplex in front
-            (u - pixels[:, 0]) ** 2 + (v - pixels[:, 1]) ** 2,
-        )
+            err = (u - pixels[:, 0]) ** 2 + (v - pixels[:, 1]) ** 2
+            behind = depth <= _MIN_DEPTH
+            if behind.any():
+                err[behind] = 1e6 + (1.0 - depth[behind]) ** 2  # keep the simplex in front
         # summed left to right like a running total, so results do not
         # depend on np.sum's pairwise grouping
         return np.add.accumulate(err)[-1] / len(observations)
@@ -304,7 +340,7 @@ def calibrate_extrinsics(
     return CalibrationResult(
         pose=pose,
         rms_residual=math.sqrt(result.fun),
-        converged=result.converged and in_front,
+        converged=result.converged and in_front and math.isfinite(result.fun),
         iterations=result.iterations,
     )
 

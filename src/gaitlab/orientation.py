@@ -184,6 +184,37 @@ def fused_deviation(measured: FusedAngles, expected: FusedAngles) -> tuple[float
     return measured.pitch - expected.pitch, measured.roll - expected.roll
 
 
+def _normalized(w, x, y, z) -> tuple:
+    """``Quaternion.normalized`` on a (w, x, y, z) tuple of floats."""
+    n = math.sqrt(w**2 + x**2 + y**2 + z**2)
+    if n < 1e-12:
+        return 1.0, 0.0, 0.0, 0.0
+    return w / n, x / n, y / n, z / n
+
+
+def _product(a, b) -> tuple:
+    """``Quaternion.__mul__`` on (w, x, y, z) tuples of floats."""
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return _normalized(
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )
+
+
+def _rotvec(v: np.ndarray) -> tuple:
+    """``Quaternion.from_rotvec`` of a float 3-vector as a (w, x, y, z) tuple."""
+    # np.linalg.norm's formula: BLAS ddot rounds its sum unlike a Python one
+    angle = math.sqrt(v.dot(v))
+    v0, v1, v2 = v.tolist()
+    if angle < 1e-12:
+        return _normalized(1.0, 0.5 * v0, 0.5 * v1, 0.5 * v2)
+    s = math.sin(0.5 * angle)
+    return _normalized(math.cos(0.5 * angle), v0 / angle * s, v1 / angle * s, v2 / angle * s)
+
+
 def filter_update(s: FilterState, m: ImuSample) -> FilterState:
     """Advance the complementary filter by one IMU sample.
 
@@ -191,15 +222,23 @@ def filter_update(s: FilterState, m: ImuSample) -> FilterState:
     toward the accelerometer-implied gravity direction at ``correction_gain``
     per second.  Accelerometer samples with norm below 1 m/s^2 carry no usable
     gravity direction and are skipped.
+
+    The quaternion arithmetic runs on Python floats, each step in the order
+    of the ``Quaternion`` method it stands for, so the result is theirs bit
+    for bit.
     """
-    omega = m.gyro - s.gyro_bias
-    q = s.attitude * Quaternion.from_rotvec(omega * m.dt)
+    a = s.attitude
+    w, x, y, z = _product((a.w, a.x, a.y, a.z), _rotvec((m.gyro - s.gyro_bias) * m.dt))
 
-    a_norm = float(np.linalg.norm(m.accel))
+    a_norm = math.sqrt(m.accel.dot(m.accel))
     if a_norm >= 1.0:
-        up_meas = m.accel / a_norm
-        up_pred = q.rotate_inverse(np.array([0.0, 0.0, 1.0]))
-        corr = s.correction_gain * m.dt * np.cross(up_meas, up_pred)
-        q = q * Quaternion.from_rotvec(corr)
+        m0, m1, m2 = (m.accel / a_norm).tolist()
+        # the global z-axis in body coordinates: q.rotate_inverse([0, 0, 1])
+        p0 = 2 * (x * z - w * y)
+        p1 = 2 * (y * z + w * x)
+        p2 = 1 - 2 * (x * x + y * y)
+        k = s.correction_gain * m.dt
+        corr = np.array((k * (m1 * p2 - m2 * p1), k * (m2 * p0 - m0 * p2), k * (m0 * p1 - m1 * p0)))
+        w, x, y, z = _product((w, x, y, z), _rotvec(corr))
 
-    return replace(s, attitude=q.normalized())
+    return replace(s, attitude=Quaternion(*_normalized(w, x, y, z)))

@@ -196,9 +196,10 @@ class RunTrace:
     truncated at the fall sample and ``fall`` is True.  The deviations fed
     back (``d_theta``, ``d_phi``) are the fused pitch and roll themselves.
 
-    ``pose`` and ``saturations`` do not feed back into the run, so they are
-    read out of ``mu``, ``cmds`` and ``activations`` by
-    ``_kernels.pose_readout`` the first time either is read, and kept.  A
+    ``pose`` and ``saturations`` do not feed back into the run, so each is
+    read out of ``mu``, ``cmds`` and ``activations`` the first time it is
+    read, and kept: ``saturations`` from ``_kernels.leg_retractions``, which
+    never builds the pose, and ``pose`` by ``_kernels.pose_readout``.  A
     cost that reads neither never pays for them.
     """
 
@@ -217,21 +218,15 @@ class RunTrace:
     pose_params: tuple  # (cpg, geom) float tuples that _kernels.pose_readout takes
 
     @cached_property
-    def _pose_readout(self) -> tuple[np.ndarray, int]:
-        pose, saturations = _kernels.pose_readout(
-            self.mu, self.cmds, self.activations, *self.pose_params
-        )
-        return pose, int(saturations)
-
-    @property
     def pose(self) -> np.ndarray:
         """(n, 18) abstract pose commanded at each sample."""
-        return self._pose_readout[0]
+        return _kernels.pose_readout(self.mu, self.cmds, self.activations, *self.pose_params)[0]
 
-    @property
+    @cached_property
     def saturations(self) -> int:
         """Number of samples whose retraction was clamped into [0, 1]."""
-        return self._pose_readout[1]
+        saturated = _kernels.leg_retractions(self.mu, self.activations, *self.pose_params)[4]
+        return int(np.count_nonzero(saturated))
 
     def __len__(self) -> int:
         return self.t.shape[0]

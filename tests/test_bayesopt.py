@@ -555,9 +555,10 @@ def test_evaluate_raises_the_run_sequence_error_naming_the_first_bad_sample(kwar
 
 def test_cost_runs_never_read_the_pose(monkeypatch):
     def readout(*args):
-        raise AssertionError("the cost path read the pose")
+        raise AssertionError("the cost path read the pose or the retractions")
 
     monkeypatch.setattr(_kernels, "pose_readout", readout)
+    monkeypatch.setattr(_kernels, "leg_retractions", readout)
     prob = make_problem()
     prob.evaluate(prob.default_x(), REAL, 3)
     optimize(prob, OptBudget(max_real=1, max_total=3), seed=2)

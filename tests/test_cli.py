@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -265,6 +267,33 @@ def test_calib_camera_end_to_end(tmp_path, capsys):
     assert np.linalg.norm(np.array(pos) - true.position) < 1e-3
     residual = float(out.splitlines()[2].split("=")[1].split()[0])
     assert residual < 1e-3
+
+
+def _front_points(n, scale=1.0):
+    rng = np.random.default_rng(5)
+    world = rng.uniform(-1, 1, (n, 3))
+    world[:, 2] += 4.0
+    return world * scale
+
+
+@pytest.mark.parametrize("world, cause", [
+    ([(0.1, -0.2, 4.0)] * 6, "need at least 4 distinct world points to fix a camera pose, got 1"),
+    ([(0.1 * k, 0.05 * k, 3.0 + 0.2 * k) for k in range(8)],
+     "the world points are collinear; the rotation about their line is undetermined"),
+    # the squared depth of such a point behind the camera overflows
+    (_front_points(30, 1e200), "m from the guess position; calibration takes points within 1e+09 m"),
+], ids=["identical", "collinear", "huge_coordinates"])
+def test_calib_camera_refuses_points_that_cannot_fix_a_pose(tmp_path, capsys, world, cause):
+    rows = ["X,Y,Z,u,v"] + [f"{x!r},{y!r},{z!r},{300 + 7 * i},{250 - 3 * i}"
+                            for i, (x, y, z) in enumerate(np.asarray(world).tolist())]
+    path = tmp_path / "obs.csv"
+    path.write_text("\n".join(rows))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("calib", "camera", "--input", path, "--focal", 500, "--cx", 320, "--cy", 240)
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and cause in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("data, cause", [

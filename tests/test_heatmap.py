@@ -8,6 +8,7 @@ from gaitlab import heatmap
 from gaitlab.errors import (
     BehindCameraError,
     DegenerateComponentError,
+    DegenerateDataError,
     InvalidInputError,
 )
 from gaitlab.heatmap import (
@@ -450,6 +451,30 @@ def test_calibration_needs_enough_observations():
     intr = default_intrinsics()
     with pytest.raises(InvalidInputError):
         calibrate_extrinsics([([0, 0, 2], [320, 240])] * 3, intr, CameraPose(intrinsics=intr))
+
+
+def test_calibration_refuses_points_that_cannot_fix_a_pose():
+    intr = default_intrinsics()
+    guess = CameraPose(intrinsics=intr)
+    obs = make_observations(guess, np.random.default_rng(4))
+    # three distinct points seen twice each, and a line of points offset far
+    # enough that rounding moves them off it
+    twice = obs[:3] * 2
+    line = [(np.array([1e6, 2e6, 4.0]) + t * np.array([0.3, -0.2, 1.0]), px)
+            for t, (_, px) in zip(np.linspace(0.0, 1.0, 8), obs)]
+    far = [(w + [0.0, 0.0, 2e9], px) for w, px in obs]
+    for bad, cause in ((twice, "got 3"), (line, "collinear"), (far, r"within 1e\+09 m")):
+        with pytest.raises(DegenerateDataError, match=cause):
+            calibrate_extrinsics(bad, intr, guess)
+
+
+def test_calibration_objective_overflow_is_a_named_error_not_a_warning():
+    # at this focal length every squared pixel error overflows; the objective
+    # stays quiet and the simplex names its non-finite start
+    obs = make_observations(CameraPose(intrinsics=default_intrinsics()), np.random.default_rng(4))
+    intr = CameraIntrinsics(focal=1e160, cx=320.0, cy=240.0)
+    with pytest.raises(InvalidInputError, match="objective is not finite at x0"):
+        calibrate_extrinsics(obs, intr, CameraPose(intrinsics=intr))
 
 
 def test_pgm_round_trip(tmp_path):

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaitlab import _kernels, config
 from gaitlab.bayesopt import GainProblem, default_disturbance_schedule
@@ -363,6 +365,84 @@ def test_pose_readout_matches_the_public_helpers_on_any_sample():
         want.append(out.to_array())
         want_saturations += saturated
     assert np.array_equal(pose, want) and saturations == want_saturations > 0
+
+
+_GEOM = LegGeometry()
+
+
+def _ik_edge(halt_eta):
+    """The CoM-shift radius at which the knee's cosine argument reaches 1."""
+    dist = _kernels.com_shift_reference((_GEOM.thigh, _GEOM.shank, halt_eta))[2]
+    return math.sqrt(max((_GEOM.thigh + _GEOM.shank) ** 2 - dist * dist, 0.0))
+
+
+_IK_EDGE = {halt_eta: _ik_edge(halt_eta) for halt_eta in (0.0, 0.1, 0.5, 1.0)}
+_SWING_START, _SWING_LEN = _kernels.swing_window(_kernels.float_tuple(CpgParams().to_array()))
+
+
+@st.composite
+def retraction_sample(draw, halt_eta):
+    """(mu, com_x, com_y): phases on the wrap and swing-window edges, and CoM
+    shifts of zero, of any size, and around the IK clamp edge."""
+    mu = draw(st.sampled_from([math.pi, -math.pi, 0.0, -0.0, _SWING_START,
+                               _SWING_START + _SWING_LEN, _SWING_START - math.pi])
+              | st.floats(-math.pi, math.pi))
+    edge = _IK_EDGE[halt_eta]
+    radius = draw(st.sampled_from([0.0, edge])
+                  | st.integers(-8, 8).map(lambda k: edge * (1.0 + k * 2.0 ** -52))
+                  | st.floats(0.0, 2.0 * (_GEOM.thigh + _GEOM.shank)))
+    angle = draw(st.sampled_from([0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi])
+                 | st.floats(-math.pi, math.pi))
+    return mu, radius * math.cos(angle), radius * math.sin(angle)
+
+
+@st.composite
+def retraction_case(draw):
+    halt_eta = draw(st.sampled_from(sorted(_IK_EDGE)))
+    lift = draw(st.sampled_from([0.0, 0.08, 0.95]) | st.floats(0.0, 2.0))
+    return halt_eta, lift, draw(st.lists(retraction_sample(halt_eta), min_size=1, max_size=30))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(retraction_case())
+def test_leg_retractions_match_apply_actions_on_any_sample(case):
+    halt_eta, lift, samples = case
+    cpg = CpgParams(lift_amplitude=lift, halt_eta=halt_eta)
+    mu = np.array([m for m, _, _ in samples])
+    act = np.zeros((len(samples), _kernels.ACT_SIZE))
+    act[:, 4:6] = [(com_x, com_y) for _, com_x, com_y in samples]
+    act[:, 6] = 1.0
+    _, _, eta_l, eta_r, saturated = _kernels.leg_retractions(
+        mu, act, _kernels.float_tuple(cpg.to_array()),
+        _kernels.float_tuple([_GEOM.thigh, _GEOM.shank, halt_eta]),
+    )
+    want_l, want_r, want_saturated = [], [], []
+    for m, a in zip(mu.tolist(), act):
+        pose, flag = apply_actions(evaluate_cpg(m, GaitCommand(), cpg), Activations(*a),
+                                   -1 if m > 0.0 else 1, _GEOM, halt_eta)
+        want_l.append(pose.left_leg.eta)
+        want_r.append(pose.right_leg.eta)
+        want_saturated.append(flag)
+    assert eta_l.tobytes() == np.array(want_l).tobytes()
+    assert eta_r.tobytes() == np.array(want_r).tobytes()
+    assert saturated.tolist() == want_saturated
+
+
+def test_saturations_never_build_the_pose(monkeypatch):
+    # default gains shift the CoM on nearly every row, and the lift saturates
+    trace = run_sequence(FeedbackGains(), CpgParams(lift_amplitude=0.95), standard_test_sequence(),
+                         PlantParams(seed=4), [Disturbance(4.0, 9.0, "left")])
+    readout = _kernels.pose_readout
+
+    def fail(*args):
+        raise AssertionError("reading the saturation count built the pose")
+
+    monkeypatch.setattr(_kernels, "pose_readout", fail)
+    monkeypatch.setattr(_kernels, "foot_ik_core", fail)
+    saturations = trace.saturations
+    monkeypatch.undo()
+    assert np.count_nonzero(trace.activations[:, 4:6]) > 0
+    assert saturations == readout(trace.mu, trace.cmds, trace.activations, *trace.pose_params)[1] > 0
 
 
 def test_phase_plot_series():
