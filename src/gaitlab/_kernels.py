@@ -576,22 +576,21 @@ def leg_retractions(mu, act, cpg, geom):
 
 
 def pose_readout(mu, cmds, act, cpg, geom):
-    """The abstract pose of each recorded sample and the saturation count.
+    """The abstract pose of each recorded sample.
 
     ``mu`` (n,), ``cmds`` (n, 3) and ``act`` (n, 7) are rows that
     ``run_closed_loop`` recorded, ``cpg`` is the loop's float tuple and
     ``geom`` is (thigh, shank, halt eta).  Returns the (n, 18) poses, each
     the CPG pose at the sample's phase and command with the sample's
-    activations superimposed, and the number of samples whose retraction
-    had to be clamped.  The support leg follows from the phase, as it does
-    for the activations in the loop.
+    activations superimposed.  The support leg follows from the phase, as it
+    does for the activations in the loop.
 
     The columns are ``cpg_pose`` and ``apply_actions_flat`` in NumPy, with
     the phases and retractions from ``leg_retractions``; ``foot_ik_core``
     gives the hip angles of the CoM shift, one call per row with a nonzero
     shift, since ``np.arctan2`` does not match ``math.atan2``.
     """
-    mu_l, mu_r, eta_l, eta_r, saturated = leg_retractions(mu, act, cpg, geom)
+    mu_l, mu_r, eta_l, eta_r, _ = leg_retractions(mu, act, cpg, geom)
     thigh, shank, dist, ly0, lx0, _ = com_shift_reference(geom)
     (h0, h1, h2, h3, h4, _, h6, h7, h8, h9, h10, _, h12, h13, h14, h15, h16, h17,
      _, swing, sway_amp, arm_swing) = cpg[:22]
@@ -639,4 +638,4 @@ def pose_readout(mu, cmds, act, cpg, geom):
     pose = np.empty((len(mu), POSE_SIZE))
     for j, column in enumerate(columns):
         pose[:, j] = column
-    return pose, int(np.count_nonzero(saturated))
+    return pose

@@ -259,12 +259,9 @@ def gp_posterior(
         raise InvalidInputError("need at least one record")
     check_nonnegative("noise variance", noise)
     x, real, y = _records_arrays(records, plane)
-    fit = _GpFit(x, real, y, kernel, noise)
-    xq, real_q = query.x[None, :], np.array([query.delta == REAL])
-    cross = composite_gram(xq, real_q, x, real, kernel)
-    v = np.linalg.solve(fit.chol, cross.T)
-    var = composite_gram(xq, real_q, xq, real_q, kernel)[0, 0] - np.sum(v * v, axis=0)[0]
-    return float((cross @ fit.alpha)[0]), max(float(var), 0.0)
+    mean, cov = _GpFit(x, real, y, kernel, noise).predict(query.x[None, :])
+    row = 0 if query.delta == REAL else 1  # predict's rows: the query as real, then as sim
+    return float(mean[row]), max(float(cov[row, row]), 0.0)
 
 
 def evaluate_cost(
@@ -323,11 +320,11 @@ class GainProblem:
     plane: str = "alpha"
 
     def __post_init__(self):
-        self.bounds = np.asarray(self.bounds, dtype=float)
-        if self.bounds.shape != (len(self.param_names), 2):
-            raise InvalidInputError("bounds must be (n_params, 2)")
-        if np.any(self.bounds[:, 1] <= self.bounds[:, 0]):
-            raise InvalidInputError("each bound must satisfy lo < hi")
+        self.bounds = _checked_bounds(self.bounds)
+        if len(self.bounds) != len(self.param_names):
+            raise InvalidInputError(
+                f"bounds has {len(self.bounds)} rows for {len(self.param_names)} param_names"
+            )
         known = flatten(self.base_gains)
         unknown = [name for name in self.param_names if name not in known]
         if unknown:

@@ -305,15 +305,10 @@ def calibrate_extrinsics(
     _check_pose_determined(worlds, guess)
     cfg = cfg or SimplexConfig(max_iter=4000, x_tol=1e-12, f_tol=1e-16)
 
-    def pose_from(params) -> CameraPose:
-        return CameraPose(
-            position=guess.position + params[:3],
-            orientation=guess.orientation * Quaternion.from_rotvec(params[3:]),
-            intrinsics=intrinsics,
-        )
-
     def objective(params) -> float:
-        p_cam = _to_camera(worlds, pose_from(params))
+        # _to_camera of the pose at params, without building that pose
+        rotation = guess.orientation * Quaternion.from_rotvec(params[3:])
+        p_cam = rotation.rotate_inverse(worlds - (guess.position + params[:3]))
         depth = p_cam[:, 2]
         # rows behind the camera are replaced below; a non-finite value the
         # simplex reaches anyway is reported through ``converged``
@@ -327,7 +322,14 @@ def calibrate_extrinsics(
         # depend on np.sum's pairwise grouping
         return np.add.accumulate(err)[-1] / len(observations)
 
-    result: SimplexResult = nelder_mead(objective, np.zeros(6), cfg)
+    x0 = np.zeros(6)
+    at_guess = objective(x0)
+    if not math.isfinite(at_guess):
+        raise InvalidInputError(
+            f"mean squared reprojection error at the guess is {at_guess} px^2 with focal "
+            f"length {intrinsics.focal} px: the squared pixel errors overflow"
+        )
+    result: SimplexResult = nelder_mead(objective, x0, cfg)
     # one restart from the found point polishes flat valleys cheaply
     result2 = nelder_mead(objective, result.x, cfg)
     if result2.fun < result.fun:
@@ -335,7 +337,11 @@ def calibrate_extrinsics(
             result2.x, result2.fun, result.iterations + result2.iterations, result2.converged
         )
         result = result2
-    pose = pose_from(result.x)
+    pose = CameraPose(
+        position=guess.position + result.x[:3],
+        orientation=guess.orientation * Quaternion.from_rotvec(result.x[3:]),
+        intrinsics=intrinsics,
+    )
     in_front = bool(np.all(_to_camera(worlds, pose)[:, 2] > _MIN_DEPTH))
     return CalibrationResult(
         pose=pose,

@@ -34,23 +34,15 @@ class Quaternion:
         return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
 
     def normalized(self) -> "Quaternion":
-        n = self.norm()
-        if n < 1e-12:
-            return Quaternion(1.0, 0.0, 0.0, 0.0)
-        return Quaternion(self.w / n, self.x / n, self.y / n, self.z / n)
+        return Quaternion(*_normalized(self.w, self.x, self.y, self.z))
 
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.w, -self.x, -self.y, -self.z)
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
         return Quaternion(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ).normalized()
+            *_product((self.w, self.x, self.y, self.z), (other.w, other.x, other.y, other.z))
+        )
 
     def rotate(self, v) -> np.ndarray:
         """Rotate a 3-vector from the body frame into the global frame."""
@@ -74,16 +66,7 @@ class Quaternion:
     @staticmethod
     def from_rotvec(v) -> "Quaternion":
         """Quaternion for a rotation vector (axis * angle, radians)."""
-        v = np.asarray(v, dtype=float)
-        angle = float(np.linalg.norm(v))
-        if angle < 1e-12:
-            # first-order expansion keeps tiny increments exact enough
-            return Quaternion(1.0, 0.5 * v[0], 0.5 * v[1], 0.5 * v[2]).normalized()
-        axis = v / angle
-        s = math.sin(0.5 * angle)
-        return Quaternion(
-            math.cos(0.5 * angle), axis[0] * s, axis[1] * s, axis[2] * s
-        ).normalized()
+        return Quaternion(*_rotvec(np.asarray(v, dtype=float)))
 
     @staticmethod
     def identity() -> "Quaternion":
@@ -185,7 +168,7 @@ def fused_deviation(measured: FusedAngles, expected: FusedAngles) -> tuple[float
 
 
 def _normalized(w, x, y, z) -> tuple:
-    """``Quaternion.normalized`` on a (w, x, y, z) tuple of floats."""
+    """The unit quaternion along (w, x, y, z); identity for a near-zero one."""
     n = math.sqrt(w**2 + x**2 + y**2 + z**2)
     if n < 1e-12:
         return 1.0, 0.0, 0.0, 0.0
@@ -193,7 +176,7 @@ def _normalized(w, x, y, z) -> tuple:
 
 
 def _product(a, b) -> tuple:
-    """``Quaternion.__mul__`` on (w, x, y, z) tuples of floats."""
+    """The normalized Hamilton product a * b of (w, x, y, z) tuples of floats."""
     w1, x1, y1, z1 = a
     w2, x2, y2, z2 = b
     return _normalized(
@@ -205,11 +188,12 @@ def _product(a, b) -> tuple:
 
 
 def _rotvec(v: np.ndarray) -> tuple:
-    """``Quaternion.from_rotvec`` of a float 3-vector as a (w, x, y, z) tuple."""
+    """The (w, x, y, z) quaternion of a float rotation 3-vector (axis * angle)."""
     # np.linalg.norm's formula: BLAS ddot rounds its sum unlike a Python one
     angle = math.sqrt(v.dot(v))
     v0, v1, v2 = v.tolist()
     if angle < 1e-12:
+        # first-order expansion keeps tiny increments exact enough
         return _normalized(1.0, 0.5 * v0, 0.5 * v1, 0.5 * v2)
     s = math.sin(0.5 * angle)
     return _normalized(math.cos(0.5 * angle), v0 / angle * s, v1 / angle * s, v2 / angle * s)
@@ -223,9 +207,8 @@ def filter_update(s: FilterState, m: ImuSample) -> FilterState:
     per second.  Accelerometer samples with norm below 1 m/s^2 carry no usable
     gravity direction and are skipped.
 
-    The quaternion arithmetic runs on Python floats, each step in the order
-    of the ``Quaternion`` method it stands for, so the result is theirs bit
-    for bit.
+    The quaternion arithmetic runs on Python floats through the helpers that
+    ``Quaternion.normalized``, ``__mul__`` and ``from_rotvec`` call too.
     """
     a = s.attitude
     w, x, y, z = _product((a.w, a.x, a.y, a.z), _rotvec((m.gyro - s.gyro_bias) * m.dt))

@@ -220,7 +220,7 @@ class RunTrace:
     @cached_property
     def pose(self) -> np.ndarray:
         """(n, 18) abstract pose commanded at each sample."""
-        return _kernels.pose_readout(self.mu, self.cmds, self.activations, *self.pose_params)[0]
+        return _kernels.pose_readout(self.mu, self.cmds, self.activations, *self.pose_params)
 
     @cached_property
     def saturations(self) -> int:

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -269,6 +270,33 @@ def test_calib_camera_end_to_end(tmp_path, capsys):
     assert residual < 1e-3
 
 
+def _golden_observation_rows():
+    """30 seeded observations of a known pose with 0.5 px pixel noise, projected
+    without gaitlab so that the file does not move with the code under test."""
+    rng = np.random.default_rng(30)
+    a, b, c = 0.06, -0.04, 0.09
+    rx = np.array([[1, 0, 0], [0, math.cos(a), -math.sin(a)], [0, math.sin(a), math.cos(a)]])
+    ry = np.array([[math.cos(b), 0, math.sin(b)], [0, 1, 0], [-math.sin(b), 0, math.cos(b)]])
+    rz = np.array([[math.cos(c), -math.sin(c), 0], [math.sin(c), math.cos(c), 0], [0, 0, 1]])
+    world = rng.uniform(-1.0, 1.0, (30, 3)) + [0.0, 0.0, 4.0]
+    p_cam = (world - [0.1, -0.05, 0.2]) @ (rx @ ry @ rz)
+    pixels = 480.0 * p_cam[:, :2] / p_cam[:, 2:] + [320.0, 240.0] + rng.normal(0.0, 0.5, (30, 2))
+    return ["X,Y,Z,u,v"] + [",".join(map(repr, r)) for r in np.hstack([world, pixels]).tolist()]
+
+
+def test_calib_camera_prints_the_same_pose_to_the_printed_digits(tmp_path, capsys):
+    path = tmp_path / "obs.csv"
+    path.write_text("\n".join(_golden_observation_rows()) + "\n")
+    code = run_cli("calib", "camera", "--input", path, "--focal", 480, "--cx", 320, "--cy", 240,
+                   "--guess-pos", 0, 0, 0.1, "--guess-rot", 0.02, 0, 0.05)
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "position = 0.100379 -0.051155 0.198687 m",
+        "orientation_wxyz = 0.99838783 0.02876976 -0.02154087 0.04393215",
+        "rms_residual = 0.690919 px",
+    ]
+
+
 def _front_points(n, scale=1.0):
     rng = np.random.default_rng(5)
     world = rng.uniform(-1, 1, (n, 3))
@@ -294,6 +322,18 @@ def test_calib_camera_refuses_points_that_cannot_fix_a_pose(tmp_path, capsys, wo
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err.startswith("error: ") and cause in err and "Traceback" not in err
+
+
+def test_calib_camera_names_a_focal_length_that_overflows_the_error(tmp_path, capsys):
+    rows = ["X,Y,Z,u,v"] + [f"{x!r},{y!r},{z!r},{300 + 7 * i},{250 - 3 * i}"
+                            for i, (x, y, z) in enumerate(_front_points(30).tolist())]
+    path = tmp_path / "obs.csv"
+    path.write_text("\n".join(rows))
+    assert run_cli("calib", "camera", "--input", path, "--focal", 1e160, "--cx", 320, "--cy", 240) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("error: mean squared reprojection error at the guess is inf px^2 with "
+                          "focal length 1e+160 px")
 
 
 @pytest.mark.parametrize("data, cause", [

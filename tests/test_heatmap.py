@@ -470,10 +470,11 @@ def test_calibration_refuses_points_that_cannot_fix_a_pose():
 
 def test_calibration_objective_overflow_is_a_named_error_not_a_warning():
     # at this focal length every squared pixel error overflows; the objective
-    # stays quiet and the simplex names its non-finite start
+    # stays quiet and calibration names the error at the guess and the focal length
     obs = make_observations(CameraPose(intrinsics=default_intrinsics()), np.random.default_rng(4))
     intr = CameraIntrinsics(focal=1e160, cx=320.0, cy=240.0)
-    with pytest.raises(InvalidInputError, match="objective is not finite at x0"):
+    cause = r"reprojection error at the guess is inf px\^2 with focal length 1e\+160 px"
+    with pytest.raises(InvalidInputError, match=cause):
         calibrate_extrinsics(obs, intr, CameraPose(intrinsics=intr))
 
 

@@ -96,8 +96,8 @@ def propose(bounds, seed=0):
     return select_next(one_record(), CompositeKernel(), bounds, OptBudget(), seed)
 
 
-def problem():
-    return GainProblem(sim_plant=PlantParams(), real_plant=make_real_plant(PlantParams()))
+def problem(**kwargs):
+    return GainProblem(sim_plant=PlantParams(), real_plant=make_real_plant(PlantParams()), **kwargs)
 
 
 UNIT = np.array([[0.0, 1.0], [0.0, 1.0]])
@@ -108,6 +108,12 @@ OPTIMIZER_CASES = [
      lambda: propose(np.array([[-1e308, 1e308], [0.0, 1.0]]))),
     ("bounds-flat", "lo < hi", lambda: propose(np.array([[0.5, 0.5], [0.0, 1.0]]))),
     ("bounds-1d", r"one \(lo, hi\) row per gain", lambda: propose(np.array([0.0, 1.0]))),
+    ("problem-bounds-nan", "bounds must be finite", lambda: problem(bounds=[[0.0, nan], [0.0, 1.0]])),
+    ("problem-bounds-inf", "bounds must be finite", lambda: problem(bounds=[[0.0, inf], [0.0, 4.0]])),
+    ("problem-bounds-flat", "lo < hi", lambda: problem(bounds=[[0.0, 1.0], [2.0, 1.0]])),
+    ("problem-bounds-1d", r"one \(lo, hi\) row per gain", lambda: problem(bounds=[0.0, 1.0])),
+    ("problem-bounds-rows", "bounds has 3 rows for 2 param_names",
+     lambda: problem(bounds=[[0.0, 1.0]] * 3)),
     ("record-dimension", "record 0 has 2 gains, the bounds 3 rows",
      lambda: propose(np.array([[0.0, 1.0]] * 3))),
     ("select-next-seed", "seed must be >= 0", lambda: propose(UNIT, seed=-1)),
