@@ -4,13 +4,18 @@ Heatmaps are 2-D float arrays with values in [0, 1] (row-major, index
 [row, col]).  Detection coordinates are sub-pixel (cx along columns, cy
 along rows).  Connected components use 8-connectivity; morphology uses a
 fixed 3x3 square structuring element with out-of-image pixels treated as
-background.
+background.  Masks live in a bool grid with a one-pixel background border:
+``detect_blobs`` thresholds the frame into one such grid, opens it in place
+through one row buffer and finds its runs there, with no other frame-sized
+copy; the public uint8 ``erode``, ``dilate`` and ``connected_components``
+pad their input into a grid and run the same passes.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,48 +49,67 @@ def _check_heatmap(h) -> np.ndarray:
     return h
 
 
-def _check_mask(b) -> np.ndarray:
+def _mask_grid(b) -> np.ndarray:
+    """A 2-D mask as bool in the interior of a grid with a one-pixel background border."""
     b = np.asarray(b)
     if b.ndim != 2:
         raise InvalidInputError("mask must be 2-D")
-    return b.astype(bool)
+    grid = np.zeros((b.shape[0] + 2, b.shape[1] + 2), bool)
+    grid[1:-1, 1:-1] = b
+    return grid
+
+
+def _checked_frame(h, t: float) -> np.ndarray:
+    h = _check_heatmap(h)
+    if not 0.0 <= t <= 1.0:
+        raise InvalidInputError("threshold must be in [0, 1]")
+    return h
 
 
 def threshold(h, t: float) -> np.ndarray:
     """Binarize: 1 where value >= t."""
-    h = _check_heatmap(h)
-    if not 0.0 <= t <= 1.0:
-        raise InvalidInputError("threshold must be in [0, 1]")
-    return (h >= t).astype(np.uint8)
+    return (_checked_frame(h, t) >= t).astype(np.uint8)
 
 
-def _box3(b: np.ndarray, op) -> np.ndarray:
-    """3x3 box filter of a bool mask, rows then columns; out-of-image pixels are False."""
-    padded = np.zeros((b.shape[0] + 2, b.shape[1] + 2), bool)
-    padded[1:-1, 1:-1] = b
-    rows = op(op(padded[:, :-2], padded[:, 1:-1]), padded[:, 2:])
-    return op(op(rows[:-2], rows[1:-1]), rows[2:]).astype(np.uint8)
+def _box3(grid: np.ndarray, rows: np.ndarray, op) -> None:
+    """3x3 box filter of a bordered bool grid's interior, in place.
+
+    Rows then columns, through the (H+2, W) buffer ``rows``; the border
+    stays False, so out-of-image pixels count as background.
+    """
+    op(grid[:, :-2], grid[:, 1:-1], out=rows)
+    op(rows, grid[:, 2:], out=rows)
+    inner = grid[1:-1, 1:-1]
+    op(rows[:-2], rows[1:-1], out=inner)
+    op(inner, rows[2:], out=inner)
+
+
+def _morph(b, op) -> np.ndarray:
+    grid = _mask_grid(b)
+    _box3(grid, np.empty((grid.shape[0], grid.shape[1] - 2), bool), op)
+    return grid[1:-1, 1:-1].astype(np.uint8)
 
 
 def erode(b) -> np.ndarray:
     """3x3 erosion; the border counts as background."""
-    return _box3(_check_mask(b), np.logical_and)
+    return _morph(b, np.logical_and)
 
 
 def dilate(b) -> np.ndarray:
     """3x3 dilation; nothing grows in from outside the image."""
-    return _box3(_check_mask(b), np.logical_or)
+    return _morph(b, np.logical_or)
 
 
-def _label_runs(mask):
-    """8-connected labeling of a 0/1 mask by horizontal runs.
+def _label_runs(grid):
+    """8-connected labeling of a bool mask by horizontal runs.
 
+    ``grid`` is the mask with a background column on each side, C-contiguous.
     Returns (labels, rows, cols), one entry per foreground pixel in scan
-    order; labels number the components 0, 1, ... in scan order of their
-    first pixel.  This is the run-based two-scan labeling of He, Chao &
-    Suzuki (IEEE Trans. Image Process. 2008).  The runs are found on a grid
-    padded with a background column on each side, so a run is a flat range
-    [start, end) and, one row stride back, that range widened by one pixel
+    order, cols counted inside the border; labels number the components 0,
+    1, ... in scan order of their first pixel.  This is the run-based
+    two-scan labeling of He, Chao & Suzuki (IEEE Trans. Image Process.
+    2008).  Thanks to the border columns a run is a flat range [start, end)
+    of the grid and, one row stride back, that range widened by one pixel
     each way holds exactly the runs above that touch it; two searchsorted
     calls find them.  Union-find then works on runs, not pixels.  A union
     links the larger root under the smaller, so a component's root is its
@@ -94,10 +118,9 @@ def _label_runs(mask):
     pixels long, so the Python loop visits at most a third of the
     foreground.
     """
-    s = mask.shape[1] + 2
-    grid = np.zeros((mask.shape[0], s), bool)
-    grid[:, 1:-1] = mask
-    edges = np.flatnonzero(np.diff(grid.ravel())) + 1  # a bool diff is True where it changes
+    s = grid.shape[1]
+    cells = grid.ravel()
+    edges = np.flatnonzero(cells[1:] != cells[:-1]) + 1
     starts, ends = edges[0::2], edges[1::2]
     lo = np.searchsorted(ends, starts - s).tolist()
     hi = np.searchsorted(starts, ends - s, "right").tolist()
@@ -129,7 +152,7 @@ def connected_components(b) -> list[np.ndarray]:
     Returns one (n, 2) array of (row, col) indices per component, pixels in
     row-major order, components ordered by their first pixel in scan order.
     """
-    labels, rows, cols = _label_runs(_check_mask(b))
+    labels, rows, cols = _label_runs(_mask_grid(b)[1:-1])
     if labels.size == 0:
         return []
     # a stable sort keeps each component's pixels in scan order
@@ -185,13 +208,20 @@ def detect_blobs(h, t: float = 0.2, min_pixels: int = 1) -> list[Detection]:
     """Threshold, open (erode then dilate), label, and take centroids.
 
     The same as subpixel_centroid of each component of the opened mask with
-    at least min_pixels pixels, bit for bit.
+    at least min_pixels pixels, bit for bit.  The mask is made, opened and
+    labeled in one bordered bool grid, with one row buffer for both
+    morphology passes.
     """
     if not isinstance(min_pixels, (int, np.integer)) or min_pixels < 0:
         raise InvalidInputError(f"min_pixels must be an integer >= 0, got {min_pixels!r}")
-    h = _as_heatmap(h)
-    # threshold checks the whole frame for finiteness
-    labels, rows, cols = _label_runs(dilate(erode(threshold(h, t))))
+    h = _checked_frame(h, t)  # checks the whole frame for finiteness
+    grid = np.zeros((h.shape[0] + 2, h.shape[1] + 2), bool)
+    np.greater_equal(h, t, out=grid[1:-1, 1:-1])
+    buf = np.empty((grid.shape[0], h.shape[1]), bool)
+    _box3(grid, buf, np.logical_and)
+    _box3(grid, buf, np.logical_or)
+    del buf  # so labeling peaks at the grid and its run-edge comparison
+    labels, rows, cols = _label_runs(grid[1:-1])
     return _detections(h[rows, cols], labels, rows, cols, min_pixels)
 
 
@@ -400,7 +430,12 @@ def write_pgm(h, path) -> None:
 
 def read_heatmap_csv(path) -> np.ndarray:
     try:
-        h = np.loadtxt(path, delimiter=",", dtype=float)
+        with warnings.catch_warnings():
+            # loadtxt warns and returns an empty array for a file without values
+            warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
+            h = np.loadtxt(path, delimiter=",", dtype=float)
+    except UserWarning:
+        raise InvalidInputError(f"heatmap CSV {path} holds no values") from None
     except ValueError as exc:  # a non-numeric cell or rows of different lengths
         raise InvalidInputError(f"malformed heatmap CSV {path}: {str(exc).split(';')[0]}") from None
     return _check_heatmap(np.atleast_2d(h))

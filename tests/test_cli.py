@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -350,6 +351,17 @@ def test_blob_malformed_csv_is_an_input_error(tmp_path, capsys, data, cause):
     assert not (tmp_path / "det.csv").exists()
 
 
+@pytest.mark.parametrize("data", [b"", b"\n\n\n"])
+def test_blob_csv_without_values_is_an_input_error_naming_the_file(tmp_path, capsys, data):
+    path = tmp_path / "empty.csv"
+    path.write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("blob", "--input", path, "--out", tmp_path / "det.csv") == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: heatmap CSV {path} holds no values\n"
+    assert not (tmp_path / "det.csv").exists()
+
 def test_blob_truncated_pgm_header_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "cut.pgm"
     path.write_bytes(b"P5\n4 3" + b"\n" * 100_000)
@@ -496,3 +508,26 @@ def test_optimize_rejects_bad_regularization_before_any_run(tmp_path, capsys, mo
     assert run_cli("gait", "optimize", "--reg", reg, "--out", tmp_path) == 1
     assert "regularization must be finite and >= 0" in capsys.readouterr().err
     assert not (tmp_path / "history.csv").exists()
+
+
+def seeded_blob_frame(seed, shape):
+    """Gaussian blobs on a zero background, quantized to 1/255 steps."""
+    rng = np.random.default_rng(seed)
+    yy, xx = np.mgrid[0 : shape[0], 0 : shape[1]]
+    frame = np.zeros(shape)
+    for _ in range(int(rng.integers(10, 15))):
+        cx, cy = rng.uniform(20, shape[1] - 20), rng.uniform(20, shape[0] - 20)
+        sigma = rng.uniform(2.5, 6.0)
+        frame += rng.uniform(0.6, 0.92) * np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * sigma**2))
+    return np.round(np.clip(frame, 0.0, 1.0) * 255.0).astype(np.uint8)
+
+
+def test_blob_detections_csv_is_pinned(tmp_path, capsys):
+    pgm = tmp_path / "frame.pgm"
+    write_pgm(seeded_blob_frame(19, (480, 640)) / 255.0, pgm)
+    csv_in = tmp_path / "frame.csv"
+    np.savetxt(csv_in, seeded_blob_frame(20, (120, 160)) / 255.0, fmt="%.6f", delimiter=",")
+    out_csv = tmp_path / "det.csv"
+    assert run_cli("blob", "--input", pgm, "--input", csv_in, "--threshold", 0.3, "--out", out_csv) == 0
+    digest = hashlib.sha256(out_csv.read_bytes()).hexdigest()
+    assert digest == "7475c04f4a4db7a242b8d61060f06f489e5ca1960b215bb4e703dc9766dc6028"

@@ -1,5 +1,7 @@
 import math
 import time
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -301,6 +303,53 @@ def test_centroid_inside_bounding_box():
             assert comp[:, 0].min() - 1e-9 <= det.cy <= comp[:, 0].max() + 1e-9
 
 
+
+def blob_frame(rng, shape=(480, 640)):
+    """A typical detector frame: 10-14 Gaussian blobs on a zero background."""
+    frame = np.zeros(shape)
+    for _ in range(int(rng.integers(10, 15))):
+        cx, cy = rng.uniform(20, shape[1] - 20), rng.uniform(20, shape[0] - 20)
+        frame += rng.uniform(0.6, 0.92) * gaussian_blob(shape, cx, cy, rng.uniform(2.5, 6.0))
+    return frame
+
+
+def frame_layouts(h):
+    """h, and the same frame transposed, Fortran-ordered, strided, scaled to uint8, read back
+    from an 8-bit PGM (where t = 0.2 is a pixel value, 51/255) and cut to 1xN and Nx1."""
+    yield h
+    yield h.T
+    yield np.asfortranarray(h)
+    yield h[::2, ::3]
+    scaled = np.round(np.clip(h, 0.0, 1.0) * 255.0).astype(np.uint8)
+    yield scaled
+    yield scaled / 255.0
+    yield h[h.shape[0] // 2 : h.shape[0] // 2 + 1]
+    yield h[:, h.shape[1] // 2 : h.shape[1] // 2 + 1]
+
+
+def test_detect_blobs_is_the_public_pipeline_bit_for_bit_at_frame_scale():
+    rng = np.random.default_rng(19)
+    frames = [blob_frame(rng) for _ in range(3)]
+    frames.append(np.kron(rng.random((240, 320)) < 0.63, np.ones((2, 2))))  # dense 2x2-cell noise
+    frames.append(serpentine(128).astype(float))
+    for base in frames:
+        for h in frame_layouts(base):
+            for t in (0.2, 0.5):
+                comps = connected_components(dilate(erode(threshold(h, t))))
+                assert detect_blobs(h, t) == [subpixel_centroid(h, c) for c in comps]
+
+
+def test_detect_blobs_peak_memory_is_at_most_four_bytes_per_pixel():
+    h = blob_frame(np.random.default_rng(21))
+    detect_blobs(h, 0.2)
+    tracemalloc.start()
+    try:
+        detect_blobs(h, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * h.size, f"detect_blobs peaked at {peak} bytes on a {h.shape} frame"
+
 def default_intrinsics():
     return CameraIntrinsics(focal=500.0, cx=320.0, cy=240.0)
 
@@ -534,6 +583,16 @@ def test_heatmap_csv_reader(tmp_path):
     h = read_heatmap_csv(path)
     assert h.shape == (2, 2)
     assert h[1, 0] == 1.0
+
+
+@pytest.mark.parametrize("text", ["", "\n\n\n"])
+def test_heatmap_csv_without_values_names_the_file(tmp_path, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=f"heatmap CSV {path} holds no values"):
+            read_heatmap_csv(path)
 
 
 def test_detections_csv(tmp_path):
