@@ -79,7 +79,6 @@ from .pose import (
 from .plant import (
     Disturbance,
     PlantParams,
-    RealGap,
     RunTrace,
     TorsoState,
     make_real_plant,

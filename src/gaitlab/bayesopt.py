@@ -40,16 +40,9 @@ from .plant import (
 
 SIM = "sim"
 REAL = "real"
-_PLANES = ("alpha", "beta")  # cost index of each plane
 _NOISE = 1e-4  # GP observation noise variance
 _N_CANDIDATES = 128  # seeded uniform candidates per proposal, plus up to two incumbents
 _N_SAMPLES = 192  # joint posterior draws that score them
-
-
-def _plane_index(plane: str) -> int:
-    if plane not in _PLANES:
-        raise InvalidInputError("plane must be 'alpha' or 'beta'")
-    return _PLANES.index(plane)
 
 
 @dataclass
@@ -92,7 +85,7 @@ class EvalRecord:
     cost: tuple[float, float]  # (J_alpha, J_beta)
 
     def __post_init__(self):
-        if np.shape(self.cost) != (2,):  # the planes index it
+        if np.shape(self.cost) != (2,):  # history.csv writes both
             raise InvalidInputError(f"cost must be (J_alpha, J_beta), got {self.cost}")
         if not all(math.isfinite(c) for c in self.cost):
             raise InvalidInputError("costs must be finite")
@@ -239,11 +232,11 @@ class _GpFit:
         return cross @ self.alpha, cov
 
 
-def _records_arrays(records, plane):
+def _records_arrays(records):
+    """Gains, real flags and J_alpha, the cost the optimizer minimizes, of ``records``."""
     x = np.array([r.point.x for r in records], dtype=float)
     real = np.array([r.point.delta == REAL for r in records])
-    idx = _plane_index(plane)
-    y = np.array([r.cost[idx] for r in records], dtype=float)
+    y = np.array([r.cost[0] for r in records], dtype=float)
     return x, real, y
 
 
@@ -252,13 +245,12 @@ def gp_posterior(
     kernel: CompositeKernel,
     noise: float,
     query: AugmentedPoint,
-    plane: str = "alpha",
 ) -> tuple[float, float]:
-    """Posterior mean and variance of the cost at one augmented query point."""
+    """Posterior mean and variance of J_alpha at one augmented query point."""
     if not records:
         raise InvalidInputError("need at least one record")
     check_nonnegative("noise variance", noise)
-    x, real, y = _records_arrays(records, plane)
+    x, real, y = _records_arrays(records)
     mean, cov = _GpFit(x, real, y, kernel, noise).predict(query.x[None, :])
     row = 0 if query.delta == REAL else 1  # predict's rows: the query as real, then as sim
     return float(mean[row]), max(float(cov[row, row]), 0.0)
@@ -317,7 +309,6 @@ class GainProblem:
     disturbances: list = field(default_factory=default_disturbance_schedule)
     regularization: float = 0.02
     fall_penalty: float = 50.0
-    plane: str = "alpha"
 
     def __post_init__(self):
         self.bounds = _checked_bounds(self.bounds)
@@ -331,7 +322,6 @@ class GainProblem:
             raise InvalidInputError(f"unknown gain name(s) {unknown}; known: {', '.join(known)}")
         for corner in self.bounds.T:  # both ends of every range must be valid gains
             self.gains_with(corner)
-        _plane_index(self.plane)
         check_nonnegative("regularization", self.regularization)
         check_nonnegative("fall_penalty", self.fall_penalty)
 
@@ -480,7 +470,6 @@ def select_next(
     bounds: np.ndarray,
     budget: OptBudget,
     seed: int = 0,
-    plane: str = "alpha",
 ) -> AugmentedPoint:
     """Propose the next augmented query point.
 
@@ -507,7 +496,7 @@ def select_next(
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), len(records)]))
     cand = rng.random((_N_CANDIDATES, d))  # unit box; kernel scales refer to it
 
-    x_tr, real_tr, y_tr = _records_arrays(records, plane)
+    x_tr, real_tr, y_tr = _records_arrays(records)
     x_tr = (x_tr - lo) / span
 
     # keep the incumbents in the candidate set so real queries can exploit
@@ -562,11 +551,11 @@ class OptResult:
         return sum(1 for r in self.history if r.point.delta == SIM)
 
 
-def _result(records: list[EvalRecord], cost_idx: int) -> OptResult:
-    """The best real-evaluated record if any, else the best overall."""
+def _result(records: list[EvalRecord]) -> OptResult:
+    """The record of lowest J_alpha among the real-evaluated ones if any, else among all."""
     real = [r for r in records if r.point.delta == REAL]
-    best = min(real or records, key=lambda r: r.cost[cost_idx])
-    return OptResult(best.point.x.copy(), best.cost[cost_idx], best.point.delta, records)
+    best = min(real or records, key=lambda r: r.cost[0])
+    return OptResult(best.point.x.copy(), best.cost[0], best.point.delta, records)
 
 
 def optimize(problem: GainProblem, budget: OptBudget | None = None, seed: int = 0) -> OptResult:
@@ -595,15 +584,13 @@ def optimize(problem: GainProblem, budget: OptBudget | None = None, seed: int = 
             elif iteration == 1 and budget.max_real > 0:
                 point = AugmentedPoint(x0, REAL)
             else:
-                point = select_next(
-                    records, kernel, problem.bounds, budget, seed=seed, plane=problem.plane
-                )
+                point = select_next(records, kernel, problem.bounds, budget, seed=seed)
             if point.delta == REAL:
                 cost = problem.evaluate(point.x, REAL, _derived_seed(seed, iteration, 0))
             else:
                 cost = _eval_sim_averaged(pool, point.x, budget.sim_average_n, seed, iteration)
             records.append(EvalRecord(point, cost))
-    return _result(records, _plane_index(problem.plane))
+    return _result(records)
 
 
 def random_search(problem: GainProblem, budget: OptBudget | None = None, seed: int = 0) -> OptResult:
@@ -623,7 +610,7 @@ def random_search(problem: GainProblem, budget: OptBudget | None = None, seed: i
     with _RunPool(problem, budget.max_real) as pool:
         costs = pool.costs([(x, REAL, _derived_seed(seed, i, 0)) for i, x in enumerate(xs)])
     records = [EvalRecord(AugmentedPoint(x, REAL), cost) for x, cost in zip(xs, costs)]
-    return _result(records, _plane_index(problem.plane))
+    return _result(records)
 
 
 def history_to_csv(result: OptResult, param_names, path) -> None:

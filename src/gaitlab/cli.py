@@ -143,7 +143,7 @@ def cmd_gait_optimize(args) -> int:
                 },
                 "best_cost": result.best_cost,
                 "best_delta": result.best_delta,
-                "plane": problem.plane,
+                "plane": "alpha",
                 "real_evaluations": result.real_count,
                 "sim_evaluations": result.sim_count,
                 "seed": args.seed,
@@ -156,9 +156,8 @@ def cmd_gait_optimize(args) -> int:
     print(f"real evaluations: {result.real_count}")
     print(f"sim evaluations: {result.sim_count}")
     print(
-        "best J_%s = %.6f at %s (%s)"
+        "best J_alpha = %.6f at %s (%s)"
         % (
-            problem.plane,
             result.best_cost,
             ", ".join("%s=%.4f" % nv for nv in zip(problem.param_names, result.best_x)),
             result.best_delta,
@@ -206,16 +205,20 @@ def cmd_calib_torque(args) -> int:
 
 
 def cmd_calib_camera(args) -> int:
+    if not all(map(math.isfinite, args.guess_pos)):
+        raise GaitlabError(f"--guess-pos must be finite, got {args.guess_pos}")
+    rot = np.array(args.guess_rot)
+    with np.errstate(over="ignore"):
+        angle_sq = rot.dot(rot)  # from_rotvec takes its root
+    if not math.isfinite(angle_sq):
+        raise GaitlabError(
+            "--guess-rot must be a rotation vector whose squared angle is finite, "
+            f"got {args.guess_rot}"
+        )
     data = _read_csv_rows(args.input, 5)
     intr = CameraIntrinsics(focal=args.focal, cx=args.cx, cy=args.cy)
-    guess = CameraPose(
-        position=np.array(args.guess_pos),
-        orientation=Quaternion.from_rotvec(args.guess_rot),
-        intrinsics=intr,
-    )
-    result = calibrate_extrinsics(
-        [(row[:3], row[3:5]) for row in data], intr, guess
-    )
+    guess = CameraPose(np.array(args.guess_pos), Quaternion.from_rotvec(rot), intr)
+    result = calibrate_extrinsics([(row[:3], row[3:5]) for row in data], intr, guess)
     px, py, pz = result.pose.position
     q = result.pose.orientation
     print(f"position = {px:.6f} {py:.6f} {pz:.6f} m")
@@ -231,7 +234,7 @@ def cmd_blob(args) -> int:
     _check_nonnegative_flag("--min-pixels", args.min_pixels)
     detections = {}
     for channel, path in enumerate(args.input):
-        if path.endswith(".pgm"):
+        if path.lower().endswith(".pgm"):
             h = read_pgm(path)
         else:
             h = read_heatmap_csv(path)

@@ -249,6 +249,8 @@ class CameraPose:
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float)
+        if not np.isfinite(self.position).all():
+            raise InvalidInputError(f"camera position must be finite, got {self.position}")
 
 
 def _to_camera(points, pose: CameraPose) -> np.ndarray:

@@ -27,26 +27,20 @@ def least_squares_line(xs, ys) -> tuple[float, float]:
     return slope, y_mean - slope * x_mean
 
 
+# the standard coefficients of Nelder & Mead (1965)
+_REFLECTION = 1.0
+_EXPANSION = 2.0
+_CONTRACTION = 0.5
+_SHRINK = 0.5
+
+
 @dataclass
 class SimplexConfig:
-    reflection: float = 1.0
-    expansion: float = 2.0
-    contraction: float = 0.5
-    shrink: float = 0.5
     max_iter: int = 1000
     x_tol: float = 1e-9
     f_tol: float = 1e-18
 
     def __post_init__(self):
-        check_nonnegative("reflection coefficient", self.reflection, positive=True)
-        if not 1.0 < self.expansion < math.inf:
-            raise InvalidInputError(
-                f"expansion coefficient must be finite and > 1, got {self.expansion}"
-            )
-        if not 0 < self.contraction < 1:
-            raise InvalidInputError("contraction coefficient must be in (0, 1)")
-        if not 0 < self.shrink < 1:
-            raise InvalidInputError("shrink coefficient must be in (0, 1)")
         check_nonnegative("x_tol", self.x_tol)
         check_nonnegative("f_tol", self.f_tol)
 
@@ -94,11 +88,11 @@ def nelder_mead(f, x0, cfg: SimplexConfig | None = None) -> SimplexResult:
         iterations += 1
 
         centroid = verts[:-1].mean(axis=0)
-        xr = centroid + cfg.reflection * (centroid - verts[-1])
+        xr = centroid + _REFLECTION * (centroid - verts[-1])
         fr = float(f(xr))
 
         if fr < vals[0]:
-            xe = centroid + cfg.expansion * (xr - centroid)
+            xe = centroid + _EXPANSION * (xr - centroid)
             fe = float(f(xe))
             if fe < fr:
                 verts[-1], vals[-1] = xe, fe
@@ -108,16 +102,16 @@ def nelder_mead(f, x0, cfg: SimplexConfig | None = None) -> SimplexResult:
             verts[-1], vals[-1] = xr, fr
         else:
             if fr < vals[-1]:
-                xc = centroid + cfg.contraction * (xr - centroid)
+                xc = centroid + _CONTRACTION * (xr - centroid)
             else:
-                xc = centroid + cfg.contraction * (verts[-1] - centroid)
+                xc = centroid + _CONTRACTION * (verts[-1] - centroid)
             fc = float(f(xc))
             if fc < min(fr, vals[-1]):
                 verts[-1], vals[-1] = xc, fc
             else:
                 # shrink everything toward the best vertex
                 for i in range(1, n + 1):
-                    verts[i] = verts[0] + cfg.shrink * (verts[i] - verts[0])
+                    verts[i] = verts[0] + _SHRINK * (verts[i] - verts[0])
                     vals[i] = float(f(verts[i]))
 
     order = np.argsort(vals, kind="stable")

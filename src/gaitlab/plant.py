@@ -128,28 +128,24 @@ class Disturbance:
         }[self.direction]
 
 
-@dataclass
-class RealGap:
-    """Deterministic perturbation turning the sim plant into the 'real' one."""
-
-    natural_freq_scale: float = 1.12
-    effectiveness_scale: float = 0.85
-    coupling_scale: float = 1.2
-    noise_scale: float = 1.3
-    seed_offset: int = 10007
+# the fixed sim-to-real gap: scales of the real plant's parameters over the sim's
+REAL_NATURAL_FREQ_SCALE = 1.12
+REAL_EFFECTIVENESS_SCALE = 0.85
+REAL_COUPLING_SCALE = 1.2
+REAL_NOISE_SCALE = 1.3
+REAL_SEED_OFFSET = 10007
 
 
-def make_real_plant(p: PlantParams, gap: RealGap | None = None) -> PlantParams:
-    """Apply the sim-to-real gap to a base plant; zero gap returns it unchanged."""
-    gap = gap or RealGap()
+def make_real_plant(p: PlantParams) -> PlantParams:
+    """The 'real' plant of the sim plant ``p``: ``p`` across the fixed gap above."""
     return replace(
         p,
-        natural_freq_pitch=p.natural_freq_pitch * gap.natural_freq_scale,
-        natural_freq_roll=p.natural_freq_roll * gap.natural_freq_scale,
-        action_effectiveness=p.action_effectiveness * gap.effectiveness_scale,
-        gait_coupling=p.gait_coupling * gap.coupling_scale,
-        noise_std=p.noise_std * gap.noise_scale,
-        seed=p.seed + gap.seed_offset,
+        natural_freq_pitch=p.natural_freq_pitch * REAL_NATURAL_FREQ_SCALE,
+        natural_freq_roll=p.natural_freq_roll * REAL_NATURAL_FREQ_SCALE,
+        action_effectiveness=p.action_effectiveness * REAL_EFFECTIVENESS_SCALE,
+        gait_coupling=p.gait_coupling * REAL_COUPLING_SCALE,
+        noise_std=p.noise_std * REAL_NOISE_SCALE,
+        seed=p.seed + REAL_SEED_OFFSET,
     )
 
 

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import json
 import math
 import warnings
 
@@ -184,11 +186,32 @@ def test_optimize_zero_real_budget(tmp_path, capsys):
     assert "real evaluations: 0" in out
     assert (tmp_path / "history.csv").exists()
     assert (tmp_path / "best_gains.cfg").exists()
-    import json
-
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["real_evaluations"] == 0
     assert set(summary["best_gains"]) == {"arm_angle_y.kp", "arm_angle_y.kd"}
+
+
+@pytest.mark.parametrize("flags", [
+    ("--max-real", 3, "--max-total", 8),
+    ("--max-real", 0, "--max-total", 6),
+    ("--baseline", "random", "--max-real", 4),
+], ids=["gp", "sim-only", "random"])
+def test_optimize_summary_reports_the_lowest_j_alpha(tmp_path, capsys, flags):
+    # compared through history.csv's %.12g, not a digest: the GP's BLAS calls
+    # may round their last bits differently on other CPUs
+    assert run_cli("gait", "optimize", "--seed", 0, *flags, "--out", tmp_path) == 0
+    out = capsys.readouterr().out
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    with open(tmp_path / "history.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    real = [r for r in rows if r["delta"] == "real"]
+    best = min(real or rows, key=lambda r: float(r["J_alpha"]))
+    assert float("%.12g" % summary["best_cost"]) == float(best["J_alpha"])
+    assert summary["best_delta"] == best["delta"]
+    assert summary["plane"] == "alpha"
+    assert (summary["real_evaluations"], summary["sim_evaluations"]) == (
+        len(real), len(rows) - len(real))
+    assert "best J_alpha = %.6f at " % summary["best_cost"] in out
 
 
 def test_optimize_rejects_nan_sim_bias(tmp_path, capsys):
@@ -296,6 +319,24 @@ def test_calib_camera_prints_the_same_pose_to_the_printed_digits(tmp_path, capsy
         "orientation_wxyz = 0.99838783 0.02876976 -0.02154087 0.04393215",
         "rms_residual = 0.690919 px",
     ]
+
+
+@pytest.mark.parametrize("flag, values, cause", [
+    ("--guess-rot", ("inf", 0, 0), "--guess-rot must be a rotation vector"),
+    ("--guess-rot", (1e300, 1e300, 0), "--guess-rot must be a rotation vector"),
+    ("--guess-rot", ("nan", 0, 0), "--guess-rot must be a rotation vector"),
+    ("--guess-pos", ("nan", 0, 0), "--guess-pos must be finite"),
+], ids=["rot-inf", "rot-angle-overflow", "rot-nan", "pos-nan"])
+def test_calib_camera_names_a_bad_guess_flag(tmp_path, capsys, flag, values, cause):
+    path = tmp_path / "obs.csv"
+    path.write_text("\n".join(_golden_observation_rows()) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("calib", "camera", "--input", path, "--focal", 480, "--cx", 320,
+                       "--cy", 240, flag, *values)
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {cause}") and "Traceback" not in err
 
 
 def _front_points(n, scale=1.0):
@@ -413,8 +454,6 @@ def test_gait_run_overflow_to_inf_is_an_error_not_a_fall(tmp_path, capsys):
 
 
 def test_optimize_best_gains_config_loads_back(tmp_path):
-    import json
-
     from gaitlab.config import load_config
 
     # this budget's best point has more digits than 12 significant ones
@@ -531,3 +570,13 @@ def test_blob_detections_csv_is_pinned(tmp_path, capsys):
     assert run_cli("blob", "--input", pgm, "--input", csv_in, "--threshold", 0.3, "--out", out_csv) == 0
     digest = hashlib.sha256(out_csv.read_bytes()).hexdigest()
     assert digest == "7475c04f4a4db7a242b8d61060f06f489e5ca1960b215bb4e703dc9766dc6028"
+
+
+def test_blob_reads_a_pgm_suffix_in_any_case(tmp_path):
+    frame = seeded_blob_frame(19, (120, 160)) / 255.0
+    for name in ("lower.pgm", "upper.PGM"):
+        write_pgm(frame, tmp_path / name)
+        assert run_cli("blob", "--input", tmp_path / name, "--out", tmp_path / f"{name}.csv") == 0
+    detections = (tmp_path / "lower.pgm.csv").read_bytes()
+    assert len(detections.splitlines()) > 1
+    assert (tmp_path / "upper.PGM.csv").read_bytes() == detections

@@ -106,10 +106,3 @@ def test_max_iter_flags_non_converged():
     res = nelder_mead(rosenbrock, [-1.2, 1.0], SimplexConfig(max_iter=3))
     assert not res.converged
     assert res.iterations == 3
-
-
-def test_simplex_config_validation():
-    with pytest.raises(InvalidInputError):
-        SimplexConfig(expansion=0.9)
-    with pytest.raises(InvalidInputError):
-        SimplexConfig(contraction=1.5)

@@ -24,9 +24,9 @@ from gaitlab.feedback import (
 from gaitlab.plant import (
     DT,
     MAX_SEGMENT_STEPS,
+    REAL_NATURAL_FREQ_SCALE,
     Disturbance,
     PlantParams,
-    RealGap,
     TorsoState,
     make_real_plant,
     phase_plot_series,
@@ -473,17 +473,11 @@ def test_phase_plot_of_sinusoid_is_an_ellipse():
 
 def test_make_real_plant_gap():
     base = PlantParams(seed=3)
-    same = make_real_plant(base, RealGap(1.0, 1.0, 1.0, 1.0, 0))
-    assert same.natural_freq_pitch == base.natural_freq_pitch
-    assert same.natural_freq_roll == base.natural_freq_roll
-    assert np.array_equal(same.action_effectiveness, base.action_effectiveness)
-    assert same.seed == base.seed
-
     real = make_real_plant(base)
     real2 = make_real_plant(base)
     assert real.to_array().tolist() == real2.to_array().tolist()  # deterministic perturbation
-    assert real.natural_freq_pitch == base.natural_freq_pitch * RealGap().natural_freq_scale
-    assert real.natural_freq_roll == base.natural_freq_roll * RealGap().natural_freq_scale
+    assert real.natural_freq_pitch == base.natural_freq_pitch * REAL_NATURAL_FREQ_SCALE
+    assert real.natural_freq_roll == base.natural_freq_roll * REAL_NATURAL_FREQ_SCALE
 
     seq = standard_test_sequence()
     cost_sim = np.trapezoid(

@@ -22,7 +22,7 @@ from gaitlab.bayesopt import (
 from gaitlab.cpg import CpgParams, GaitCommand, step_phase
 from gaitlab.errors import InvalidInputError
 from gaitlab.feedback import Activations, DeviationFilters, zero_gains
-from gaitlab.heatmap import CameraIntrinsics
+from gaitlab.heatmap import CameraIntrinsics, CameraPose
 from gaitlab.numopt import SimplexConfig
 from gaitlab.plant import PlantParams, make_real_plant, run_sequence
 from gaitlab.pose import LegGeometry
@@ -48,6 +48,8 @@ CASES = [
     ("focal-inf", "focal", lambda: CameraIntrinsics(inf, 320.0, 240.0)),
     ("cx-nan", "cx", lambda: CameraIntrinsics(500.0, nan, 240.0)),
     ("cy-inf", "cy", lambda: CameraIntrinsics(500.0, 320.0, -inf)),
+    ("camera-position-nan", "position", lambda: CameraPose(position=[nan, 0.0, 0.0])),
+    ("camera-position-inf", "position", lambda: CameraPose(position=[0.0, inf, 0.0])),
     ("k_t-nan", "k_t", lambda: TorqueModel(k_t=nan)),
     ("k_t-inf", "k_t", lambda: TorqueModel(k_t=inf)),
     ("rq-variance-nan", "variance", lambda: RqKernelParams(variance=nan)),
@@ -55,11 +57,6 @@ CASES = [
     ("rq-shape-nan", "shape", lambda: RqKernelParams(shape=nan)),
     ("timing-factor-nan", "timing_factor", lambda: Activations(timing_factor=nan)),
     ("timing-factor-inf", "timing_factor", lambda: Activations(timing_factor=inf)),
-    ("simplex-reflection-nan", "reflection", lambda: SimplexConfig(reflection=nan)),
-    ("simplex-expansion-nan", "expansion", lambda: SimplexConfig(expansion=nan)),
-    ("simplex-expansion-inf", "expansion", lambda: SimplexConfig(expansion=inf)),
-    ("simplex-contraction-nan", "contraction", lambda: SimplexConfig(contraction=nan)),
-    ("simplex-shrink-nan", "shrink", lambda: SimplexConfig(shrink=nan)),
     ("simplex-x-tol-nan", "x_tol", lambda: SimplexConfig(x_tol=nan)),
     ("simplex-f-tol-nan", "f_tol", lambda: SimplexConfig(f_tol=nan)),
     ("filters-dt-nan", "dt", lambda: DeviationFilters().update(0.0, 0.0, nan)),
@@ -119,7 +116,7 @@ OPTIMIZER_CASES = [
     ("select-next-seed", "seed must be >= 0", lambda: propose(UNIT, seed=-1)),
     ("optimize-seed", "seed must be >= 0", lambda: optimize(problem(), seed=-1)),
     ("random-search-seed", "seed must be >= 0", lambda: random_search(problem(), seed=-1)),
-    ("record-one-cost", r"cost must be \(J_alpha, J_beta\)",  # the beta plane would index past it
+    ("record-one-cost", r"cost must be \(J_alpha, J_beta\)",  # history.csv writes both
      lambda: EvalRecord(AugmentedPoint([0.5, 0.5], "sim"), (1.0,))),
     ("point-nan", "x must be a finite gain vector", lambda: AugmentedPoint([nan, 0.5], "sim")),
     ("point-matrix", "x must be a finite gain vector", lambda: AugmentedPoint(UNIT, "sim")),
