@@ -27,10 +27,11 @@ tuples: indexing a float64 array and doing arithmetic on the resulting
 NumPy scalars costs several times as much as the same work on Python
 floats.  For the same reason the loop reads its input arrays once through
 ``tolist()``, records its rows in flat lists and turns each into an array
-once at the end.  The dataclasses still pack their parameters into float64
-vectors (``to_array``); callers turn those into float tuples once with
-``float_tuple``, and the loop and the readout derive everything that is
-fixed for a run once before their first step:
+once at the end with ``np.fromiter``, which reads a list of floats faster
+than ``np.array`` and gives the same bits.  The dataclasses still pack
+their parameters into float64 vectors (``to_array``); callers turn those
+into float tuples once with ``float_tuple``, and the loop and the readout
+derive everything that is fixed for a run once before their first step:
 
     swing_window(cpg)          -> (swing_start, swing_len) of cpg_pose
     filter_coeffs(filt, dt)    -> (alpha, deadband, decay, gain_i) of filters_step
@@ -501,9 +502,12 @@ def run_closed_loop(cmds, noise, pushes, cpg, gains, filt, plant, eff, dt, recor
             x = two_pi
         mu = x - pi
 
-    state_out = np.array(state_rows).reshape(-1, 4)
-    return (np.array(mu_rows), state_out, state_out[:, :2], np.array(ep_rows).reshape(-1, 2),
-            np.array(act_rows).reshape(-1, ACT_SIZE), np.empty((0, POSE_SIZE)), fall_idx, 0,
+    def column(rows):
+        return np.fromiter(rows, float, len(rows))
+
+    state_out = column(state_rows).reshape(-1, 4)
+    return (column(mu_rows), state_out, state_out[:, :2], column(ep_rows).reshape(-1, 2),
+            column(act_rows).reshape(-1, ACT_SIZE), np.empty((0, POSE_SIZE)), fall_idx, 0,
             (pitch, roll, pitch_rate, roll_rate))
 
 
@@ -512,6 +516,7 @@ def _com_shift_rows(act):
     return np.flatnonzero((act[:, 4] != 0.0) | (act[:, 5] != 0.0))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def leg_retractions(mu, act, cpg, geom):
     """Each leg's phase and clamped retraction per sample, and its saturated flag.
 
@@ -528,6 +533,8 @@ def leg_retractions(mu, act, cpg, geom):
     a nonzero CoM shift, because ``np.arccos`` does not match it.  The knee
     is ``foot_ik_core``'s, whose hip angles a retraction does not need; the
     halt pose's knee (``com_shift_reference``) is that of the target (0, 0).
+    A CoM shift large enough to overflow goes to inf or NaN without a
+    warning, as the kernels' Python floats do; so does ``pose_readout``.
     """
     swing_start, swing_len = swing_window(cpg)
     thigh, shank = geom[0], geom[1]
@@ -575,6 +582,7 @@ def leg_retractions(mu, act, cpg, geom):
     return mu_l, mu_r, eta_l, eta_r, saturated
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def pose_readout(mu, cmds, act, cpg, geom):
     """The abstract pose of each recorded sample.
 

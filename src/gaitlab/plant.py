@@ -224,6 +224,16 @@ class RunTrace:
         saturated = _kernels.leg_retractions(self.mu, self.activations, *self.pose_params)[4]
         return int(np.count_nonzero(saturated))
 
+    @cached_property
+    def _csv_text(self) -> dict[str, list[str]]:
+        """``%.12g`` text of each distinct trace.csv column, in that file's
+        order, formatted once for both CSV writers: one ``%`` per column,
+        parted by ``split`` since no value's text has whitespace."""
+        return {
+            name: (("%.12g\n" * len(self)) % tuple(getattr(self, name).tolist())).split()
+            for name in ("t", "mu", "pitch", "roll", "pitch_rate", "roll_rate")
+        }
+
     def __len__(self) -> int:
         return self.t.shape[0]
 
@@ -389,39 +399,28 @@ def phase_plot_series(trace: RunTrace) -> np.ndarray:
     return np.column_stack([trace.pitch, trace.pitch_rate])
 
 
-def _write_csv(path, header: str, data: np.ndarray) -> None:
-    """Header line, then one line per row of ``data``, each value as ``%.12g``.
-
-    The same bytes as ``np.savetxt(path, data, fmt="%.12g", delimiter=",",
-    header=header, comments="")``, formatted with one ``%`` over all rows.
-    """
-    n_rows, n_cols = data.shape
-    row = ",".join(["%.12g"] * n_cols) + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        fh.write((row * n_rows) % tuple(data.ravel().tolist()))
-
-
 def trace_to_csv(trace: RunTrace, path) -> None:
-    """Write the trace in the documented CSV schema."""
-    fall_col = np.zeros(len(trace), dtype=int)
+    """Write the trace in the documented CSV schema, each value as ``%.12g``.
+
+    ``d_theta`` and ``d_phi`` are the fused pitch and roll, so they reuse
+    that text; the bytes are those of ``np.savetxt(path, data, fmt="%.12g",
+    delimiter=",", header=header, comments="")``.
+    """
+    text = trace._csv_text  # t, mu, pitch, roll, pitch_rate, roll_rate in this order
+    fall = ["0"] * len(trace)
     if trace.fall:
-        fall_col[-1] = 1
-    data = np.column_stack(
-        [
-            trace.t,
-            trace.mu,
-            trace.pitch,
-            trace.roll,
-            trace.pitch_rate,
-            trace.roll_rate,
-            trace.d_theta,
-            trace.d_phi,
-            fall_col,
-        ]
-    )
-    _write_csv(path, "t,mu,pitch,roll,pitch_rate,roll_rate,d_theta,d_phi,fall", data)
+        fall[-1] = "1"
+    rows = map(",".join, zip(*text.values(), text["pitch"], text["roll"], fall))
+    header = "t,mu,pitch,roll,pitch_rate,roll_rate,d_theta,d_phi,fall"
+    with open(path, "w") as fh:
+        fh.write("\n".join([header, *rows]) + "\n")
 
 
 def phase_plot_to_csv(trace: RunTrace, path) -> None:
-    _write_csv(path, "fused_pitch,fused_pitch_rate", phase_plot_series(trace))
+    """Write ``phase_plot_series`` as CSV, in the text of trace.csv's
+    ``pitch`` and ``pitch_rate`` columns."""
+    phase_plot_series(trace)  # raises on an empty trace
+    text = trace._csv_text
+    rows = map(",".join, zip(text["pitch"], text["pitch_rate"]))
+    with open(path, "w") as fh:
+        fh.write("\n".join(["fused_pitch,fused_pitch_rate", *rows]) + "\n")

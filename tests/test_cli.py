@@ -7,8 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
+from gaitlab import _kernels, config
 from gaitlab.cli import main
 from gaitlab.heatmap import write_pgm
+from gaitlab.plant import run_sequence, standard_test_sequence
 
 KT, OFFSET = 3.8511, -0.0821
 
@@ -142,6 +144,54 @@ def test_gait_run_falls_with_exit_2(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert "FELL" in out
+
+
+# sha256 of trace.csv, phase.csv and stdout, written into "out" under the working directory
+GAIT_RUN_GOLDEN = [
+    (["--seed", 0, "--disturb", "9.51@5s:front"], 0,
+     "9d79c33f9b6ce4310b9641662d8a6e1324d4628201352d06ed4ea3a02d889c21",
+     "c5f9f087eb4eebe132a0b77d32fe0f3b5a3b17ad709a6b596f457f4862cfb5aa",
+     "69d247af5fc3ee6e08b135fa921fa2cfc0de526fc558d4392b9724d26c5359ca"),
+    (["--seed", 3, "--disturb", "66@4s:left"], 2,  # 414 samples, falls at 4.13 s
+     "ae46e6027927ba5320876a2681f4fa0000b4da5e2311629c4115cda13ea47ad8",
+     "af72e544cacec8accdae65efa3058308df8439a2b4232ac96ab4e53fa86dd15c",
+     "05b2358483c095d2e74443d66d7152b45fb001ac04476ef003aee570f9555507"),
+]
+
+
+@pytest.mark.parametrize("flags, exit_code, trace_sha, phase_sha, stdout_sha", GAIT_RUN_GOLDEN)
+def test_gait_run_writes_the_golden_bytes(tmp_path, monkeypatch, capsys, flags, exit_code,
+                                          trace_sha, phase_sha, stdout_sha):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("gait", "run", "--seq", "standard", *flags, "--out", "out") == exit_code
+    out = capsys.readouterr().out
+    assert hashlib.sha256((tmp_path / "out" / "trace.csv").read_bytes()).hexdigest() == trace_sha
+    assert hashlib.sha256((tmp_path / "out" / "phase.csv").read_bytes()).hexdigest() == phase_sha
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+
+
+@pytest.mark.parametrize("key", ["gains.com_shift_x.ki", "gains.com_shift_y.ki"])
+def test_gait_run_overflowing_com_shift_warns_nothing(tmp_path, capsys, key):
+    # the CoM shift overflows the knee's cosine argument in the pose readout
+    cfg_path = tmp_path / "huge.cfg"
+    cfg_path.write_text(f"{key} = 1e300\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("gait", "run", "--gains", cfg_path, "--seq", "standard", "--out", tmp_path)
+        cfg = config.load_config(cfg_path)
+        trace = run_sequence(config.gains_from_config(cfg), config.cpg_from_config(cfg),
+                             standard_test_sequence(), config.plant_from_config(cfg, seed=0),
+                             filter_params=config.filter_from_config(cfg))
+        assert trace.pose.shape == (len(trace), _kernels.POSE_SIZE)
+    assert code == 2
+    cpg, geom = trace.pose_params
+    window, ref = _kernels.swing_window(cpg), _kernels.com_shift_reference(geom)
+    want = sum(
+        _kernels.apply_actions_flat(_kernels.cpg_pose(m, *cmd, cpg, window), tuple(act),
+                                    -1.0 if m > 0.0 else 1.0, ref)[1]
+        for m, cmd, act in zip(trace.mu.tolist(), trace.cmds.tolist(), trace.activations.tolist())
+    )
+    assert f"retraction saturations: {want} steps" in capsys.readouterr().out.splitlines()
 
 
 def test_gait_run_unknown_config_key(tmp_path, capsys):

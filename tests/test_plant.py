@@ -27,9 +27,11 @@ from gaitlab.plant import (
     REAL_NATURAL_FREQ_SCALE,
     Disturbance,
     PlantParams,
+    RunTrace,
     TorsoState,
     make_real_plant,
     phase_plot_series,
+    phase_plot_to_csv,
     run_sequence,
     standard_test_sequence,
     step_plant,
@@ -511,6 +513,43 @@ def test_trace_csv_schema(tmp_path):
     assert header == "t,mu,pitch,roll,pitch_rate,roll_rate,d_theta,d_phi,fall"
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (100, 9)
+
+
+AWKWARD = (-0.0, 5e-324, 1e-300, 1e16, 0.1 + 0.2, 123456789012.5)
+
+
+def hand_built_trace(columns, fall):
+    """A RunTrace whose t, mu, pitch, roll, pitch_rate and roll_rate are ``columns``."""
+    n = len(columns[0])
+    return RunTrace(DT, *map(np.array, columns), np.zeros(n), np.zeros(n),
+                    np.zeros((n, _kernels.ACT_SIZE)), np.zeros((n, 3)), fall, ())
+
+
+@pytest.mark.parametrize("columns, fall", [
+    # each column a different rotation of the awkward values, negated in every other one
+    ([np.roll(AWKWARD, k) * (-1.0) ** k for k in range(6)], False),
+    ([np.roll(AWKWARD, k) * (-1.0) ** k for k in range(6)], True),
+    ([[4.13], [-3.0], [0.61], [1e-300], [-5e-324], [123456789012.5]], True),
+], ids=["awkward", "awkward-fallen", "one-row-fallen"])
+def test_csv_writers_write_the_bytes_of_savetxt(tmp_path, columns, fall):
+    trace = hand_built_trace(columns, fall)
+    fall_col = np.zeros(len(trace))
+    fall_col[-1] = fall
+    for writer, header, data in [
+        (trace_to_csv, "t,mu,pitch,roll,pitch_rate,roll_rate,d_theta,d_phi,fall",
+         np.column_stack([*columns, trace.d_theta, trace.d_phi, fall_col])),
+        (phase_plot_to_csv, "fused_pitch,fused_pitch_rate", phase_plot_series(trace)),
+    ]:
+        writer(trace, tmp_path / "got.csv")
+        np.savetxt(tmp_path / "want.csv", data, fmt="%.12g", delimiter=",", header=header,
+                   comments="")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_phase_csv_of_an_empty_trace_is_an_error(tmp_path):
+    with pytest.raises(InvalidInputError):
+        phase_plot_to_csv(hand_built_trace([[]] * 6, False), tmp_path / "phase.csv")
+    assert not (tmp_path / "phase.csv").exists()
 
 
 def test_one_step_overflow_to_inf_is_an_error_not_a_fall(monkeypatch):
