@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 usage/config error, 2 domain outcome (robot fell).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -259,7 +260,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call in a process.
+
+    Parsing keeps no state in it: each ``parse_args`` fills a new namespace,
+    and argparse copies an ``append`` default before appending to it.
+    """
     parser = _Parser(prog="gaitlab", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

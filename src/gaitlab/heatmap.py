@@ -28,7 +28,7 @@ from .errors import (
     check_nonnegative,
 )
 from .numopt import SimplexConfig, SimplexResult, nelder_mead
-from .orientation import Quaternion
+from .orientation import Quaternion, _matrix, _product, _rotvec
 
 
 def _as_heatmap(h) -> np.ndarray:
@@ -328,6 +328,16 @@ def calibrate_extrinsics(
     error.  Needs at least 4 observations of at least 4 distinct world
     points, not all collinear, within 1e9 m of the guess position; raises
     DegenerateDataError otherwise.
+
+    The objective's bits depend on its evaluation order, which is fixed: the
+    rotation matrix comes from the Python-float product of the guess
+    quaternion and the increment's; the camera-frame points are
+    (world - (guess position + offset)) @ R; each pixel axis error is
+    ((focal * p) / depth + principal point) - pixel, squared, and a row's
+    error is its u term plus its v term; a row at depth <= 1e-6 m scores
+    1e6 + (1 - depth)^2 instead; and the rows are summed left to right.
+    One ``np.errstate(all="ignore")`` scope covers the evaluation at the
+    guess and both simplex runs, so the objective itself enters none.
     """
     observations = list(observations)
     if len(observations) < 4:
@@ -336,34 +346,40 @@ def calibrate_extrinsics(
     pixels = np.array([px for _, px in observations], dtype=float)
     _check_pose_determined(worlds, guess)
     cfg = cfg or SimplexConfig(max_iter=4000, x_tol=1e-12, f_tol=1e-16)
+    q = guess.orientation
+    q_guess = (q.w, q.x, q.y, q.z)
+    focal = intrinsics.focal
+    centre = np.array([intrinsics.cx, intrinsics.cy])
 
     def objective(params) -> float:
-        # _to_camera of the pose at params, without building that pose
-        rotation = guess.orientation * Quaternion.from_rotvec(params[3:])
-        p_cam = rotation.rotate_inverse(worlds - (guess.position + params[:3]))
+        # _to_camera and _pinhole of the pose at params, without building that pose
+        rotation = _matrix(*_product(q_guess, _rotvec(params[3:])))
+        p_cam = (worlds - (guess.position + params[:3])) @ rotation
+        d = focal * p_cam[:, :2] / p_cam[:, 2:] + centre - pixels
+        d *= d
+        err = d[:, 0] + d[:, 1]
         depth = p_cam[:, 2]
-        # rows behind the camera are replaced below; a non-finite value the
-        # simplex reaches anyway is reported through ``converged``
-        with np.errstate(all="ignore"):
-            u, v = _pinhole(p_cam, intrinsics)
-            err = (u - pixels[:, 0]) ** 2 + (v - pixels[:, 1]) ** 2
-            behind = depth <= _MIN_DEPTH
-            if behind.any():
-                err[behind] = 1e6 + (1.0 - depth[behind]) ** 2  # keep the simplex in front
+        behind = depth <= _MIN_DEPTH
+        if np.count_nonzero(behind):
+            err[behind] = 1e6 + (1.0 - depth[behind]) ** 2  # keep the simplex in front
         # summed left to right like a running total, so results do not
         # depend on np.sum's pairwise grouping
         return np.add.accumulate(err)[-1] / len(observations)
 
     x0 = np.zeros(6)
-    at_guess = objective(x0)
-    if not math.isfinite(at_guess):
-        raise InvalidInputError(
-            f"mean squared reprojection error at the guess is {at_guess} px^2 with focal "
-            f"length {intrinsics.focal} px: the squared pixel errors overflow"
-        )
-    result: SimplexResult = nelder_mead(objective, x0, cfg)
-    # one restart from the found point polishes flat valleys cheaply
-    result2 = nelder_mead(objective, result.x, cfg)
+    # rows behind the camera are replaced in the objective; a non-finite value
+    # the simplex reaches anyway is reported through ``converged``
+    with np.errstate(all="ignore"):
+        at_guess = objective(x0)
+        if not math.isfinite(at_guess):
+            raise InvalidInputError(
+                f"mean squared reprojection error at the guess is {at_guess} px^2 with focal "
+                f"length {intrinsics.focal} px and principal point ({intrinsics.cx}, "
+                f"{intrinsics.cy}) px: the squared pixel errors overflow"
+            )
+        result: SimplexResult = nelder_mead(objective, x0, cfg)
+        # one restart from the found point polishes flat valleys cheaply
+        result2 = nelder_mead(objective, result.x, cfg)
     if result2.fun < result.fun:
         result2 = SimplexResult(
             result2.x, result2.fun, result.iterations + result2.iterations, result2.converged

@@ -18,13 +18,20 @@ def least_squares_line(xs, ys) -> tuple[float, float]:
         raise InvalidInputError("xs and ys must be 1-D arrays of equal length")
     if xs.size < 2:
         raise DegenerateDataError("need at least 2 points for a line fit")
-    x_mean = xs.mean()
-    y_mean = ys.mean()
-    sxx = float(np.sum((xs - x_mean) ** 2))
-    if sxx <= 0.0:
-        raise DegenerateDataError("all x values identical; slope undetermined")
-    slope = float(np.sum((xs - x_mean) * (ys - y_mean))) / sxx
-    return slope, y_mean - slope * x_mean
+    # sums of squares of finite values can overflow; that is a named error below
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_mean = xs.mean()
+        y_mean = ys.mean()
+        sxx = float(np.sum((xs - x_mean) ** 2))
+        if sxx <= 0.0:
+            raise DegenerateDataError("all x values identical; slope undetermined")
+        slope = float(np.sum((xs - x_mean) * (ys - y_mean))) / sxx
+        intercept = y_mean - slope * x_mean
+    if not (math.isfinite(sxx) and math.isfinite(slope) and math.isfinite(intercept)):
+        raise InvalidInputError(
+            "line fit overflows: the values are too large or spread too far for float sums"
+        )
+    return slope, intercept
 
 
 # the standard coefficients of Nelder & Mead (1965)
@@ -60,6 +67,15 @@ def nelder_mead(f, x0, cfg: SimplexConfig | None = None) -> SimplexResult:
     max(0.05*|x0_i|, 0.00025).  Terminates when the simplex collapses below
     x_tol, the value spread drops below f_tol, or max_iter is reached (in
     which case the result is flagged non-converged).
+
+    The results' bits depend on this order, which is fixed: each step sorts
+    the vertices by value with a stable argsort (NaN last), compares the
+    sorted values as Python floats, and takes the centroid of all but the
+    worst vertex as their sum along axis 0 over n (the bits of ``mean``).
+    ``f`` is called on x0, then on each perturbed vertex in axis order,
+    then once or twice a step, plus once per moved vertex in sorted order on
+    a shrink.  The simplex sets no floating-point error state: a caller that
+    wants ``f`` quiet wraps the whole call in one ``np.errstate``.
     """
     cfg = cfg or SimplexConfig()
     x0 = np.asarray(x0, dtype=float)
@@ -79,34 +95,36 @@ def nelder_mead(f, x0, cfg: SimplexConfig | None = None) -> SimplexResult:
     iterations = 0
     converged = False
     while iterations < cfg.max_iter:
-        order = np.argsort(vals, kind="stable")
+        order = vals.argsort(kind="stable")
         verts, vals = verts[order], vals[order]
+        sorted_vals = vals.tolist()
+        best, second, worst = sorted_vals[0], sorted_vals[-2], sorted_vals[-1]
 
-        if np.max(np.abs(verts[1:] - verts[0])) < cfg.x_tol or vals[-1] - vals[0] < cfg.f_tol:
+        if np.abs(verts[1:] - verts[0]).max() < cfg.x_tol or worst - best < cfg.f_tol:
             converged = True
             break
         iterations += 1
 
-        centroid = verts[:-1].mean(axis=0)
+        centroid = np.add.reduce(verts[:-1], 0) / n
         xr = centroid + _REFLECTION * (centroid - verts[-1])
         fr = float(f(xr))
 
-        if fr < vals[0]:
+        if fr < best:
             xe = centroid + _EXPANSION * (xr - centroid)
             fe = float(f(xe))
             if fe < fr:
                 verts[-1], vals[-1] = xe, fe
             else:
                 verts[-1], vals[-1] = xr, fr
-        elif fr < vals[-2]:
+        elif fr < second:
             verts[-1], vals[-1] = xr, fr
         else:
-            if fr < vals[-1]:
+            if fr < worst:
                 xc = centroid + _CONTRACTION * (xr - centroid)
             else:
                 xc = centroid + _CONTRACTION * (verts[-1] - centroid)
             fc = float(f(xc))
-            if fc < min(fr, vals[-1]):
+            if fc < min(fr, worst):
                 verts[-1], vals[-1] = xc, fc
             else:
                 # shrink everything toward the best vertex

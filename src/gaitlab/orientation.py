@@ -54,14 +54,7 @@ class Quaternion:
         return np.asarray(v, dtype=float) @ self.to_matrix()
 
     def to_matrix(self) -> np.ndarray:
-        w, x, y, z = self.w, self.x, self.y, self.z
-        return np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-            ]
-        )
+        return _matrix(self.w, self.x, self.y, self.z)
 
     @staticmethod
     def from_rotvec(v) -> "Quaternion":
@@ -184,6 +177,17 @@ def _product(a, b) -> tuple:
         w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
         w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
         w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )
+
+
+def _matrix(w, x, y, z) -> np.ndarray:
+    """The 3x3 rotation matrix of a unit (w, x, y, z) quaternion of floats."""
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
     )
 
 

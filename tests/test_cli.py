@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 import math
+import re
+import time
 import warnings
 
 import numpy as np
@@ -630,3 +632,104 @@ def test_blob_reads_a_pgm_suffix_in_any_case(tmp_path):
     detections = (tmp_path / "lower.pgm.csv").read_bytes()
     assert len(detections.splitlines()) > 1
     assert (tmp_path / "upper.PGM.csv").read_bytes() == detections
+
+
+EXTREMES = ("0", "1e-300", "-1", "1e12", "1e300", "nan", "inf")
+_CAMERA = ["calib", "camera", "--input", "obs.csv", "--focal", "480", "--cx", "320", "--cy", "240"]
+# each numeric flag: the argv with V where each swept value goes, and the words
+# an exit-1 line may name it by: the flag, or the quantity the library checks it as
+SWEPT_FLAGS = {
+    "blob --threshold": (["blob", "--input", "frame.pgm", "--threshold", "V"], "threshold"),
+    "blob --min-pixels": (["blob", "--input", "frame.pgm", "--min-pixels", "V"], "--min-pixels"),
+    "gear --teeth": (["gear", "--teeth", "V", "--module", "1.5"], "--teeth|tooth count"),
+    "gear --module": (["gear", "--teeth", "30", "--module", "V"], "module"),
+    "gear --helix-deg": (["gear", "--teeth", "30", "--module", "1.5", "--helix-deg", "V"],
+                         "--helix-deg|helix angle"),
+    "calib camera --focal": (_CAMERA[:5] + ["V"] + _CAMERA[6:], "focal length"),
+    "calib camera --cx": (_CAMERA[:7] + ["V"] + _CAMERA[8:], "principal point"),
+    "calib camera --cy": (_CAMERA[:9] + ["V"], "principal point"),
+    "calib camera --guess-pos": (_CAMERA + ["--guess-pos", "V", "V", "V"], "--guess-pos|guess position"),
+    "calib camera --guess-rot": (_CAMERA + ["--guess-rot", "V", "V", "V"], "--guess-rot"),
+    # calib torque takes no numeric flag: its numbers are the cells of --input
+    "calib torque current": (["calib", "torque", "--input", "torque.csv"], "torque|line fit"),
+    "calib torque torque": (["calib", "torque", "--input", "torque.csv"], "torque|line fit"),
+    "gait run --disturb impulse": (["gait", "run", "--seq", "in-place", "--disturb=V@5s:front"],
+                                   "--disturb|disturbance impulse"),
+    "gait run --disturb time": (["gait", "run", "--seq", "in-place", "--disturb=9.51@Vs:front"],
+                                "--disturb|disturbance time"),
+}
+_CALL_SECONDS = 5.0  # the costliest call, a calibration at its 2 x 4000 step limit, takes about 0.5 s
+
+
+def _numbers(text):
+    """Every token of a printed or CSV text that reads as a float."""
+    for token in text.replace(",", " ").split():
+        try:
+            yield float(token)
+        except ValueError:
+            pass
+
+
+@pytest.mark.parametrize("name", list(SWEPT_FLAGS))
+def test_numeric_flags_at_extreme_values_exit_cleanly(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    write_pgm(seeded_blob_frame(19, (60, 80)) / 255.0, "frame.pgm")
+    (tmp_path / "obs.csv").write_text("\n".join(_golden_observation_rows()) + "\n")
+    argv, names = SWEPT_FLAGS[name]
+    outputs = {"blob": ["detections.csv"], "gait": ["trace.csv", "phase.csv"]}.get(argv[0], [])
+    for value in EXTREMES:
+        if argv[1] == "torque":
+            rows = [[repr(i), repr(KT * i + OFFSET)] for i in np.linspace(0.1, 3.0, 12).tolist()]
+            rows[3][name.endswith(" torque")] = value
+            (tmp_path / "torque.csv").write_text(
+                "current_A,torque_Nm\n" + "\n".join(map(",".join, rows)) + "\n")
+        for path in outputs:
+            (tmp_path / path).unlink(missing_ok=True)
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                code = main([arg.replace("V", value) for arg in argv])
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        seconds = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        case = f"{name} = {value}: exit {code}, stderr {err!r}"
+        assert code in (0, 1, 2), case
+        assert seconds < _CALL_SECONDS, f"{case}, {seconds:.2f} s"
+        assert all(map(math.isfinite, _numbers(out))), f"{case}, stdout {out!r}"
+        if code == 1:
+            errors = [line for line in err.splitlines() if "error: " in line]
+            assert len(errors) == 1 and re.search(names, errors[0]), case
+            continue
+        assert err == "", case
+        for path in outputs:
+            text = (tmp_path / path).read_text()
+            assert all(map(math.isfinite, _numbers(text))), f"{case}, {path}"
+
+
+def test_the_reused_parser_keeps_nothing_between_calls(tmp_path, capsys):
+    from gaitlab.cli import build_parser
+
+    assert build_parser() is build_parser()  # built once per process
+    parse = build_parser().parse_args
+    assert parse(["gait", "run", "--disturb", "9@1s:front", "--disturb", "3@2s:left"]).disturb == [
+        "9@1s:front", "3@2s:left"]
+    assert parse(["gait", "run"]).disturb == []
+    assert parse(["blob", "--input", "a.pgm", "--input", "b.csv"]).input == ["a.pgm", "b.csv"]
+    assert parse(["blob", "--input", "c.pgm"]).input == ["c.pgm"]
+
+    def gait_run(out, *disturb):
+        code = run_cli("gait", "run", "--seq", "in-place", "--out", tmp_path / out,
+                       *(arg for spec in disturb for arg in ("--disturb", spec)))
+        return code, (tmp_path / out / "trace.csv").read_bytes(), capsys.readouterr().out
+
+    pushed = gait_run("pushed", "66@4s:left")
+    calm = gait_run("calm")
+    with pytest.raises(SystemExit) as usage:
+        run_cli("gait", "run", "--seq", "in-place", "--disturb")
+    assert usage.value.code == 1 and "--disturb" in capsys.readouterr().err
+    assert pushed[0] == 2 and calm[0] == 0 and pushed[1] != calm[1]
+    assert gait_run("calm-again") == (calm[0], calm[1], calm[2].replace("calm", "calm-again"))
+    assert gait_run("pushed-again", "66@4s:left") == (
+        pushed[0], pushed[1], pushed[2].replace("pushed", "pushed-again"))

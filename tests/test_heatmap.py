@@ -31,6 +31,7 @@ from gaitlab.heatmap import (
 )
 from gaitlab.numopt import SimplexConfig, nelder_mead
 from gaitlab.orientation import Quaternion
+from test_numopt import oracle_nelder_mead
 
 
 def flood_fill_components(mask):
@@ -453,11 +454,8 @@ def loop_objective(observations, intr, guess, params):
     return err / len(observations)
 
 
-def test_calibration_objective_matches_per_point_loop(monkeypatch):
-    rng = np.random.default_rng(3)
-    intr = default_intrinsics()
-    true = CameraPose(np.array([0.1, 0.0, -0.2]), Quaternion.from_rotvec([0.1, -0.2, 0.05]), intr)
-    obs = [(w, px + rng.normal(0, 0.5, 2)) for w, px in make_observations(true, rng, 25)]
+def captured_objective(monkeypatch, obs, intr, guess):
+    """The objective calibrate_extrinsics hands to the simplex."""
     objectives = []
 
     def capture(f, x0, cfg=None):
@@ -465,13 +463,23 @@ def test_calibration_objective_matches_per_point_loop(monkeypatch):
         return nelder_mead(f, x0, SimplexConfig(max_iter=0))
 
     monkeypatch.setattr(heatmap, "nelder_mead", capture)
-    calibrate_extrinsics(obs, intr, true)
+    calibrate_extrinsics(obs, intr, guess)
+    monkeypatch.undo()
+    return objectives[0]
+
+
+def test_calibration_objective_matches_per_point_loop(monkeypatch):
+    rng = np.random.default_rng(3)
+    intr = default_intrinsics()
+    true = CameraPose(np.array([0.1, 0.0, -0.2]), Quaternion.from_rotvec([0.1, -0.2, 0.05]), intr)
+    obs = [(w, px + rng.normal(0, 0.5, 2)) for w, px in make_observations(true, rng, 25)]
+    objective = captured_objective(monkeypatch, obs, intr, true)
     behind = 0
     for scale in (0.0, 0.01, 0.3, 3.0):
         for _ in range(20):
             params = rng.normal(0.0, scale, 6)
             want = loop_objective(obs, intr, true, params)
-            assert objectives[0](params) == want  # bit for bit
+            assert objective(params) == want  # bit for bit
             behind += want >= 1e6 / len(obs)
     assert behind > 0  # the penalty branch was compared too
 
@@ -623,3 +631,93 @@ def test_calibration_stuck_with_a_point_behind_the_camera_is_not_converged(seed)
     depth = result.pose.orientation.rotate_inverse(near - result.pose.position)[2]
     assert depth <= 1e-6  # at or below the objective's cut: treated as behind the camera
     assert not result.converged
+
+
+def oracle_objective(worlds, pixels, intr, guess, params):
+    """The calibration objective as first written: one pinhole axis at a time."""
+    rotation = guess.orientation * Quaternion.from_rotvec(params[3:])
+    p_cam = rotation.rotate_inverse(worlds - (guess.position + params[:3]))
+    depth = p_cam[:, 2]
+    with np.errstate(all="ignore"):
+        u = intr.focal * p_cam[:, 0] / depth + intr.cx
+        v = intr.focal * p_cam[:, 1] / depth + intr.cy
+        err = (u - pixels[:, 0]) ** 2 + (v - pixels[:, 1]) ** 2
+        behind = depth <= 1e-6
+        if behind.any():
+            err[behind] = 1e6 + (1.0 - depth[behind]) ** 2
+    return np.add.accumulate(err)[-1] / len(pixels)
+
+
+def oracle_calibration(observations, intr, guess):
+    """calibrate_extrinsics from the oracle objective and the oracle simplex."""
+    worlds = np.array([w for w, _ in observations], dtype=float)
+    pixels = np.array([px for _, px in observations], dtype=float)
+    cfg = SimplexConfig(max_iter=4000, x_tol=1e-12, f_tol=1e-16)
+
+    def f(params):
+        return oracle_objective(worlds, pixels, intr, guess, params)
+
+    first = oracle_nelder_mead(f, np.zeros(6), cfg)
+    result = oracle_nelder_mead(f, first.x, cfg)
+    if result.fun < first.fun:
+        result.iterations += first.iterations
+    else:
+        result = first
+    position = guess.position + result.x[:3]
+    rotation = guess.orientation * Quaternion.from_rotvec(result.x[3:])
+    in_front = bool(np.all(((worlds - position) @ rotation.to_matrix())[:, 2] > 1e-6))
+    converged = result.converged and in_front and math.isfinite(result.fun)
+    return position, rotation, math.sqrt(result.fun), result.iterations, converged
+
+
+def test_calibration_objective_is_the_oracle_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(23)
+    intr = default_intrinsics()
+    true = CameraPose(np.array([0.1, -0.1, 0.2]), Quaternion.from_rotvec([0.05, 0.1, -0.05]), intr)
+    obs = [(w, px + rng.normal(0, 0.5, 2)) for w, px in make_observations(true, rng, 20)]
+    # points in the guess's image plane sit at depth exactly 0 at params 0: 0/0 and x/0
+    flat = obs + [(np.zeros(3), np.array([320.0, 240.0])),
+                  (np.array([1.0, -0.5, 0.0]), np.array([400.0, 200.0]))]
+    # the squared errors at this focal length overflow once the simplex turns the camera
+    huge = CameraIntrinsics(1e153, 320.0, 240.0)
+    cases = [(obs, intr, true), (flat, intr, CameraPose(intrinsics=intr)),
+             (obs, huge, CameraPose(true.position, true.orientation, huge))]
+    seen = {"behind": 0, "depth 0": 0, "inf": 0}
+    for observations, k, guess in cases:
+        worlds = np.array([w for w, _ in observations])
+        pixels = np.array([px for _, px in observations])
+        objective = captured_objective(monkeypatch, observations, k, guess)
+        rows = [np.zeros(6)] + [rng.normal(0.0, s, 6) for s in (0.0, 0.01, 0.3, 3.0) for _ in range(15)]
+        for params in rows:
+            with np.errstate(all="ignore"):  # the scope calibrate_extrinsics runs it in
+                want = oracle_objective(worlds, pixels, k, guess, params)
+                got = objective(params)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), params
+            seen["behind"] += want >= 1e6 / len(observations)
+            seen["inf"] += math.isinf(want)
+        seen["depth 0"] += observations is flat
+    assert all(seen.values()), seen  # every branch was compared
+
+
+def test_calibration_is_the_oracle_bit_for_bit():
+    # perfbench's calibration sets: 30 points 2-6 m in front of a camera near the origin
+    rng = np.random.default_rng(2023)
+    intr = CameraIntrinsics(500.0, 320.0, 240.0)
+    for k in range(8):
+        true = CameraPose(rng.uniform(-0.2, 0.2, 3),
+                          Quaternion.from_rotvec(rng.uniform(-0.1, 0.1, 3)), intr)
+        z = rng.uniform(2.0, 6.0, 30)
+        cam = np.column_stack([rng.uniform(-0.5, 0.5, 30) * z, rng.uniform(-0.4, 0.4, 30) * z, z])
+        obs = [(true.orientation.rotate(c) + true.position, None) for c in cam]
+        obs = [(w, project(w, true) + rng.normal(0.0, 0.3, 2)) for w, _ in obs]
+        guess = CameraPose(intrinsics=intr) if k % 2 else CameraPose(
+            rng.uniform(-0.3, 0.3, 3), Quaternion.from_rotvec(rng.uniform(-0.2, 0.2, 3)), intr)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = calibrate_extrinsics(obs, intr, guess)
+        position, rotation, rms, iterations, converged = oracle_calibration(obs, intr, guess)
+        q = result.pose.orientation
+        assert result.pose.position.tobytes() == position.tobytes()
+        assert (q.w, q.x, q.y, q.z) == (rotation.w, rotation.x, rotation.y, rotation.z)
+        assert (result.rms_residual, result.iterations, result.converged) == (
+            rms, iterations, converged)
