@@ -63,8 +63,10 @@ Activation layout (7 floats): armX, armY, suppX, contX, comX, comY,
 timing factor.
 
 Parameter tuples (the ``to_array`` layouts):
-    cpg   (24)  halt pose[0:18], lift_amp, swing_amp, sway_amp,
-                arm_swing_amp, double_support_fraction, frequency
+    cpg   (8)   the fields of ``CpgParams`` in declaration order:
+                halt_eta, halt_arm_eta, lift_amplitude, swing_amplitude,
+                lateral_sway_amplitude, arm_swing_amplitude,
+                double_support_fraction, frequency
     gains (12)  the fields of ``FeedbackGains`` in declaration order,
                 each action's terms in place: the P/D actions
                 armX kp, kd | armY kp, kd | suppX kp, kd, the I actions
@@ -136,7 +138,7 @@ def foot_fk_core(hip_pitch, hip_roll, knee, thigh, shank):
 
 def swing_window(cpg):
     """(swing_start, swing_len): the phase window of each leg's lift pulse."""
-    swing_len = math.pi * (1.0 - 2.0 * cpg[22])
+    swing_len = math.pi * (1.0 - 2.0 * cpg[6])
     return 0.5 * math.pi - 0.5 * swing_len, swing_len
 
 
@@ -147,11 +149,9 @@ def cpg_pose(mu, vx, vy, wz, cpg, window):
     right leg off mu + pi.
     """
     swing_start, swing_len = window
-    lift = cpg[18]
-    swing = cpg[19]
-    arm_swing = cpg[21]
+    halt_eta, halt_arm_eta, lift, swing, sway, arm_swing = cpg[:6]
 
-    sway_term = -cpg[20] * math.sin(mu)
+    sway_term = -sway * math.sin(mu)
     lat = swing * vy
     sag = swing * vx
     yaw = swing * wz
@@ -167,24 +167,24 @@ def cpg_pose(mu, vx, vy, wz, cpg, window):
     pulse_r = math.sin(math.pi * u_r) if (u_r > 0.0 and u_r < 1.0) else 0.0
 
     return (
-        cpg[0] + lat + sway_term,
-        cpg[1] - sag * cos_l,
-        cpg[2] + yaw * math.sin(mu_l),
-        cpg[3],
-        cpg[4],
-        cpg[5] + lift * pulse_l,
-        cpg[6] + lat + sway_term,
-        cpg[7] - sag * cos_r,
-        cpg[8] + yaw * math.sin(mu_r),
-        cpg[9],
-        cpg[10],
-        cpg[11] + lift * pulse_r,
-        cpg[12],
-        cpg[13] + arm * cos_l,
-        cpg[14],
-        cpg[15],
-        cpg[16] + arm * cos_r,
-        cpg[17],
+        lat + sway_term,
+        -sag * cos_l,
+        yaw * math.sin(mu_l),
+        0.0,
+        0.0,
+        halt_eta + lift * pulse_l,
+        lat + sway_term,
+        -sag * cos_r,
+        yaw * math.sin(mu_r),
+        0.0,
+        0.0,
+        halt_eta + lift * pulse_r,
+        0.0,
+        arm * cos_l,
+        halt_arm_eta,
+        0.0,
+        arm * cos_r,
+        halt_arm_eta,
     )
 
 
@@ -413,7 +413,7 @@ def run_closed_loop(cmds, noise, pushes, cpg, gains, filt, plant, eff, dt, recor
     # -wn * wn * sin(x) is (-wn * wn) * sin(x): the product is exact to hoist
     nwp2 = -wn_p * wn_p
     nwr2 = -wn_r * wn_r
-    phase_rate = 2.0 * math.pi * cpg[23]
+    phase_rate = 2.0 * math.pi * cpg[7]
     pi = math.pi
     two_pi = 2.0 * math.pi
 
@@ -539,7 +539,7 @@ def leg_retractions(mu, act, cpg, geom):
     swing_start, swing_len = swing_window(cpg)
     thigh, shank = geom[0], geom[1]
     dist = _halt_distance(geom)
-    lift = cpg[18]
+    halt_eta, _, lift = cpg[:3]
     pi = math.pi
     two_pi = 2.0 * math.pi
 
@@ -553,8 +553,8 @@ def leg_retractions(mu, act, cpg, geom):
     mu_r = x_r - pi
     u_l = (mu_l - swing_start) / swing_len
     u_r = (mu_r - swing_start) / swing_len
-    eta_l = cpg[5] + lift * np.where((u_l > 0.0) & (u_l < 1.0), np.sin(pi * u_l), 0.0)
-    eta_r = cpg[11] + lift * np.where((u_r > 0.0) & (u_r < 1.0), np.sin(pi * u_r), 0.0)
+    eta_l = halt_eta + lift * np.where((u_l > 0.0) & (u_l < 1.0), np.sin(pi * u_l), 0.0)
+    eta_r = halt_eta + lift * np.where((u_r > 0.0) & (u_r < 1.0), np.sin(pi * u_r), 0.0)
 
     rows = _com_shift_rows(act)
     if rows.size:
@@ -570,12 +570,10 @@ def leg_retractions(mu, act, cpg, geom):
         eta_l[rows] += d_eta
         eta_r[rows] += d_eta
 
-    saturated = (eta_l < 0.0) | (eta_l > 1.0) | (eta_r < 0.0) | (eta_r > 1.0)
     # Nothing moves an arm's retraction off the halt one, which CpgParams
     # range-checks to [0, 1]; apply_actions_flat keeps the arm clamps because
     # the public apply_actions takes any pose.
-    if _clamp_retraction(cpg[14])[1] | _clamp_retraction(cpg[17])[1]:
-        saturated[:] = True
+    saturated = (eta_l < 0.0) | (eta_l > 1.0) | (eta_r < 0.0) | (eta_r > 1.0)
     for eta in (eta_l, eta_r):
         eta[eta < 0.0] = 0.0
         eta[eta > 1.0] = 1.0
@@ -600,8 +598,7 @@ def pose_readout(mu, cmds, act, cpg, geom):
     """
     mu_l, mu_r, eta_l, eta_r, _ = leg_retractions(mu, act, cpg, geom)
     thigh, shank, dist, ly0, lx0, _ = com_shift_reference(geom)
-    (h0, h1, h2, h3, h4, _, h6, h7, h8, h9, h10, _, h12, h13, h14, h15, h16, h17,
-     _, swing, sway_amp, arm_swing) = cpg[:22]
+    _, halt_arm_eta, _, swing, sway_amp, arm_swing = cpg[:6]
     vx, vy, wz = cmds.T
     arm_x, arm_y, supp_x, cont_x = act[:, :4].T
 
@@ -615,12 +612,14 @@ def pose_readout(mu, cmds, act, cpg, geom):
     cos_r = np.cos(mu_r)
 
     # apply_actions_flat on that pose; the support foot takes supp_x
-    l_lx = h0 + lat + sway_term
-    l_ly = h1 - sag * cos_l
-    r_lx = h6 + lat + sway_term
-    r_ly = h7 - sag * cos_r
-    l_fx = h3 + cont_x
-    r_fx = h9 + cont_x
+    l_lx = lat + sway_term
+    l_ly = -sag * cos_l
+    r_lx = lat + sway_term
+    r_ly = -sag * cos_r
+    # apply_actions_flat adds the foot and arm actions to cpg_pose's 0.0
+    # angles, and 0.0 + x turns an x of -0.0 into +0.0
+    l_fx = 0.0 + cont_x
+    r_fx = 0.0 + cont_x
     right_support = mu > 0.0
     l_fx = np.where(right_support, l_fx, l_fx + supp_x)
     r_fx = np.where(right_support, r_fx + supp_x, r_fx)
@@ -638,10 +637,10 @@ def pose_readout(mu, cmds, act, cpg, geom):
         r_ly[rows] += d_ly
 
     columns = (
-        l_lx, l_ly, h2 + yaw * np.sin(mu_l), l_fx, h4, eta_l,
-        r_lx, r_ly, h8 + yaw * np.sin(mu_r), r_fx, h10, eta_r,
-        h12 + arm_x, h13 + arm * cos_l + arm_y, _clamp_retraction(h14)[0],
-        h15 + arm_x, h16 + arm * cos_r + arm_y, _clamp_retraction(h17)[0],
+        l_lx, l_ly, yaw * np.sin(mu_l), l_fx, 0.0, eta_l,
+        r_lx, r_ly, yaw * np.sin(mu_r), r_fx, 0.0, eta_r,
+        0.0 + arm_x, arm * cos_l + arm_y, halt_arm_eta,
+        0.0 + arm_x, arm * cos_r + arm_y, halt_arm_eta,
     )
     pose = np.empty((len(mu), POSE_SIZE))
     for j, column in enumerate(columns):

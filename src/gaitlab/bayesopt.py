@@ -273,7 +273,9 @@ def _penalized(integrals, fell: bool, regularization: float, x, fall_penalty: fl
     """``evaluate_cost`` of a run given its e_P integrals and fall flag."""
     check_nonnegative("regularization", regularization)
     x = np.asarray(x, dtype=float)
-    nu = regularization * float(np.dot(x, x))
+    # the sum of squares as NumPy's add reduction, not the BLAS dot product,
+    # whose rounding depends on the kernel OpenBLAS picks for the CPU
+    nu = regularization * float(np.add.reduce(x * x))
     j_alpha, j_beta = (j + nu for j in integrals)
     if fell:
         j_alpha += fall_penalty

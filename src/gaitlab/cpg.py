@@ -9,13 +9,13 @@ a cycle apart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import _kernels
 from .errors import InvalidInputError, check_nonnegative
-from .pose import AbstractPose, AbstractLimb, AbstractArm
+from .pose import AbstractPose
 
 
 @dataclass
@@ -63,32 +63,20 @@ class CpgParams:
         ):
             check_nonnegative(name, getattr(self, name))
         if not 0.0 <= self.double_support_fraction < 0.5:
-            raise InvalidInputError("double_support_fraction must be in [0, 0.5)")
+            raise InvalidInputError(
+                f"double_support_fraction must be in [0, 0.5), got {self.double_support_fraction}"
+            )
         check_nonnegative("frequency", self.frequency, positive=True)
-        if not 0.0 <= self.halt_eta <= 1.0:
-            raise InvalidInputError("halt leg retraction must be in [0, 1]")
-        if not 0.0 <= self.halt_arm_eta <= 1.0:
-            raise InvalidInputError("halt arm retraction must be in [0, 1]")
-
-    @property
-    def halt_pose(self) -> AbstractPose:
-        return AbstractPose(
-            left_leg=AbstractLimb(eta=self.halt_eta),
-            right_leg=AbstractLimb(eta=self.halt_eta),
-            left_arm=AbstractArm(eta=self.halt_arm_eta),
-            right_arm=AbstractArm(eta=self.halt_arm_eta),
-        )
+        for limb, name in (("leg", "halt_eta"), ("arm", "halt_arm_eta")):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise InvalidInputError(
+                    f"halt {limb} retraction must be in [0, 1], got {name} = {value}"
+                )
 
     def to_array(self) -> np.ndarray:
-        out = np.empty(24)
-        out[:18] = self.halt_pose.to_array()
-        out[18] = self.lift_amplitude
-        out[19] = self.swing_amplitude
-        out[20] = self.lateral_sway_amplitude
-        out[21] = self.arm_swing_amplitude
-        out[22] = self.double_support_fraction
-        out[23] = self.frequency
-        return out
+        """Every field in declaration order."""
+        return np.array([getattr(self, f.name) for f in fields(self)], dtype=float)
 
 
 def step_phase(mu: float, dt: float, frequency: float, timing_factor: float = 1.0) -> float:

@@ -99,7 +99,8 @@ class FilterParams:
         check_nonnegative("leak_rate", self.leak_rate, positive=True)
 
     def to_array(self) -> np.ndarray:
-        return np.array([self.smoothing_time, self.deadband, self.leak_rate])
+        """Every field in declaration order."""
+        return np.array([getattr(self, f.name) for f in fields(self)], dtype=float)
 
 
 @dataclass
@@ -150,17 +151,8 @@ class Activations:
         check_nonnegative("timing_factor", self.timing_factor, positive=True)
 
     def to_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.arm_angle_x,
-                self.arm_angle_y,
-                self.supp_foot_angle_x,
-                self.cont_foot_angle_x,
-                self.com_shift_x,
-                self.com_shift_y,
-                self.timing_factor,
-            ]
-        )
+        """Every field in declaration order."""
+        return np.array([getattr(self, f.name) for f in fields(self)], dtype=float)
 
 
 def compute_activations(

@@ -242,6 +242,13 @@ def test_cost_regularizer_only():
     assert abs(j_beta - 0.25) < 1e-15
 
 
+def test_cost_regularizer_is_the_plain_float_sum_of_squares():
+    # a BLAS dot product on FMA kernels rounds this x's sum of squares to ...384
+    x = [0.04756886292360285, 2.3200782952813337]
+    trace = quiet_trace(np.zeros(101), np.zeros(101))
+    assert evaluate_cost(trace, 1.0, x) == (x[0] * x[0] + x[1] * x[1],) * 2
+
+
 def test_cost_matches_reintegration_oracle():
     prob = make_problem()
     trace = prob._run(prob.default_x(), prob.real_plant, 123)

@@ -733,3 +733,44 @@ def test_the_reused_parser_keeps_nothing_between_calls(tmp_path, capsys):
     assert gait_run("calm-again") == (calm[0], calm[1], calm[2].replace("calm", "calm-again"))
     assert gait_run("pushed-again", "66@4s:left") == (
         pushed[0], pushed[1], pushed[2].replace("pushed", "pushed-again"))
+
+
+# every config key, through the two commands that read a config file
+CONFIG_COMMANDS = {
+    "gait run": (["gait", "run", "--seq", "standard"], ["trace.csv", "phase.csv"]),
+    "gait optimize": (["gait", "optimize", "--max-real", "1", "--max-total", "3",
+                       "--sim-average", "1"], ["history.csv"]),
+}
+
+
+@pytest.mark.parametrize("command", list(CONFIG_COMMANDS))
+@pytest.mark.parametrize("key", list(config.default_config()))
+def test_config_keys_at_extreme_values_exit_cleanly(tmp_path, capsys, monkeypatch, key, command):
+    monkeypatch.chdir(tmp_path)
+    argv, outputs = CONFIG_COMMANDS[command]
+    prefix, field = key.rsplit(".", 1)
+    # an exit-1 line names the key: its field after the prefix config.rebuild
+    # puts first, or the run-time cause the value led to
+    names = rf"^error: {re.escape(prefix)}: .*\b{field}\b|^error: plant state is not finite"
+    for value in EXTREMES:
+        (tmp_path / "sweep.cfg").write_text(f"{key} = {value}\n")
+        for path in outputs:
+            (tmp_path / path).unlink(missing_ok=True)
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--gains", "sweep.cfg"])
+        seconds = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        case = f"{command} with {key} = {value}: exit {code}, stderr {err!r}"
+        assert code in (0, 1, 2), case
+        assert seconds < _CALL_SECONDS, f"{case}, {seconds:.2f} s"
+        assert all(map(math.isfinite, _numbers(out))), f"{case}, stdout {out!r}"
+        if code == 1:
+            errors = [line for line in err.splitlines() if "error: " in line]
+            assert len(errors) == 1 and re.search(names, errors[0]), case
+            continue
+        assert err == "", case
+        for path in outputs:
+            text = (tmp_path / path).read_text()
+            assert all(map(math.isfinite, _numbers(text))), f"{case}, {path}"

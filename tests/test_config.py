@@ -17,8 +17,10 @@ from gaitlab.config import (
     rebuild,
     write_config,
 )
+from gaitlab.cpg import GaitCommand, evaluate_cpg
 from gaitlab.errors import ConfigurationError, InvalidInputError
 from gaitlab.feedback import ACTION_GAIN_TYPES, FeedbackGains, IGain
+from gaitlab.pose import AbstractArm, AbstractLimb, AbstractPose
 
 
 def test_defaults_build_all_objects():
@@ -128,7 +130,14 @@ def test_halt_and_natural_frequency_keys_set_both_sides():
     cfg = {"cpg.halt_eta": 0.3, "cpg.halt_arm_eta": 0.2, "plant.natural_freq_roll": 3.5}
     cpg = cpg_from_config(cfg)
     assert (cpg.halt_eta, cpg.halt_arm_eta) == (0.3, 0.2)
-    halt = cpg.halt_pose
+    # at phase 0 with no command the sway is 0 and both legs are outside their swing window
+    halt = evaluate_cpg(0.0, GaitCommand(), cpg)
+    assert halt == AbstractPose(
+        left_leg=AbstractLimb(eta=0.3),
+        right_leg=AbstractLimb(eta=0.3),
+        left_arm=AbstractArm(eta=0.2),
+        right_arm=AbstractArm(eta=0.2),
+    )
     assert halt.left_leg.eta == halt.right_leg.eta == 0.3
     assert halt.left_arm.eta == halt.right_arm.eta == 0.2
     plant = plant_from_config(cfg)

@@ -1,10 +1,12 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from gaitlab.cpg import CpgParams, GaitCommand, evaluate_cpg, step_phase
 from gaitlab.errors import InvalidInputError
+from gaitlab.pose import AbstractArm, AbstractLimb, AbstractPose
 
 
 def test_step_phase_linear_increment():
@@ -34,10 +36,26 @@ def test_zero_command_zero_amplitudes_returns_halt():
         lateral_sway_amplitude=0.0,
         arm_swing_amplitude=0.0,
     )
-    halt = params.halt_pose.to_array()
+    # limbs straight down, legs retracted by halt_eta and arms by halt_arm_eta
+    halt = AbstractPose(
+        left_leg=AbstractLimb(eta=0.1),
+        right_leg=AbstractLimb(eta=0.1),
+        left_arm=AbstractArm(eta=0.05),
+        right_arm=AbstractArm(eta=0.05),
+    ).to_array()
     for mu in np.linspace(-math.pi, math.pi, 17):
         pose = evaluate_cpg(mu, GaitCommand(), params)
         assert np.array_equal(pose.to_array(), halt)
+
+
+def test_params_array_is_the_fields_in_declaration_order():
+    params = CpgParams(halt_eta=0.3, lift_amplitude=0.07, frequency=1.1)
+    # the order the kernels unpack the tuple in
+    names = ("halt_eta", "halt_arm_eta", "lift_amplitude", "swing_amplitude",
+             "lateral_sway_amplitude", "arm_swing_amplitude", "double_support_fraction",
+             "frequency")
+    assert tuple(f.name for f in fields(params)) == names
+    assert params.to_array().tolist() == [getattr(params, name) for name in names]
 
 
 def test_lift_waveforms_are_half_cycle_shifted():
