@@ -35,7 +35,7 @@ derive everything that is fixed for a run once before their first step:
 
     swing_window(cpg)          -> (swing_start, swing_len) of cpg_pose
     filter_coeffs(filt, dt)    -> (alpha, deadband, decay, gain_i) of filters_step
-    com_shift_reference(geom)  -> halt-pose leg reference of apply_actions_flat
+    com_shift_reference(leg)   -> halt-pose leg reference of apply_actions_flat
 
 A Python call costs as much as several lines of float arithmetic, so the
 loop is one flat body per sample: it writes out ``filters_step``,
@@ -78,7 +78,8 @@ Parameter tuples (the ``to_array`` layouts):
     eff   (12)  per-plane acceleration per unit activation, row-major
                 (2, 6): pitch row then roll row, columns
                 (armX, armY, suppX, contX, comX, comY)
-    geom  (3)   thigh length, shank length, halt eta
+    geom  (2)   thigh length, shank length; com_shift_reference's leg (3)
+                is (thigh, shank, halt eta)
 
 Divisors in a step are the step dt, the swing-window length and the leg
 link product; ``FilterParams``, ``CpgParams`` and ``LegGeometry`` keep the
@@ -254,24 +255,22 @@ def activations_from(pdi, gains, support_sign):
     )
 
 
-def _halt_distance(geom):
-    """Hip-ankle distance of the leg at the halt retraction geom[2]."""
-    thigh = geom[0]
-    shank = geom[1]
-    knee0 = 2.0 * math.acos(1.0 - geom[2])
+def _halt_distance(thigh, shank, halt_eta):
+    """Hip-ankle distance of the leg at the halt retraction halt_eta."""
+    knee0 = 2.0 * math.acos(1.0 - halt_eta)
     return math.sqrt(thigh * thigh + shank * shank + 2.0 * thigh * shank * math.cos(knee0))
 
 
-def com_shift_reference(geom):
+def com_shift_reference(leg):
     """Halt-pose leg reference of the CoM shift: a 6-tuple of floats.
 
     (thigh, shank, dist, ly0, lx0, eta_c0) with dist the hip-ankle distance
     at the halt retraction and ly0, lx0, eta_c0 = qh + qk/2, qr and
     cos(qk/2) of the leg IK for the ankle straight below the hip.
     """
-    thigh = geom[0]
-    shank = geom[1]
-    dist = _halt_distance(geom)
+    thigh = leg[0]
+    shank = leg[1]
+    dist = _halt_distance(thigh, shank, leg[2])
     qh0, qr0, qk0 = foot_ik_core(0.0, 0.0, -dist, thigh, shank)
     return thigh, shank, dist, qh0 + 0.5 * qk0, qr0, math.cos(0.5 * qk0)
 
@@ -287,7 +286,7 @@ def _clamp_retraction(eta):
 def apply_actions_flat(pose, act, support_sign, ref):
     """Superimpose activations onto an abstract pose (18-tuple).
 
-    ``ref`` is ``com_shift_reference(geom)``.  Returns the new pose and 1
+    ``ref`` is ``com_shift_reference(leg)``.  Returns the new pose and 1
     if any retraction had to be clamped into [0, 1], else 0.
     """
     arm_x, arm_y, supp_x, cont_x, com_x, com_y, _ = act
@@ -537,9 +536,9 @@ def leg_retractions(mu, act, cpg, geom):
     warning, as the kernels' Python floats do; so does ``pose_readout``.
     """
     swing_start, swing_len = swing_window(cpg)
-    thigh, shank = geom[0], geom[1]
-    dist = _halt_distance(geom)
+    thigh, shank = geom
     halt_eta, _, lift = cpg[:3]
+    dist = _halt_distance(thigh, shank, halt_eta)
     pi = math.pi
     two_pi = 2.0 * math.pi
 
@@ -585,11 +584,11 @@ def pose_readout(mu, cmds, act, cpg, geom):
     """The abstract pose of each recorded sample.
 
     ``mu`` (n,), ``cmds`` (n, 3) and ``act`` (n, 7) are rows that
-    ``run_closed_loop`` recorded, ``cpg`` is the loop's float tuple and
-    ``geom`` is (thigh, shank, halt eta).  Returns the (n, 18) poses, each
-    the CPG pose at the sample's phase and command with the sample's
-    activations superimposed.  The support leg follows from the phase, as it
-    does for the activations in the loop.
+    ``run_closed_loop`` recorded, ``cpg`` is the loop's float tuple, whose
+    ``cpg[0]`` is the halt retraction, and ``geom`` is (thigh, shank).
+    Returns the (n, 18) poses, each the CPG pose at the sample's phase and
+    command with the sample's activations superimposed.  The support leg
+    follows from the phase, as it does for the activations in the loop.
 
     The columns are ``cpg_pose`` and ``apply_actions_flat`` in NumPy, with
     the phases and retractions from ``leg_retractions``; ``foot_ik_core``
@@ -597,7 +596,7 @@ def pose_readout(mu, cmds, act, cpg, geom):
     shift, since ``np.arctan2`` does not match ``math.atan2``.
     """
     mu_l, mu_r, eta_l, eta_r, _ = leg_retractions(mu, act, cpg, geom)
-    thigh, shank, dist, ly0, lx0, _ = com_shift_reference(geom)
+    thigh, shank, dist, ly0, lx0, _ = com_shift_reference((*geom, cpg[0]))
     _, halt_arm_eta, _, swing, sway_amp, arm_swing = cpg[:6]
     vx, vy, wz = cmds.T
     arm_x, arm_y, supp_x, cont_x = act[:, :4].T

@@ -375,11 +375,15 @@ def _run_share(problem: GainProblem, jobs) -> list:
     return out
 
 
-def _helper_main(conn, problem: GainProblem) -> None:
-    """A forked helper: run each share of jobs received and send back its outcomes, until None."""
+def _helper_main(conn, problem: GainProblem, caller_ends) -> None:
+    """A forked helper: run each share of jobs received and send back its outcomes, until None
+    or until the caller is gone."""
+    for end in caller_ends:  # inherited; closed, the caller's death reads as end of file
+        end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's, which stops the helpers
-    while (jobs := conn.recv()) is not None:
-        conn.send(_run_share(problem, jobs))
+    with contextlib.suppress(EOFError, OSError):  # the caller is gone: exit quietly
+        while (jobs := conn.recv()) is not None:
+            conn.send(_run_share(problem, jobs))
 
 
 class _RunPool:
@@ -391,6 +395,8 @@ class _RunPool:
     of n jobs uses k = min(processes, n) processes: the main process runs jobs
     ``0::k`` and helper h jobs ``h::k``.  Each share runs to its end and the
     results go back in job order, so they equal the serial loop's bit for bit.
+    A helper exits once its caller is gone, killed or not, after its current
+    share.
     """
 
     def __init__(self, problem: GainProblem, batch: int):
@@ -408,7 +414,9 @@ class _RunPool:
         try:
             for _ in range(n - 1):
                 mine, theirs = ctx.Pipe()
-                proc = ctx.Process(target=_helper_main, args=(theirs, self.problem), daemon=True)
+                caller_ends = [mine, *(conn for _, conn in self._helpers)]
+                proc = ctx.Process(target=_helper_main, args=(theirs, self.problem, caller_ends),
+                                   daemon=True)
                 proc.start()
                 theirs.close()
                 self._helpers.append((proc, mine))

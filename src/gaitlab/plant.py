@@ -211,7 +211,7 @@ class RunTrace:
     activations: np.ndarray
     cmds: np.ndarray  # (vx, vy, wz) commanded at each sample
     fall: bool
-    pose_params: tuple  # (cpg, geom) float tuples that _kernels.pose_readout takes
+    pose_params: tuple  # (cpg, (thigh, shank)) float tuples that _kernels.pose_readout takes
 
     @cached_property
     def pose(self) -> np.ndarray:
@@ -360,7 +360,7 @@ def run_sequence(
         activations=act[:end],
         cmds=cmds[:end],
         fall=fell,
-        pose_params=(cpg_floats, _kernels.float_tuple([geom.thigh, geom.shank, cpg.halt_eta])),
+        pose_params=(cpg_floats, _kernels.float_tuple([geom.thigh, geom.shank])),
     )
 
 

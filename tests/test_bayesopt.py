@@ -1,7 +1,13 @@
+import contextlib
+import glob
 import math
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -694,6 +700,49 @@ def test_a_failed_fork_stops_the_helpers_already_forked(monkeypatch):
         optimize(make_problem(), OptBudget(max_real=1, max_total=3, sim_average_n=3), seed=1)
     assert len(forks) == 2
     assert multiprocessing.active_children() == []
+
+
+def _live_processes_in_group(pgid):
+    live = 0
+    for stat in glob.glob("/proc/[0-9]*/stat"):
+        with contextlib.suppress(OSError):  # the process has gone since the glob
+            with open(stat) as fh:
+                state, _, pgrp = fh.read().rsplit(")", 1)[1].split()[:3]
+            live += int(pgrp) == pgid and state not in "ZX"
+    return live
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self") or bayesopt._cpu_count() < 2,
+                    reason="needs /proc and 2 CPUs, so that an optimize forks a helper")
+@pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM], ids=["SIGKILL", "SIGTERM"])
+def test_a_killed_optimize_leaves_no_helper_behind(tmp_path, sig):
+    # a long sim-only run: every record is a batch of 2, so it forks exactly one helper
+    src = os.path.dirname(os.path.dirname(bayesopt.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "gaitlab.cli", "gait", "optimize", "--sim-average", "2",
+            "--max-real", "0", "--max-total", "200"]
+    with open(tmp_path / "stderr", "w") as err:
+        proc = subprocess.Popen(argv, cwd=tmp_path, env=env, stdout=subprocess.DEVNULL,
+                                stderr=err, start_new_session=True)
+    pgid = proc.pid
+    try:
+        deadline = time.monotonic() + 60.0
+        while _live_processes_in_group(pgid) < 2:
+            assert proc.poll() is None and time.monotonic() < deadline, "no helper was forked"
+            time.sleep(0.01)
+        os.kill(proc.pid, sig)
+        proc.wait(timeout=5.0)
+        deadline = time.monotonic() + 5.0
+        while _live_processes_in_group(pgid) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _live_processes_in_group(pgid) == 0
+        assert (tmp_path / "stderr").read_text() == ""
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(pgid, signal.SIGKILL)
+        proc.wait()
+
 
 @pytest.mark.parametrize("field, value", [
     ("regularization", math.nan), ("regularization", -0.01), ("regularization", math.inf),

@@ -187,7 +187,7 @@ def test_gait_run_overflowing_com_shift_warns_nothing(tmp_path, capsys, key):
         assert trace.pose.shape == (len(trace), _kernels.POSE_SIZE)
     assert code == 2
     cpg, geom = trace.pose_params
-    window, ref = _kernels.swing_window(cpg), _kernels.com_shift_reference(geom)
+    window, ref = _kernels.swing_window(cpg), _kernels.com_shift_reference((*geom, cpg[0]))
     want = sum(
         _kernels.apply_actions_flat(_kernels.cpg_pose(m, *cmd, cpg, window), tuple(act),
                                     -1.0 if m > 0.0 else 1.0, ref)[1]
@@ -635,7 +635,9 @@ def test_blob_reads_a_pgm_suffix_in_any_case(tmp_path):
 
 
 EXTREMES = ("0", "1e-300", "-1", "1e12", "1e300", "nan", "inf")
+INT_EXTREMES = ("7", "1000000000000")  # an int flag's parser rejects 1e12 and 1e300 as text
 _CAMERA = ["calib", "camera", "--input", "obs.csv", "--focal", "480", "--cx", "320", "--cy", "240"]
+_OPTIMIZE = ["gait", "optimize", "--max-real", "1", "--max-total", "3", "--sim-average", "1"]
 # each numeric flag: the argv with V where each swept value goes, and the words
 # an exit-1 line may name it by: the flag, or the quantity the library checks it as
 SWEPT_FLAGS = {
@@ -657,7 +659,14 @@ SWEPT_FLAGS = {
                                    "--disturb|disturbance impulse"),
     "gait run --disturb time": (["gait", "run", "--seq", "in-place", "--disturb=9.51@Vs:front"],
                                 "--disturb|disturbance time"),
+    "gait run --seed": (["gait", "run", "--seq", "in-place", "--seed", "V"], "--seed"),
+    "gait optimize --seed": (_OPTIMIZE + ["--seed", "V"], "--seed"),
+    "gait optimize --max-real": (_OPTIMIZE[:3] + ["V"] + _OPTIMIZE[4:], "--max-real|max_real"),
+    "gait optimize --sim-bias": (_OPTIMIZE + ["--sim-bias", "V"], "--sim-bias|sim_bias_weight"),
+    "gait optimize --reg": (_OPTIMIZE + ["--reg", "V"], "--reg|regularization"),
 }
+_INT_FLAGS = {"blob --min-pixels", "gear --teeth", "gait run --seed", "gait optimize --seed",
+              "gait optimize --max-real"}
 _CALL_SECONDS = 5.0  # the costliest call, a calibration at its 2 x 4000 step limit, takes about 0.5 s
 
 
@@ -676,8 +685,9 @@ def test_numeric_flags_at_extreme_values_exit_cleanly(tmp_path, capsys, monkeypa
     write_pgm(seeded_blob_frame(19, (60, 80)) / 255.0, "frame.pgm")
     (tmp_path / "obs.csv").write_text("\n".join(_golden_observation_rows()) + "\n")
     argv, names = SWEPT_FLAGS[name]
-    outputs = {"blob": ["detections.csv"], "gait": ["trace.csv", "phase.csv"]}.get(argv[0], [])
-    for value in EXTREMES:
+    outputs = {"blob": ["detections.csv"], "run": ["trace.csv", "phase.csv"],
+               "optimize": ["history.csv"]}.get(argv[1] if argv[0] == "gait" else argv[0], [])
+    for value in EXTREMES + (INT_EXTREMES if name in _INT_FLAGS else ()):
         if argv[1] == "torque":
             rows = [[repr(i), repr(KT * i + OFFSET)] for i in np.linspace(0.1, 3.0, 12).tolist()]
             rows[3][name.endswith(" torque")] = value

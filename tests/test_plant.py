@@ -293,13 +293,17 @@ def replay_with_public_helpers(gains, cpg, seq, p, pushes):
     return trace
 
 
-def test_public_step_helpers_reproduce_run_sequence_bitwise():
+@pytest.mark.parametrize("cpg", [CpgParams(lift_amplitude=0.95),
+                                 CpgParams(lift_amplitude=0.95, halt_eta=0.35)],
+                         ids=["default-halt", "halt-0.35"])
+def test_public_step_helpers_reproduce_run_sequence_bitwise(cpg):
     # nonzero CoM-shift I-gains run the IK branch, the lift pulse saturates the
-    # swing-leg retraction, and the second push fells the torso
+    # swing-leg retraction, and the second push fells the torso; a halt
+    # retraction off the default moves the CoM shift's halt reference too
     gains = FeedbackGains(com_shift_x=IGain(ki=0.3), com_shift_y=IGain(ki=0.2))
     pushes = [Disturbance(4.0, 9.0, "left"), Disturbance(11.0, 30.0, "back")]
     trace = replay_with_public_helpers(
-        gains, CpgParams(lift_amplitude=0.95), standard_test_sequence(), PlantParams(seed=4), pushes
+        gains, cpg, standard_test_sequence(), PlantParams(seed=4), pushes
     )
     assert trace.fall and trace.saturations > 0 and np.any(trace.activations[:, 4:6] != 0.0)
 
@@ -357,7 +361,7 @@ def test_pose_readout_matches_the_public_helpers_on_any_sample():
     cpg = CpgParams(lift_amplitude=0.95, halt_eta=0.2, halt_arm_eta=0.3)
     geom = LegGeometry()
     params = (_kernels.float_tuple(cpg.to_array()),
-              _kernels.float_tuple([geom.thigh, geom.shank, cpg.halt_eta]))
+              _kernels.float_tuple([geom.thigh, geom.shank]))
     pose = _kernels.pose_readout(mu, cmds, act, *params)
     saturations = np.count_nonzero(_kernels.leg_retractions(mu, act, *params)[4])
     want, want_saturations = [], 0
@@ -416,7 +420,7 @@ def test_leg_retractions_match_apply_actions_on_any_sample(case):
     act[:, 6] = 1.0
     _, _, eta_l, eta_r, saturated = _kernels.leg_retractions(
         mu, act, _kernels.float_tuple(cpg.to_array()),
-        _kernels.float_tuple([_GEOM.thigh, _GEOM.shank, halt_eta]),
+        _kernels.float_tuple([_GEOM.thigh, _GEOM.shank]),
     )
     want_l, want_r, want_saturated = [], [], []
     for m, a in zip(mu.tolist(), act):
