@@ -102,9 +102,11 @@ class OptBudget:
         check_nonnegative("max_total", self.max_total, positive=True)  # an int, so >= 1
         check_nonnegative("max_real", self.max_real)
         if self.max_real > self.max_total:
-            raise InvalidInputError("max_real cannot exceed max_total")
+            raise InvalidInputError(
+                f"max_real must be <= max_total ({self.max_total}), got {self.max_real}"
+            )
         if self.sim_average_n < 1:
-            raise InvalidInputError("sim_average_n must be >= 1")
+            raise InvalidInputError(f"sim_average_n must be >= 1, got {self.sim_average_n}")
         if not self.sim_bias_weight >= 1:  # inf is allowed: never go real
             raise InvalidInputError(f"sim_bias_weight must be >= 1, got {self.sim_bias_weight}")
 

@@ -111,39 +111,42 @@ def _label_runs(grid):
     2008).  Thanks to the border columns a run is a flat range [start, end)
     of the grid and, one row stride back, that range widened by one pixel
     each way holds exactly the runs above that touch it; two searchsorted
-    calls find them.  Union-find then works on runs, not pixels.  A union
-    links the larger root under the smaller, so a component's root is its
-    first run and flattening the parent list in order numbers the
-    components in scan order.  After a 3x3 opening every run is at least 3
-    pixels long, so the Python loop visits at most a third of the
-    foreground.
+    calls find them.
+
+    The runs are then joined by hook-and-jump connectivity (Shiloach &
+    Vishkin, J. Algorithms 1982) in whole-array passes.  Each run first
+    points at the first run above that touches it, if any; the other
+    touching runs above give the pairs.  Each round jumps every pointer to
+    its root (``root = root[root]`` until nothing changes), stops if both
+    runs of every pair share a root, and otherwise hooks the larger root of
+    each pair to the smaller.  A pointer only ever falls and stays inside
+    its component, and the loop stops only when every touching pair shares a
+    root, so each run ends at its component's first run in scan order, and
+    numbering the roots in order numbers the components in scan order.
     """
     s = grid.shape[1]
     cells = grid.ravel()
     edges = np.flatnonzero(cells[1:] != cells[:-1]) + 1
     starts, ends = edges[0::2], edges[1::2]
-    lo = np.searchsorted(ends, starts - s).tolist()
-    hi = np.searchsorted(starts, ends - s, "right").tolist()
-    parent = list(range(len(lo)))
-    for i, j, stop in zip(range(len(lo)), lo, hi):
-        a = i
-        for b in range(j, stop):  # the runs above that touch run i
-            while parent[b] != b:  # find b's root, halving the path
-                parent[b] = parent[parent[b]]
-                b = parent[b]
-            if b < a:
-                a, b = b, a
-            parent[b] = a
-    k = 0
-    for i, p in enumerate(parent):  # parent[i] < i unless i is a root
-        if p == i:
-            parent[i] = k
-            k += 1
-        else:
-            parent[i] = parent[p]
+    lo = np.searchsorted(ends, starts - s)
+    hi = np.searchsorted(starts, ends - s, "right")
+    runs = np.arange(len(lo))
+    root = np.where(hi > lo, lo, runs)
+    extra = np.maximum(hi - lo - 1, 0)  # touching runs above after the first
+    below = np.repeat(runs, extra)
+    above = np.arange(len(below)) + np.repeat(lo + 1 - np.cumsum(extra) + extra, extra)
+    while True:
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+        a, b = root[below], root[above]
+        apart = a != b
+        if not apart.any():
+            break
+        below, above, a, b = below[apart], above[apart], a[apart], b[apart]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
     lengths = ends - starts
     flat = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-    return np.repeat(np.array(parent, np.intp), lengths), flat // s, flat % s - 1
+    return np.repeat((np.cumsum(root == runs) - 1)[root], lengths), flat // s, flat % s - 1
 
 
 def connected_components(b) -> list[np.ndarray]:

@@ -481,6 +481,18 @@ def test_optimize_rejects_empty_budget(tmp_path, capsys, max_real, max_total, fi
     assert not (tmp_path / "history.csv").exists()
 
 
+@pytest.mark.parametrize("flags, values", [
+    (("--max-real", 7, "--max-total", 3, "--sim-average", 1), ("7", "3")),
+    (("--sim-average", 0), ("0",)),
+])
+def test_optimize_budget_errors_give_the_values(tmp_path, capsys, flags, values):
+    assert run_cli("gait", "optimize", *flags, "--out", tmp_path) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert all(re.search(rf"\b{v}\b", errors[0]) for v in values)
+    assert not (tmp_path / "history.csv").exists()
+
+
 def test_optimize_random_baseline_rejects_zero_real_budget(tmp_path, capsys):
     code = run_cli("gait", "optimize", "--baseline", "random", "--max-real", 0,
                    "--max-total", 5, "--out", tmp_path)

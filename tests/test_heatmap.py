@@ -136,6 +136,34 @@ def random_masks(rng, count):
         yield (rng.random(shape) < rng.uniform(0.05, 0.8)).astype(np.uint8)
 
 
+def checkerboard(shape):
+    return (np.indices(shape).sum(axis=0) % 2).astype(np.uint8)
+
+
+def comb(shape):
+    """Vertical 1-px teeth 1 px apart, joined alternately at the top and the bottom:
+    one component that winds across the whole mask."""
+    m = np.zeros(shape, np.uint8)
+    m[:, ::2] = 1
+    m[0, 1::4] = 1
+    m[-1, 3::4] = 1
+    return m
+
+
+def spiral(n):
+    """n x n square spiral of a 1-px line with 1-px gaps: one component, one long path."""
+    m = np.zeros((n, n), np.uint8)
+    r = c = 0
+    m[0, 0] = 1
+    legs = [n - 1] + [length for length in range(n - 1, 0, -2) for _ in (0, 1)]
+    for k, length in enumerate(legs):
+        dr, dc = ((0, 1), (1, 0), (0, -1), (-1, 0))[k % 4]
+        for _ in range(length):
+            r, c = r + dr, c + dc
+            m[r, c] = 1
+    return m
+
+
 def structured_masks(rng):
     yield serpentine(29)
     yield np.rot90(serpentine(24))
@@ -147,6 +175,16 @@ def structured_masks(rng):
     yield np.ones((1, 9), np.uint8)
     yield np.ones((9, 1), np.uint8)
     yield np.ones((13, 21), np.uint8)
+    yield serpentine(27)[::-1]
+    yield serpentine(26)[:, ::-1]
+    yield np.rot90(serpentine(25), 3)
+    yield checkerboard((19, 26))
+    yield comb((21, 30))
+    yield comb((16, 17))
+    yield spiral(25)
+    yield spiral(18)
+    for density in (0.55, 0.6, 0.65, 0.7):  # 1-px noise: many short, branching runs
+        yield (rng.random((24, 31)) < density).astype(np.uint8)
 
 
 def test_components_match_flood_fill_oracle():
@@ -159,6 +197,47 @@ def test_components_match_flood_fill_oracle():
             assert np.array_equal(g, w)
 
 
+def oracle_label_runs(grid):
+    """_label_runs with a Python union-find over the runs: each run joins the runs
+    above that touch it, the larger root linked under the smaller with path
+    halving, then the parent list is flattened in order."""
+    s = grid.shape[1]
+    cells = grid.ravel()
+    edges = np.flatnonzero(cells[1:] != cells[:-1]) + 1
+    starts, ends = edges[0::2], edges[1::2]
+    lo = np.searchsorted(ends, starts - s).tolist()
+    hi = np.searchsorted(starts, ends - s, "right").tolist()
+    parent = list(range(len(lo)))
+    for i, j, stop in zip(range(len(lo)), lo, hi):
+        a = i
+        for b in range(j, stop):
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if b < a:
+                a, b = b, a
+            parent[b] = a
+    k = 0
+    for i, p in enumerate(parent):
+        if p == i:
+            parent[i] = k
+            k += 1
+        else:
+            parent[i] = parent[p]
+    lengths = ends - starts
+    flat = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return np.repeat(np.array(parent, np.intp), lengths), flat // s, flat % s - 1
+
+
+def test_label_runs_matches_the_union_find_oracle():
+    rng = np.random.default_rng(8)
+    for m in (*random_masks(rng, 300), *structured_masks(rng), checkerboard((480, 640))):
+        grid = heatmap._mask_grid(m)[1:-1]
+        got, want = heatmap._label_runs(grid), oracle_label_runs(grid)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
 def test_labeling_cost_is_bounded_on_long_serpentine():
     snake = serpentine(256).astype(float)
     start = time.perf_counter()
@@ -168,10 +247,6 @@ def test_labeling_cost_is_bounded_on_long_serpentine():
     assert elapsed < 3.0, f"detect_blobs took {elapsed:.2f} s on a 256x256 serpentine"
 
 
-def checkerboard(shape):
-    return (np.indices(shape).sum(axis=0) % 2).astype(np.uint8)
-
-
 def test_labeling_cost_is_bounded_on_checkerboard():
     board = checkerboard((480, 640))  # every run is one pixel: the most runs a mask can have
     start = time.perf_counter()
@@ -179,6 +254,25 @@ def test_labeling_cost_is_bounded_on_checkerboard():
     elapsed = time.perf_counter() - start
     assert len(comps) == 1 and len(comps[0]) == board.sum()
     assert elapsed < 3.0, f"connected_components took {elapsed:.2f} s on a 480x640 checkerboard"
+
+
+def test_labeling_cost_is_bounded_on_comb():
+    teeth = comb((480, 640))  # 320 one-pixel teeth of 480 runs each, chained end to end
+    start = time.perf_counter()
+    comps = connected_components(teeth)
+    elapsed = time.perf_counter() - start
+    assert len(comps) == 1 and len(comps[0]) == teeth.sum()
+    assert elapsed < 3.0, f"connected_components took {elapsed:.2f} s on a 480x640 comb"
+
+
+def test_labeling_cost_is_bounded_on_dense_pixel_noise():
+    noise = (np.random.default_rng(9).random((480, 640)) < 0.6).astype(np.uint8)
+    start = time.perf_counter()
+    comps = connected_components(noise)
+    elapsed = time.perf_counter() - start
+    labels = oracle_label_runs(heatmap._mask_grid(noise)[1:-1])[0]
+    assert [len(c) for c in comps] == np.bincount(labels).tolist()
+    assert elapsed < 3.0, f"connected_components took {elapsed:.2f} s on 480x640 pixel noise"
 
 
 def test_detect_blobs_cost_is_bounded_on_dense_cell_noise():
