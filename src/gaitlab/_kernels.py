@@ -28,10 +28,12 @@ NumPy scalars costs several times as much as the same work on Python
 floats.  For the same reason the loop reads its input arrays once through
 ``tolist()``, records its rows in flat lists and turns each into an array
 once at the end with ``np.fromiter``, which reads a list of floats faster
-than ``np.array`` and gives the same bits.  The dataclasses still pack
-their parameters into float64 vectors (``to_array``); callers turn those
-into float tuples once with ``float_tuple``, and the loop and the readout
-derive everything that is fixed for a run once before their first step:
+than ``np.array`` and gives the same bits.  Each parameter tuple is
+``float_tuple`` of its dataclass: the float fields in declaration order,
+a nested dataclass's fields in its place (``float_fields``, the walk that
+also names the config keys).  Callers build the tuples once per run, and
+the loop and the readout derive everything that is fixed for a run once
+before their first step:
 
     swing_window(cpg)          -> (swing_start, swing_len) of cpg_pose
     filter_coeffs(filt, dt)    -> (alpha, deadband, decay, gain_i) of filters_step
@@ -53,33 +55,27 @@ kernels stay the one definition of each formula: the public step helpers
 constants, and the replay tests in ``tests/test_plant.py`` step those
 helpers by hand and hold the loop and the readout to them bit for bit.
 
-Flat abstract-pose layout (18 floats):
-    [0:6]   left leg   (lx, ly, lz, fx, fy, eta)
-    [6:12]  right leg  (lx, ly, lz, fx, fy, eta)
-    [12:15] left arm   (lx, ly, eta)
-    [15:18] right arm  (lx, ly, eta)
-
-Activation layout (7 floats): armX, armY, suppX, contX, comX, comY,
-timing factor.
-
-Parameter tuples (the ``to_array`` layouts):
-    cpg   (8)   the fields of ``CpgParams`` in declaration order:
-                halt_eta, halt_arm_eta, lift_amplitude, swing_amplitude,
-                lateral_sway_amplitude, arm_swing_amplitude,
-                double_support_fraction, frequency
-    gains (12)  the fields of ``FeedbackGains`` in declaration order,
-                each action's terms in place: the P/D actions
-                armX kp, kd | armY kp, kd | suppX kp, kd, the I actions
-                contX ki | comX ki | comY ki, then speed_up, slow_down,
-                min_timing_factor
-    filt  (3)   smoothing tau, deadband, leak rate
-    plant (5)   pitch natural freq, roll natural freq, damping,
-                gait coupling, fall threshold
-    eff   (12)  per-plane acceleration per unit activation, row-major
-                (2, 6): pitch row then roll row, columns
+Tuples, each ``float_tuple`` of its dataclass unless stated:
+    pose  (18)  ``AbstractPose``: left leg, right leg (lx, ly, lz, fx, fy,
+                eta each), left arm, right arm (lx, ly, eta each)
+    act   (7)   ``Activations``: armX, armY, suppX, contX, comX, comY,
+                timing factor
+    cpg   (8)   ``CpgParams``: halt_eta, halt_arm_eta, lift_amplitude,
+                swing_amplitude, lateral_sway_amplitude,
+                arm_swing_amplitude, double_support_fraction, frequency
+    gains (12)  ``FeedbackGains``, each action's terms in place: the P/D
+                actions armX kp, kd | armY kp, kd | suppX kp, kd, the I
+                actions contX ki | comX ki | comY ki, then speed_up,
+                slow_down, min_timing_factor
+    filt  (3)   ``FilterParams``: smoothing tau, deadband, leak rate
+    plant (7)   ``PlantParams``: pitch natural freq, roll natural freq,
+                damping, gait coupling, noise std, effective inertia,
+                fall threshold
+    eff   (12)  ``PlantParams.action_effectiveness`` row-major (2, 6):
+                pitch row then roll row, columns
                 (armX, armY, suppX, contX, comX, comY)
-    geom  (2)   thigh length, shank length; com_shift_reference's leg (3)
-                is (thigh, shank, halt eta)
+    geom  (2)   ``LegGeometry``: thigh length, shank length;
+                com_shift_reference's leg (3) is (thigh, shank, halt eta)
 
 Divisors in a step are the step dt, the swing-window length and the leg
 link product; ``FilterParams``, ``CpgParams`` and ``LegGeometry`` keep the
@@ -87,6 +83,7 @@ parameters they come from positive, so Python floats never divide by zero.
 """
 
 import math
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -95,10 +92,29 @@ ACT_SIZE = 7  # armX, armY, suppX, contX, comX, comY, timing_factor
 FILTER_STATE_SIZE = 6  # smoothed, d-estimate, integral -- pitch then roll plane
 
 
-def float_tuple(a):
-    """A packed float vector (any shape) as a flat tuple of Python floats,
-    the parameter form the kernels take."""
-    return tuple(np.asarray(a, dtype=float).ravel().tolist())
+def is_float_field(f) -> bool:
+    """Whether the dataclass field ``f`` is annotated ``float``, evaluated or not."""
+    return f.type in (float, "float")
+
+
+def float_fields(obj, prefix=""):
+    """(dotted name, value) of each float field of the dataclass ``obj``.
+
+    In declaration order; a nested dataclass's fields stand in its place,
+    named ``<field>.<name>``.  Fields of other types are skipped.
+    """
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_float_field(f):
+            yield prefix + f.name, value
+        elif is_dataclass(value):
+            yield from float_fields(value, f"{prefix}{f.name}.")
+
+
+def float_tuple(obj):
+    """The values of ``float_fields(obj)`` as Python floats, the parameter
+    form the kernels take."""
+    return tuple(float(value) for _, value in float_fields(obj))
 
 
 def wrap_pi(a):
@@ -367,7 +383,7 @@ def plant_step(pitch, roll, pitch_rate, roll_rate, exc_p, exc_r, act, plant, eff
     pitch += dt * pitch_rate
     roll_rate += dt * (acc_r + noise_r)
     roll += dt * roll_rate
-    fell = abs(pitch) > plant[4] or abs(roll) > plant[4]
+    fell = abs(pitch) > plant[6] or abs(roll) > plant[6]
     return (pitch, roll, pitch_rate, roll_rate), fell
 
 
@@ -407,7 +423,7 @@ def run_closed_loop(cmds, noise, pushes, cpg, gains, filt, plant, eff, dt, recor
     alpha, deadband, decay, gain_i = filter_coeffs(filt, dt)
     (arm_x_kp, arm_x_kd, arm_y_kp, arm_y_kd, supp_x_kp, supp_x_kd,
      cont_x_ki, com_x_ki, com_y_ki, speed_up, slow_down, min_tf) = gains
-    wn_p, wn_r, damping, coupling, fall_threshold = plant
+    wn_p, wn_r, damping, coupling, _, _, fall_threshold = plant
     e0, e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, e11 = eff
     # -wn * wn * sin(x) is (-wn * wn) * sin(x): the product is exact to hoist
     nwp2 = -wn_p * wn_p

@@ -97,14 +97,11 @@ def apply_aliases(rules: list[AliasRule], positions: dict[str, float]) -> dict[s
         by_target[r.target] = r
 
     out = dict(positions)
-    resolved = set(positions)
     pending = dict(by_target)
     while pending:
-        ready = [
-            t
-            for t, r in pending.items()
-            if all(i in resolved or i not in by_target for i in r.inputs())
-        ]
+        # a rule is ready once no input is a target still to compute, whether or
+        # not the input is also a given position
+        ready = [t for t, r in pending.items() if not any(i in pending for i in r.inputs())]
         if not ready:
             cycle = ", ".join(sorted(pending))
             raise ConfigurationError(f"cyclic alias rules involving: {cycle}")
@@ -127,7 +124,6 @@ def apply_aliases(rules: list[AliasRule], positions: dict[str, float]) -> dict[s
                 out[t] = vals[0] + vals[1]
             else:  # subtract
                 out[t] = vals[0] - vals[1]
-            resolved.add(t)
     return out
 
 

@@ -26,6 +26,7 @@ from .errors import (
     BudgetExhaustedError,
     InvalidInputError,
     NumericalConditioningError,
+    check_count,
     check_nonnegative,
 )
 from .feedback import FeedbackGains, FilterParams
@@ -91,22 +92,32 @@ class EvalRecord:
             raise InvalidInputError("costs must be finite")
 
 
+# the largest budget counts accepted, so that any call returns in bounded time (docs/formats.md)
+MAX_TOTAL_CEILING = 500
+SIM_AVERAGE_CEILING = 50
+
+
 @dataclass
 class OptBudget:
+    """Evaluation budget: records in all, real ones among them, and runs per sim record.
+
+    ``max_total`` may be at most MAX_TOTAL_CEILING and ``sim_average_n`` at
+    most SIM_AVERAGE_CEILING.
+    """
+
     max_real: int = 15
     max_total: int = 40
     sim_average_n: int = 4
     sim_bias_weight: float = 1.15
 
     def __post_init__(self):
-        check_nonnegative("max_total", self.max_total, positive=True)  # an int, so >= 1
-        check_nonnegative("max_real", self.max_real)
+        check_count("max_total", self.max_total, 1, MAX_TOTAL_CEILING)
+        check_count("max_real", self.max_real)
         if self.max_real > self.max_total:
             raise InvalidInputError(
                 f"max_real must be <= max_total ({self.max_total}), got {self.max_real}"
             )
-        if self.sim_average_n < 1:
-            raise InvalidInputError(f"sim_average_n must be >= 1, got {self.sim_average_n}")
+        check_count("sim_average_n", self.sim_average_n, 1, SIM_AVERAGE_CEILING)
         if not self.sim_bias_weight >= 1:  # inf is allowed: never go real
             raise InvalidInputError(f"sim_bias_weight must be >= 1, got {self.sim_bias_weight}")
 

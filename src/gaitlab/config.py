@@ -13,8 +13,9 @@ without ``gains.``.
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 
+from ._kernels import float_fields, is_float_field
 from .cpg import CpgParams
 from .errors import ConfigurationError, InvalidInputError
 from .feedback import ACTION_GAIN_TYPES, FeedbackGains, FilterParams
@@ -23,19 +24,10 @@ from .plant import PlantParams
 SECTIONS = {"cpg": CpgParams, "filter": FilterParams, "gains": FeedbackGains, "plant": PlantParams}
 
 
-_FLOAT = (float, "float")  # a field annotation, evaluated or not
-
-
 def flatten(obj, prefix: str = "") -> dict[str, float]:
-    """Dotted key -> value of every tunable parameter of ``obj``."""
-    out = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if isinstance(value, ACTION_GAIN_TYPES):
-            out.update(flatten(value, f"{prefix}{f.name}."))
-        elif f.type in _FLOAT:
-            out[prefix + f.name] = value
-    return out
+    """Dotted key -> value of every tunable parameter of ``obj``: its
+    ``float_fields``, the fields its kernel tuple holds."""
+    return dict(float_fields(obj, prefix))
 
 
 def rebuild(obj, values: dict[str, float], prefix: str = ""):
@@ -48,10 +40,11 @@ def rebuild(obj, values: dict[str, float], prefix: str = ""):
     changes = {}
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if isinstance(value, ACTION_GAIN_TYPES):
+        if is_float_field(f):
+            if prefix + f.name in values:
+                changes[f.name] = values[prefix + f.name]
+        elif is_dataclass(value):
             changes[f.name] = rebuild(value, values, f"{prefix}{f.name}.")
-        elif f.type in _FLOAT and prefix + f.name in values:
-            changes[f.name] = values[prefix + f.name]
     try:
         return replace(obj, **changes)
     except InvalidInputError as exc:

@@ -9,9 +9,7 @@ a cycle apart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import _kernels
 from .errors import InvalidInputError, check_nonnegative
@@ -74,10 +72,6 @@ class CpgParams:
                     f"halt {limb} retraction must be in [0, 1], got {name} = {value}"
                 )
 
-    def to_array(self) -> np.ndarray:
-        """Every field in declaration order."""
-        return np.array([getattr(self, f.name) for f in fields(self)], dtype=float)
-
 
 def step_phase(mu: float, dt: float, frequency: float, timing_factor: float = 1.0) -> float:
     """Advance the gait phase and wrap it into (-pi, pi]."""
@@ -95,7 +89,7 @@ def evaluate_cpg(mu: float, cmd: GaitCommand, params: CpgParams) -> AbstractPose
     sway sinusoid, and a yaw twist proportional to wz.  Continuous and
     2*pi-periodic in mu.
     """
-    cpg = _kernels.float_tuple(params.to_array())
+    cpg = _kernels.float_tuple(params)
     pose = _kernels.cpg_pose(
         float(mu), cmd.vx, cmd.vy, cmd.wz, cpg, _kernels.swing_window(cpg)
     )

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the range check that raises them."""
+"""Exception types shared across the package, and the range checks that raise them."""
 
 import math
+import numbers
 
 
 class GaitlabError(Exception):
@@ -49,3 +50,13 @@ def check_nonnegative(name: str, value: float, positive: bool = False) -> None:
         raise InvalidInputError(
             f"{name} must be finite and {'> 0' if positive else '>= 0'}, got {value}"
         )
+
+
+def check_count(name: str, value, low: int = 0, ceiling: int | None = None) -> None:
+    """Raise InvalidInputError unless value is an integer, not a bool, in [low, ceiling]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise InvalidInputError(f"{name} must be >= {low}, got {value}")
+    if ceiling is not None and value > ceiling:
+        raise InvalidInputError(f"{name} must be <= {ceiling}, got {value}")

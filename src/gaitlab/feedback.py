@@ -9,7 +9,7 @@ deviation.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -63,17 +63,6 @@ class FeedbackGains:
         check_nonnegative("timing_slow_down", self.timing_slow_down)
         check_nonnegative("min_timing_factor", self.min_timing_factor, positive=True)
 
-    def to_array(self) -> np.ndarray:
-        """Every gain in field declaration order, an action's terms in place."""
-        out = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, ACTION_GAIN_TYPES):
-                out.extend(getattr(value, term.name) for term in fields(value))
-            else:
-                out.append(value)
-        return np.array(out)
-
 
 def zero_gains() -> FeedbackGains:
     """All-zero gains: the closed loop degenerates to the open-loop gait."""
@@ -98,10 +87,6 @@ class FilterParams:
         check_nonnegative("deadband", self.deadband)
         check_nonnegative("leak_rate", self.leak_rate, positive=True)
 
-    def to_array(self) -> np.ndarray:
-        """Every field in declaration order."""
-        return np.array([getattr(self, f.name) for f in fields(self)], dtype=float)
-
 
 @dataclass
 class PdiTerms:
@@ -125,7 +110,7 @@ class DeviationFilters:
         """Advance both filters by one sample; returns (pitch, roll) terms."""
         check_nonnegative("dt", dt, positive=True)
         dt = float(dt)
-        coeffs = _kernels.filter_coeffs(_kernels.float_tuple(self.params.to_array()), dt)
+        coeffs = _kernels.filter_coeffs(_kernels.float_tuple(self.params), dt)
         self.state, pdi = _kernels.filters_step(
             self.state, float(d_theta), float(d_phi), dt, coeffs
         )
@@ -151,8 +136,8 @@ class Activations:
         check_nonnegative("timing_factor", self.timing_factor, positive=True)
 
     def to_array(self) -> np.ndarray:
-        """Every field in declaration order."""
-        return np.array([getattr(self, f.name) for f in fields(self)], dtype=float)
+        """Every field in declaration order: the kernels' activation layout."""
+        return np.array(_kernels.float_tuple(self))
 
 
 def compute_activations(
@@ -169,9 +154,9 @@ def compute_activations(
     """
     if support_leg_sign not in (1, -1):
         raise InvalidInputError("support_leg_sign must be +1 or -1")
-    pdi = _kernels.float_tuple(astuple(pitch_terms) + astuple(roll_terms))
+    floats = _kernels.float_tuple
     act = _kernels.activations_from(
-        pdi, _kernels.float_tuple(gains.to_array()), float(support_leg_sign)
+        floats(pitch_terms) + floats(roll_terms), floats(gains), float(support_leg_sign)
     )
     return Activations(*act)
 
@@ -199,9 +184,9 @@ def apply_actions(
     geom = geom or LegGeometry()
     floats = _kernels.float_tuple
     pose, saturated = _kernels.apply_actions_flat(
-        floats(open_loop.to_array()),
-        floats(act.to_array()),
+        floats(open_loop),
+        floats(act),
         float(support_leg_sign),
-        _kernels.com_shift_reference(floats([geom.thigh, geom.shank, halt_eta])),
+        _kernels.com_shift_reference((*floats(geom), float(halt_eta))),
     )
     return AbstractPose.from_array(pose), bool(saturated)

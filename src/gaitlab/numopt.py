@@ -18,13 +18,16 @@ def least_squares_line(xs, ys) -> tuple[float, float]:
         raise InvalidInputError("xs and ys must be 1-D arrays of equal length")
     if xs.size < 2:
         raise DegenerateDataError("need at least 2 points for a line fit")
+    # identical values whose mean rounds off them would leave a small positive sxx
+    if xs.min() == xs.max():
+        raise DegenerateDataError("all x values identical; slope undetermined")
     # sums of squares of finite values can overflow; that is a named error below
     with np.errstate(over="ignore", invalid="ignore"):
         x_mean = xs.mean()
         y_mean = ys.mean()
         sxx = float(np.sum((xs - x_mean) ** 2))
-        if sxx <= 0.0:
-            raise DegenerateDataError("all x values identical; slope undetermined")
+        if sxx <= 0.0:  # distinct values whose squared deviations underflow to 0
+            raise DegenerateDataError("x values too close together; slope undetermined")
         slope = float(np.sum((xs - x_mean) * (ys - y_mean))) / sxx
         intercept = y_mean - slope * x_mean
     if not (math.isfinite(sxx) and math.isfinite(slope) and math.isfinite(intercept)):

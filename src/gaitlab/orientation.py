@@ -18,8 +18,6 @@ import numpy as np
 from ._kernels import wrap_pi as wrap_angle  # wraps an angle into (-pi, pi]
 from .errors import InvalidInputError
 
-_UNIT_TOL = 1e-9
-
 
 @dataclass
 class Quaternion:

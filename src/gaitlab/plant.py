@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .cpg import CpgParams, GaitCommand
-from .errors import InvalidInputError, NonFiniteStateError, check_nonnegative
+from .errors import InvalidInputError, NonFiniteStateError, check_count, check_nonnegative
 from .feedback import Activations, FeedbackGains, FilterParams
 from .pose import LegGeometry
 
@@ -27,10 +27,6 @@ FALL_THRESHOLD = 0.7  # rad
 # the most steps one sequence segment may take (10^4 s at DT); a longer segment
 # is rejected before any array is built, so a huge duration cannot exhaust memory
 MAX_SEGMENT_STEPS = 1_000_000
-
-# column order of the activation effectiveness matrix
-_ACT_COLUMNS = ("arm_angle_x", "arm_angle_y", "supp_foot_angle_x",
-                "cont_foot_angle_x", "com_shift_x", "com_shift_y")
 
 
 def default_effectiveness() -> np.ndarray:
@@ -79,7 +75,7 @@ class PlantParams:
     noise_std: float = 0.06  # rad/s^2
     effective_inertia: float = 12.0  # kg*m, maps impulse to a rate kick
     fall_threshold: float = FALL_THRESHOLD
-    seed: int = 0
+    seed: int = 0  # of the noise stream, an integer >= 0
 
     def __post_init__(self):
         self.action_effectiveness = np.asarray(self.action_effectiveness, dtype=float)
@@ -94,10 +90,7 @@ class PlantParams:
         check_nonnegative("noise_std", self.noise_std)
         check_nonnegative("effective_inertia", self.effective_inertia, positive=True)
         check_nonnegative("fall_threshold", self.fall_threshold, positive=True)
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.natural_freq_pitch, self.natural_freq_roll, self.damping,
-                         self.gait_coupling, self.fall_threshold])
+        check_count("seed", self.seed)
 
 
 @dataclass
@@ -177,9 +170,9 @@ def step_plant(
 
     floats = _kernels.float_tuple
     state, fallen = _kernels.plant_step(
-        s.fused_pitch, s.fused_roll, pitch_rate, roll_rate, *floats(excitation),
-        floats(activations.to_array()), floats(p.to_array()), floats(p.action_effectiveness),
-        *floats(noise), dt,
+        s.fused_pitch, s.fused_roll, pitch_rate, roll_rate, *map(float, excitation),
+        floats(activations), floats(p), tuple(p.action_effectiveness.ravel().tolist()),
+        *map(float, noise), dt,
     )
     return TorsoState(*state, fallen)
 
@@ -310,9 +303,8 @@ def _loop_args(gains, cpg, seq, p, disturbances, filter_params) -> tuple:
     pushes = [(round(d.time / DT), d.rate_kick(p.effective_inertia)) for d in disturbances]
 
     floats = _kernels.float_tuple
-    return (cmds, noise, pushes, floats(cpg.to_array()), floats(gains.to_array()),
-            floats(filter_params.to_array()), floats(p.to_array()),
-            floats(p.action_effectiveness), DT)
+    return (cmds, noise, pushes, floats(cpg), floats(gains), floats(filter_params), floats(p),
+            tuple(p.action_effectiveness.ravel().tolist()), DT)
 
 
 def run_sequence(
@@ -346,7 +338,6 @@ def run_sequence(
             "check the plant and gain parameters"
         )
     t = np.arange(end) * DT
-    geom = LegGeometry()
     return RunTrace(
         dt=DT,
         t=t,
@@ -360,7 +351,7 @@ def run_sequence(
         activations=act[:end],
         cmds=cmds[:end],
         fall=fell,
-        pose_params=(cpg_floats, _kernels.float_tuple([geom.thigh, geom.shank])),
+        pose_params=(cpg_floats, _kernels.float_tuple(LegGeometry())),
     )
 
 

@@ -71,12 +71,7 @@ class AbstractPose:
 
     def to_array(self) -> np.ndarray:
         """Flatten to the 18-float layout used by the kernels."""
-        out = np.empty(_kernels.POSE_SIZE)
-        for base, limb in ((0, self.left_leg), (6, self.right_leg)):
-            out[base : base + 6] = (limb.lx, limb.ly, limb.lz, limb.fx, limb.fy, limb.eta)
-        for base, arm in ((12, self.left_arm), (15, self.right_arm)):
-            out[base : base + 3] = (arm.lx, arm.ly, arm.eta)
-        return out
+        return np.array(_kernels.float_tuple(self))
 
     @staticmethod
     def from_array(a) -> "AbstractPose":

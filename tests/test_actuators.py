@@ -135,6 +135,13 @@ def test_alias_missing_source_named():
         apply_aliases(rules, {"x": 1.0})
 
 
+@pytest.mark.parametrize("order", [1, -1])
+def test_alias_reads_a_target_given_as_a_position_after_its_rule(order):
+    rules = [AliasRule("b", "copy", "a"), AliasRule("a", "scale", "x", factor=2.0)][::order]
+    out = apply_aliases(rules, {"a": 1.0, "x": 5.0})
+    assert out == {"a": 10.0, "x": 5.0, "b": 10.0}
+
+
 def test_alias_idempotent_on_own_output():
     rules = [
         AliasRule("s", "copy", "m"),

@@ -674,11 +674,13 @@ SWEPT_FLAGS = {
     "gait run --seed": (["gait", "run", "--seq", "in-place", "--seed", "V"], "--seed"),
     "gait optimize --seed": (_OPTIMIZE + ["--seed", "V"], "--seed"),
     "gait optimize --max-real": (_OPTIMIZE[:3] + ["V"] + _OPTIMIZE[4:], "--max-real|max_real"),
+    "gait optimize --max-total": (_OPTIMIZE[:5] + ["V"] + _OPTIMIZE[6:], "--max-total|max_total"),
+    "gait optimize --sim-average": (_OPTIMIZE[:7] + ["V"], "--sim-average|sim_average_n"),
     "gait optimize --sim-bias": (_OPTIMIZE + ["--sim-bias", "V"], "--sim-bias|sim_bias_weight"),
     "gait optimize --reg": (_OPTIMIZE + ["--reg", "V"], "--reg|regularization"),
 }
 _INT_FLAGS = {"blob --min-pixels", "gear --teeth", "gait run --seed", "gait optimize --seed",
-              "gait optimize --max-real"}
+              "gait optimize --max-real", "gait optimize --max-total", "gait optimize --sim-average"}
 _CALL_SECONDS = 5.0  # the costliest call, a calibration at its 2 x 4000 step limit, takes about 0.5 s
 
 

@@ -4,6 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from gaitlab import _kernels
 from gaitlab.cpg import CpgParams, GaitCommand, evaluate_cpg, step_phase
 from gaitlab.errors import InvalidInputError
 from gaitlab.pose import AbstractArm, AbstractLimb, AbstractPose
@@ -55,7 +56,7 @@ def test_params_array_is_the_fields_in_declaration_order():
              "lateral_sway_amplitude", "arm_swing_amplitude", "double_support_fraction",
              "frequency")
     assert tuple(f.name for f in fields(params)) == names
-    assert params.to_array().tolist() == [getattr(params, name) for name in names]
+    assert _kernels.float_tuple(params) == tuple(getattr(params, name) for name in names)
 
 
 def test_lift_waveforms_are_half_cycle_shifted():

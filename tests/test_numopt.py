@@ -48,6 +48,11 @@ def test_degenerate_fits():
         least_squares_line([1.0], [2.0])
     with pytest.raises(DegenerateDataError):
         least_squares_line([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+    assert np.mean([0.1] * 3) != 0.1  # so the deviations from the mean are not 0
+    with pytest.raises(DegenerateDataError, match="identical"):
+        least_squares_line([0.1] * 3, [0.0, 0.0, 5.0])
+    with pytest.raises(DegenerateDataError):  # distinct; the squared deviations underflow to 0
+        least_squares_line([1e-200, 2e-200], [0.0, 5.0])
 
 
 def test_quadratic_bowl():

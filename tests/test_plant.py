@@ -360,8 +360,7 @@ def test_pose_readout_matches_the_public_helpers_on_any_sample():
     act[:, 6] = 1.0  # the timing factor: the pose does not read it
     cpg = CpgParams(lift_amplitude=0.95, halt_eta=0.2, halt_arm_eta=0.3)
     geom = LegGeometry()
-    params = (_kernels.float_tuple(cpg.to_array()),
-              _kernels.float_tuple([geom.thigh, geom.shank]))
+    params = (_kernels.float_tuple(cpg), _kernels.float_tuple(geom))
     pose = _kernels.pose_readout(mu, cmds, act, *params)
     saturations = np.count_nonzero(_kernels.leg_retractions(mu, act, *params)[4])
     want, want_saturations = [], 0
@@ -383,7 +382,7 @@ def _ik_edge(halt_eta):
 
 
 _IK_EDGE = {halt_eta: _ik_edge(halt_eta) for halt_eta in (0.0, 0.1, 0.5, 1.0)}
-_SWING_START, _SWING_LEN = _kernels.swing_window(_kernels.float_tuple(CpgParams().to_array()))
+_SWING_START, _SWING_LEN = _kernels.swing_window(_kernels.float_tuple(CpgParams()))
 
 
 @st.composite
@@ -419,8 +418,7 @@ def test_leg_retractions_match_apply_actions_on_any_sample(case):
     act[:, 4:6] = [(com_x, com_y) for _, com_x, com_y in samples]
     act[:, 6] = 1.0
     _, _, eta_l, eta_r, saturated = _kernels.leg_retractions(
-        mu, act, _kernels.float_tuple(cpg.to_array()),
-        _kernels.float_tuple([_GEOM.thigh, _GEOM.shank]),
+        mu, act, _kernels.float_tuple(cpg), _kernels.float_tuple(_GEOM),
     )
     want_l, want_r, want_saturated = [], [], []
     for m, a in zip(mu.tolist(), act):
@@ -481,7 +479,7 @@ def test_make_real_plant_gap():
     base = PlantParams(seed=3)
     real = make_real_plant(base)
     real2 = make_real_plant(base)
-    assert real.to_array().tolist() == real2.to_array().tolist()  # deterministic perturbation
+    assert _kernels.float_tuple(real) == _kernels.float_tuple(real2)  # deterministic perturbation
     assert real.natural_freq_pitch == base.natural_freq_pitch * REAL_NATURAL_FREQ_SCALE
     assert real.natural_freq_roll == base.natural_freq_roll * REAL_NATURAL_FREQ_SCALE
 

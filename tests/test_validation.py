@@ -7,6 +7,8 @@ import pytest
 
 from gaitlab.actuators import GearSpec, TorqueModel, rad_to_ticks
 from gaitlab.bayesopt import (
+    MAX_TOTAL_CEILING,
+    SIM_AVERAGE_CEILING,
     AugmentedPoint,
     CompositeKernel,
     EvalRecord,
@@ -87,6 +89,9 @@ def test_finite_values_still_pass():
     assert GearSpec(30, 1.5).module == 1.5
     assert rad_to_ticks(0.0) == 2048
     assert np.isfinite(evaluate_cost(short_trace(), 0.0, [1.0])).all()
+    top = OptBudget(max_real=np.int64(2), max_total=MAX_TOTAL_CEILING,
+                    sim_average_n=SIM_AVERAGE_CEILING)
+    assert (top.max_real, top.max_total, top.sim_average_n) == (2, 500, 50)
 
 
 def propose(bounds, seed=0):
@@ -116,6 +121,17 @@ OPTIMIZER_CASES = [
     ("select-next-seed", "seed must be >= 0", lambda: propose(UNIT, seed=-1)),
     ("optimize-seed", "seed must be >= 0", lambda: optimize(problem(), seed=-1)),
     ("random-search-seed", "seed must be >= 0", lambda: random_search(problem(), seed=-1)),
+    ("plant-seed", "seed must be >= 0, got -1", lambda: PlantParams(seed=-1)),
+    ("plant-seed-float", "seed must be an integer, got 1.5", lambda: PlantParams(seed=1.5)),
+    ("budget-real-float", "max_real must be an integer", lambda: OptBudget(max_real=1.5)),
+    ("budget-total-float", "max_total must be an integer", lambda: OptBudget(max_total=2.5)),
+    ("budget-sim-average-float", "sim_average_n must be an integer",
+     lambda: OptBudget(sim_average_n=2.5)),
+    ("budget-total-ceiling", f"max_total must be <= {MAX_TOTAL_CEILING}, got {MAX_TOTAL_CEILING + 1}",
+     lambda: OptBudget(max_total=MAX_TOTAL_CEILING + 1)),
+    ("budget-sim-average-ceiling",
+     f"sim_average_n must be <= {SIM_AVERAGE_CEILING}, got {SIM_AVERAGE_CEILING + 1}",
+     lambda: OptBudget(sim_average_n=SIM_AVERAGE_CEILING + 1)),
     ("record-one-cost", r"cost must be \(J_alpha, J_beta\)",  # history.csv writes both
      lambda: EvalRecord(AugmentedPoint([0.5, 0.5], "sim"), (1.0,))),
     ("point-nan", "x must be a finite gain vector", lambda: AugmentedPoint([nan, 0.5], "sim")),
