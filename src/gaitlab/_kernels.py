@@ -7,19 +7,19 @@ The closed loop is split in two.  ``run_closed_loop`` is the one per-step
 dynamics loop: filters, activations, gait excitation, plant step and the
 phase update.  The pose does not drive the plant, so the loop does not
 compute it; it is read out afterwards from the recorded phase, commands and
-activations (the support leg follows from the phase), as whole NumPy
-columns.  ``leg_retractions`` gives the leg retractions and the samples
-whose retraction was clamped, which is all a saturation count reads, and
-``pose_readout`` builds the whole pose on top of it.  A run whose cost
-reads only the feedback errors and the fall, as every run of the optimizer
-does, pays for neither.  The loop's result keeps two slots where the pose
-and the saturation count used to be, now an empty (0, 18) array and 0: the
-benchmark's tracer (``perfbench/tracer.py``) reads the result by position,
-``fall_idx`` at index 6 and the saturation count at index 7, and
-``run_sequence`` takes the end state from index 8.  They go once the
-tracer reads the ``RunTrace`` instead.  A run whose cost reads only the
-feedback errors also skips recording the phase, state and activations
-(``record=False``).
+activations (the support leg follows from the phase).  ``pose_readout``
+maps ``cpg_pose`` and ``apply_actions_flat`` over the recorded rows, and
+``leg_retractions`` gives only the leg retractions and the samples whose
+retraction was clamped, which is all a saturation count reads.  A run
+whose cost reads only the feedback errors and the fall, as every run of
+the optimizer does, pays for neither.  The loop's result keeps two slots
+where the pose and the saturation count used to be, now an empty (0, 18)
+array and 0: the benchmark's tracer (``perfbench/tracer.py``) reads the
+result by position, ``fall_idx`` at index 6 and the saturation count at
+index 7, and ``run_sequence`` takes the end state from index 8.  They go
+once the tracer reads the ``RunTrace`` instead.  A run whose cost reads
+only the feedback errors also skips recording the phase, state and
+activations (``record=False``).
 
 The cost of a step is the interpreter's, so the kernels take their
 parameters as tuples of Python floats, keep state in scalars and return
@@ -32,7 +32,7 @@ than ``np.array`` and gives the same bits.  Each parameter tuple is
 ``float_tuple`` of its dataclass: the float fields in declaration order,
 a nested dataclass's fields in its place (``float_fields``, the walk that
 also names the config keys).  Callers build the tuples once per run, and
-the loop and the readout derive everything that is fixed for a run once
+the loop and the readouts derive everything that is fixed for a run once
 before their first step:
 
     swing_window(cpg)          -> (swing_start, swing_len) of cpg_pose
@@ -42,18 +42,19 @@ before their first step:
 A Python call costs as much as several lines of float arithmetic, so the
 loop is one flat body per sample: it writes out ``filters_step``,
 ``activations_from``, ``gait_excitation``, ``plant_step`` and the phase's
-``wrap_pi`` and unpacks its parameter tuples into locals once per run.  The
-readout is a map over samples, not a recurrence, so it writes out
-``cpg_pose`` and ``apply_actions_flat`` as NumPy columns, which round as
-the scalar code does; only ``math.acos`` and ``math.atan2`` run per row,
-on the rows with a nonzero CoM shift, because ``np.arccos`` and
-``np.arctan2`` do not match them.  Every expression keeps its kernel's
-order of operations, because a regrouped sum rounds differently.  The step
-kernels stay the one definition of each formula: the public step helpers
+``wrap_pi`` and unpacks its parameter tuples into locals once per run.
+``leg_retractions`` runs on every ``gait run`` and is a map over samples,
+not a recurrence, so it writes out the retraction formulas of ``cpg_pose``
+and ``apply_actions_flat`` as NumPy columns, which round as the scalar code
+does; only the knee's ``math.acos`` runs per row, on the rows with a
+nonzero CoM shift, because ``np.arccos`` does not match it.  Every
+written-out expression keeps its kernel's order of operations, because a
+regrouped sum rounds differently.  The step kernels stay the one
+definition of each formula: ``pose_readout`` and the public step helpers
 (``evaluate_cpg``, ``DeviationFilters.update``, ``compute_activations``,
 ``apply_actions``, ``step_plant``) call them with the same derived
 constants, and the replay tests in ``tests/test_plant.py`` step those
-helpers by hand and hold the loop and the readout to them bit for bit.
+helpers by hand and hold the loop and the retractions to them bit for bit.
 
 Tuples, each ``float_tuple`` of its dataclass unless stated:
     pose  (18)  ``AbstractPose``: left leg, right leg (lx, ly, lz, fx, fy,
@@ -526,20 +527,15 @@ def run_closed_loop(cmds, noise, pushes, cpg, gains, filt, plant, eff, dt, recor
             (pitch, roll, pitch_rate, roll_rate))
 
 
-def _com_shift_rows(act):
-    """Indices of the recorded rows whose CoM shift is nonzero."""
-    return np.flatnonzero((act[:, 4] != 0.0) | (act[:, 5] != 0.0))
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def leg_retractions(mu, act, cpg, geom):
-    """Each leg's phase and clamped retraction per sample, and its saturated flag.
+    """Each leg's clamped retraction per sample, and its saturated flag.
 
     ``mu`` (n,) and ``act`` (n, 7) are rows that ``run_closed_loop``
     recorded; ``cpg`` and ``geom`` are as for ``pose_readout``.  Returns the
-    columns (mu_l, mu_r, eta_l, eta_r, saturated): the leg phases of
-    ``cpg_pose``, the leg retractions of ``apply_actions_flat`` on that pose,
-    and whether the sample had a retraction clamped into [0, 1].
+    columns (eta_l, eta_r, saturated): the leg retractions of
+    ``apply_actions_flat`` on the ``cpg_pose`` of each sample, and whether
+    the sample had a retraction clamped into [0, 1].
 
     Every column is NumPy arithmetic in the kernels' order of operations, and
     rounds as they do: ``np.remainder`` is Python's float ``%``,
@@ -549,7 +545,7 @@ def leg_retractions(mu, act, cpg, geom):
     is ``foot_ik_core``'s, whose hip angles a retraction does not need; the
     halt pose's knee (``com_shift_reference``) is that of the target (0, 0).
     A CoM shift large enough to overflow goes to inf or NaN without a
-    warning, as the kernels' Python floats do; so does ``pose_readout``.
+    warning, as the kernels' Python floats do.
     """
     swing_start, swing_len = swing_window(cpg)
     thigh, shank = geom
@@ -558,7 +554,7 @@ def leg_retractions(mu, act, cpg, geom):
     pi = math.pi
     two_pi = 2.0 * math.pi
 
-    # wrap_pi of mu and of mu + pi
+    # the leg phases of cpg_pose: wrap_pi of mu and of mu + pi
     x = mu + pi
     x_r = np.remainder(x + pi, two_pi)
     x = np.remainder(x, two_pi)
@@ -571,7 +567,7 @@ def leg_retractions(mu, act, cpg, geom):
     eta_l = halt_eta + lift * np.where((u_l > 0.0) & (u_l < 1.0), np.sin(pi * u_l), 0.0)
     eta_r = halt_eta + lift * np.where((u_r > 0.0) & (u_r < 1.0), np.sin(pi * u_r), 0.0)
 
-    rows = _com_shift_rows(act)
+    rows = np.flatnonzero((act[:, 4] != 0.0) | (act[:, 5] != 0.0))
     if rows.size:
         # foot_ik_core's knee for the targets (-com_x, -com_y, -dist), the halt
         # pose's (0, 0) first; (-a) * (-a) is a * a exactly
@@ -592,72 +588,25 @@ def leg_retractions(mu, act, cpg, geom):
     for eta in (eta_l, eta_r):
         eta[eta < 0.0] = 0.0
         eta[eta > 1.0] = 1.0
-    return mu_l, mu_r, eta_l, eta_r, saturated
+    return eta_l, eta_r, saturated
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def pose_readout(mu, cmds, act, cpg, geom):
     """The abstract pose of each recorded sample.
 
     ``mu`` (n,), ``cmds`` (n, 3) and ``act`` (n, 7) are rows that
     ``run_closed_loop`` recorded, ``cpg`` is the loop's float tuple, whose
     ``cpg[0]`` is the halt retraction, and ``geom`` is (thigh, shank).
-    Returns the (n, 18) poses, each the CPG pose at the sample's phase and
-    command with the sample's activations superimposed.  The support leg
-    follows from the phase, as it does for the activations in the loop.
-
-    The columns are ``cpg_pose`` and ``apply_actions_flat`` in NumPy, with
-    the phases and retractions from ``leg_retractions``; ``foot_ik_core``
-    gives the hip angles of the CoM shift, one call per row with a nonzero
-    shift, since ``np.arctan2`` does not match ``math.atan2``.
+    Returns the (n, 18) poses, each ``cpg_pose`` at the sample's phase and
+    command with the sample's activations superimposed by
+    ``apply_actions_flat``.  The support leg follows from the phase, as it
+    does for the activations in the loop.
     """
-    mu_l, mu_r, eta_l, eta_r, _ = leg_retractions(mu, act, cpg, geom)
-    thigh, shank, dist, ly0, lx0, _ = com_shift_reference((*geom, cpg[0]))
-    _, halt_arm_eta, _, swing, sway_amp, arm_swing = cpg[:6]
-    vx, vy, wz = cmds.T
-    arm_x, arm_y, supp_x, cont_x = act[:, :4].T
-
-    # cpg_pose: the left leg keys off mu, the right leg off mu + pi
-    sway_term = -sway_amp * np.sin(mu)
-    lat = swing * vy
-    sag = swing * vx
-    yaw = swing * wz
-    arm = arm_swing * vx
-    cos_l = np.cos(mu_l)
-    cos_r = np.cos(mu_r)
-
-    # apply_actions_flat on that pose; the support foot takes supp_x
-    l_lx = lat + sway_term
-    l_ly = -sag * cos_l
-    r_lx = lat + sway_term
-    r_ly = -sag * cos_r
-    # apply_actions_flat adds the foot and arm actions to cpg_pose's 0.0
-    # angles, and 0.0 + x turns an x of -0.0 into +0.0
-    l_fx = 0.0 + cont_x
-    r_fx = 0.0 + cont_x
-    right_support = mu > 0.0
-    l_fx = np.where(right_support, l_fx, l_fx + supp_x)
-    r_fx = np.where(right_support, r_fx + supp_x, r_fx)
-    rows = _com_shift_rows(act)
-    if rows.size:
-        qh1, qr1, qk1 = np.array([
-            foot_ik_core(-com_x, -com_y, -dist, thigh, shank)
-            for com_x, com_y in act[rows, 4:6].tolist()
-        ]).T
-        d_ly = (qh1 + 0.5 * qk1) - ly0
-        d_lx = qr1 - lx0
-        l_lx[rows] += d_lx
-        r_lx[rows] += d_lx
-        l_ly[rows] += d_ly
-        r_ly[rows] += d_ly
-
-    columns = (
-        l_lx, l_ly, yaw * np.sin(mu_l), l_fx, 0.0, eta_l,
-        r_lx, r_ly, yaw * np.sin(mu_r), r_fx, 0.0, eta_r,
-        0.0 + arm_x, arm * cos_l + arm_y, halt_arm_eta,
-        0.0 + arm_x, arm * cos_r + arm_y, halt_arm_eta,
-    )
-    pose = np.empty((len(mu), POSE_SIZE))
-    for j, column in enumerate(columns):
-        pose[:, j] = column
-    return pose
+    window = swing_window(cpg)
+    ref = com_shift_reference((*geom, cpg[0]))
+    rows = [
+        apply_actions_flat(cpg_pose(m, vx, vy, wz, cpg, window), a,
+                           -1.0 if m > 0.0 else 1.0, ref)[0]
+        for m, (vx, vy, wz), a in zip(mu.tolist(), cmds.tolist(), act.tolist())
+    ]
+    return np.array(rows, dtype=float).reshape(-1, POSE_SIZE)

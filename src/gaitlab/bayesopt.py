@@ -136,11 +136,6 @@ def _checked_bounds(bounds) -> np.ndarray:
     return bounds
 
 
-def _check_seed(seed) -> None:
-    if seed < 0:  # numpy's SeedSequence rejects it without naming the seed
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
-
-
 def _rq_matrix(xa: np.ndarray, xb: np.ndarray, p: RqKernelParams) -> np.ndarray:
     """RQ gram between the rows of ``xa`` (n, d) and ``xb`` (m, d).
 
@@ -508,7 +503,7 @@ def select_next(
     if len(records) >= budget.max_total:
         raise BudgetExhaustedError(f"total budget {budget.max_total} exhausted")
     real_used = sum(1 for r in records if r.point.delta == REAL)
-    _check_seed(seed)
+    check_count("seed", seed)
 
     bounds = _checked_bounds(bounds)
     d = bounds.shape[0]
@@ -594,7 +589,7 @@ def optimize(problem: GainProblem, budget: OptBudget | None = None, seed: int = 
     evaluation exists, else the best sim.
     """
     budget = budget or OptBudget()
-    _check_seed(seed)
+    check_count("seed", seed)
     kernel = CompositeKernel()
     x0 = problem.default_x()
     records: list[EvalRecord] = []
@@ -626,7 +621,7 @@ def random_search(problem: GainProblem, budget: OptBudget | None = None, seed: i
     budget = budget or OptBudget()
     if budget.max_real < 1:
         raise InvalidInputError("random_search evaluates only on the real plant: need max_real >= 1")
-    _check_seed(seed)
+    check_count("seed", seed)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 424242]))
     lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
     xs = [lo + rng.random(problem.bounds.shape[0]) * (hi - lo) for _ in range(budget.max_real)]

@@ -28,7 +28,7 @@ from .errors import (
     check_nonnegative,
 )
 from .numopt import SimplexConfig, SimplexResult, nelder_mead
-from .orientation import Quaternion, _matrix, _product, _rotvec
+from .orientation import Quaternion, _finite_3vector, _matrix, _product, _rotvec
 
 
 def _as_heatmap(h) -> np.ndarray:
@@ -251,9 +251,7 @@ class CameraPose:
     intrinsics: CameraIntrinsics = field(default_factory=lambda: CameraIntrinsics(500.0, 320.0, 240.0))
 
     def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float)
-        if not np.isfinite(self.position).all():
-            raise InvalidInputError(f"camera position must be finite, got {self.position}")
+        self.position = _finite_3vector("camera position", self.position)
 
 
 def _to_camera(points, pose: CameraPose) -> np.ndarray:

@@ -29,7 +29,7 @@ def least_squares_line(xs, ys) -> tuple[float, float]:
         if sxx <= 0.0:  # distinct values whose squared deviations underflow to 0
             raise DegenerateDataError("x values too close together; slope undetermined")
         slope = float(np.sum((xs - x_mean) * (ys - y_mean))) / sxx
-        intercept = y_mean - slope * x_mean
+        intercept = float(y_mean - slope * x_mean)
     if not (math.isfinite(sxx) and math.isfinite(slope) and math.isfinite(intercept)):
         raise InvalidInputError(
             "line fit overflows: the values are too large or spread too far for float sums"

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._kernels import wrap_pi as wrap_angle  # wraps an angle into (-pi, pi]
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_nonnegative
 
 
 @dataclass
@@ -56,8 +56,19 @@ class Quaternion:
 
     @staticmethod
     def from_rotvec(v) -> "Quaternion":
-        """Quaternion for a rotation vector (axis * angle, radians)."""
-        return Quaternion(*_rotvec(np.asarray(v, dtype=float)))
+        """Quaternion for a rotation vector (axis * angle, radians).
+
+        Raises InvalidInputError unless ``v`` is a 3-vector whose squared
+        angle is finite, which also makes it finite.
+        """
+        v = np.asarray(v, dtype=float)
+        with np.errstate(over="ignore"):
+            angle_sq = v.dot(v) if v.shape == (3,) else math.nan  # _rotvec takes its root
+        if not math.isfinite(angle_sq):
+            raise InvalidInputError(
+                f"rotation vector must be a 3-vector whose squared angle is finite, got {v.tolist()}"
+            )
+        return Quaternion(*_rotvec(v))
 
     @staticmethod
     def identity() -> "Quaternion":
@@ -96,8 +107,8 @@ class ImuSample:
     dt: float
 
     def __post_init__(self):
-        self.gyro = np.asarray(self.gyro, dtype=float)
-        self.accel = np.asarray(self.accel, dtype=float)
+        self.gyro = _finite_3vector("gyro", self.gyro)
+        self.accel = _finite_3vector("accel", self.accel)
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise InvalidInputError(f"dt must be finite and positive, got {self.dt}")
 
@@ -111,9 +122,16 @@ class FilterState:
     gyro_bias: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        self.gyro_bias = np.asarray(self.gyro_bias, dtype=float)
-        if self.correction_gain < 0.0:
-            raise InvalidInputError("correction_gain must be >= 0")
+        self.gyro_bias = _finite_3vector("gyro_bias", self.gyro_bias)
+        check_nonnegative("correction_gain", self.correction_gain)
+
+
+def _finite_3vector(name: str, v) -> np.ndarray:
+    """``v`` as a float array; raises InvalidInputError unless it is a finite 3-vector."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (3,) or not all(map(math.isfinite, v.tolist())):
+        raise InvalidInputError(f"{name} must be a finite 3-vector, got {v.tolist()}")
+    return v
 
 
 def quat_to_fused(q: Quaternion) -> FusedAngles:

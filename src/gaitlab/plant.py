@@ -187,9 +187,10 @@ class RunTrace:
 
     ``pose`` and ``saturations`` do not feed back into the run, so each is
     read out of ``mu``, ``cmds`` and ``activations`` the first time it is
-    read, and kept: ``saturations`` from ``_kernels.leg_retractions``, which
-    never builds the pose, and ``pose`` by ``_kernels.pose_readout``.  A
-    cost that reads neither never pays for them.
+    read, and kept: ``pose`` by ``_kernels.pose_readout``, the gait and
+    action kernels mapped over the rows, and ``saturations`` from the
+    NumPy retraction columns of ``_kernels.leg_retractions``, which never
+    builds the pose.  A cost that reads neither never pays for them.
     """
 
     dt: float
@@ -214,7 +215,7 @@ class RunTrace:
     @cached_property
     def saturations(self) -> int:
         """Number of samples whose retraction was clamped into [0, 1]."""
-        saturated = _kernels.leg_retractions(self.mu, self.activations, *self.pose_params)[4]
+        saturated = _kernels.leg_retractions(self.mu, self.activations, *self.pose_params)[2]
         return int(np.count_nonzero(saturated))
 
     @cached_property

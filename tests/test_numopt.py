@@ -21,6 +21,13 @@ def test_symmetric_points():
     assert intercept == 1.0
 
 
+def test_fit_returns_python_floats():
+    # np.float64 subclasses float, so only the exact type tells a NumPy scalar
+    # (whose repr TorqueModel's would show) from a Python float
+    slope, intercept = least_squares_line([0.1, 0.1, 0.2], [0, 0, 5])
+    assert type(slope) is float and type(intercept) is float
+
+
 def test_matches_normal_equations_oracle():
     rng = np.random.default_rng(0)
     xs = rng.uniform(-5, 5, 50)

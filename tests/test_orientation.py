@@ -210,6 +210,17 @@ def test_bias_is_subtracted():
     assert abs(quat_to_fused(s.attitude).yaw) < 1e-12
 
 
+@pytest.mark.parametrize("v, shown", [
+    ([1e200, 0.0, 0.0], r"\[1e\+200, 0\.0, 0\.0\]"),  # the squared angle overflows
+    ([math.inf, 0.0, 0.0], r"\[inf, 0\.0, 0\.0\]"),
+    ([0.0, math.nan, 0.0], r"\[0\.0, nan, 0\.0\]"),
+    ([0.1, 0.2], r"\[0\.1, 0\.2\]"),
+], ids=["overflow", "inf", "nan", "2-vector"])
+def test_from_rotvec_names_a_vector_it_cannot_take(v, shown):
+    with pytest.raises(InvalidInputError, match="rotation vector must be .* got " + shown):
+        Quaternion.from_rotvec(v)
+
+
 def test_imu_sample_validation():
     with pytest.raises(InvalidInputError):
         ImuSample(np.zeros(3), np.zeros(3), 0.0)

@@ -362,7 +362,7 @@ def test_pose_readout_matches_the_public_helpers_on_any_sample():
     geom = LegGeometry()
     params = (_kernels.float_tuple(cpg), _kernels.float_tuple(geom))
     pose = _kernels.pose_readout(mu, cmds, act, *params)
-    saturations = np.count_nonzero(_kernels.leg_retractions(mu, act, *params)[4])
+    saturations = np.count_nonzero(_kernels.leg_retractions(mu, act, *params)[2])
     want, want_saturations = [], 0
     for m, cmd, a in zip(mu, cmds, act):
         out, saturated = apply_actions(evaluate_cpg(m, GaitCommand(*cmd), cpg), Activations(*a),
@@ -417,7 +417,7 @@ def test_leg_retractions_match_apply_actions_on_any_sample(case):
     act = np.zeros((len(samples), _kernels.ACT_SIZE))
     act[:, 4:6] = [(com_x, com_y) for _, com_x, com_y in samples]
     act[:, 6] = 1.0
-    _, _, eta_l, eta_r, saturated = _kernels.leg_retractions(
+    eta_l, eta_r, saturated = _kernels.leg_retractions(
         mu, act, _kernels.float_tuple(cpg), _kernels.float_tuple(_GEOM),
     )
     want_l, want_r, want_saturated = [], [], []

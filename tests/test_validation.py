@@ -26,6 +26,7 @@ from gaitlab.errors import InvalidInputError
 from gaitlab.feedback import Activations, DeviationFilters, zero_gains
 from gaitlab.heatmap import CameraIntrinsics, CameraPose
 from gaitlab.numopt import SimplexConfig
+from gaitlab.orientation import FilterState, ImuSample
 from gaitlab.plant import PlantParams, make_real_plant, run_sequence
 from gaitlab.pose import LegGeometry
 
@@ -52,6 +53,11 @@ CASES = [
     ("cy-inf", "cy", lambda: CameraIntrinsics(500.0, 320.0, -inf)),
     ("camera-position-nan", "position", lambda: CameraPose(position=[nan, 0.0, 0.0])),
     ("camera-position-inf", "position", lambda: CameraPose(position=[0.0, inf, 0.0])),
+    ("imu-gyro-nan", "gyro", lambda: ImuSample([nan, 0.0, 0.0], [0.0, 0.0, 9.81], 0.01)),
+    ("imu-accel-inf", "accel", lambda: ImuSample([0.0, 0.0, 0.0], [0.0, inf, 9.81], 0.01)),
+    ("filter-gain-nan", "correction_gain", lambda: FilterState(correction_gain=nan)),
+    ("filter-gain-inf", "correction_gain", lambda: FilterState(correction_gain=inf)),
+    ("filter-bias-nan", "gyro_bias", lambda: FilterState(gyro_bias=[0.0, nan, 0.0])),
     ("k_t-nan", "k_t", lambda: TorqueModel(k_t=nan)),
     ("k_t-inf", "k_t", lambda: TorqueModel(k_t=inf)),
     ("rq-variance-nan", "variance", lambda: RqKernelParams(variance=nan)),
@@ -78,6 +84,18 @@ CASES = [
 @pytest.mark.parametrize("field, make", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
 def test_range_check_rejects_non_finite(field, make):
     with pytest.raises(InvalidInputError, match=field):
+        make()
+
+
+@pytest.mark.parametrize("field, make", [
+    ("gyro", lambda: ImuSample([0.0, 0.5], [0.0, 0.0, 9.81], 0.01)),
+    ("accel", lambda: ImuSample([0.0, 0.0, 0.0], [[0.0, 0.0, 9.81]], 0.01)),
+    ("gyro_bias", lambda: FilterState(gyro_bias=np.zeros(4))),
+    ("camera position", lambda: CameraPose(position=[1.0, 2.0])),
+], ids=["imu-gyro-2", "imu-accel-1x3", "filter-bias-4", "camera-position-2"])
+def test_vector_inputs_must_be_3_vectors(field, make):
+    # a wrong shape used to pass and fail later in a broadcast, or never
+    with pytest.raises(InvalidInputError, match=f"{field} must be a finite 3-vector, got"):
         make()
 
 
@@ -121,6 +139,17 @@ OPTIMIZER_CASES = [
     ("select-next-seed", "seed must be >= 0", lambda: propose(UNIT, seed=-1)),
     ("optimize-seed", "seed must be >= 0", lambda: optimize(problem(), seed=-1)),
     ("random-search-seed", "seed must be >= 0", lambda: random_search(problem(), seed=-1)),
+    # int() would truncate a float seed and read True as 1
+    ("select-next-seed-float", "seed must be an integer, got 1.5", lambda: propose(UNIT, seed=1.5)),
+    ("select-next-seed-bool", "seed must be an integer, got True", lambda: propose(UNIT, seed=True)),
+    ("optimize-seed-float", "seed must be an integer, got 1.5",
+     lambda: optimize(problem(), seed=1.5)),
+    ("optimize-seed-bool", "seed must be an integer, got True",
+     lambda: optimize(problem(), seed=True)),
+    ("random-search-seed-float", "seed must be an integer, got 1.5",
+     lambda: random_search(problem(), seed=1.5)),
+    ("random-search-seed-bool", "seed must be an integer, got True",
+     lambda: random_search(problem(), seed=True)),
     ("plant-seed", "seed must be >= 0, got -1", lambda: PlantParams(seed=-1)),
     ("plant-seed-float", "seed must be an integer, got 1.5", lambda: PlantParams(seed=1.5)),
     ("budget-real-float", "max_real must be an integer", lambda: OptBudget(max_real=1.5)),
