@@ -8,7 +8,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateDataError, InvalidInputError, check_nonnegative
+from .errors import (
+    ConfigurationError,
+    DegenerateDataError,
+    InvalidInputError,
+    check_count,
+    check_finite,
+    check_nonnegative,
+)
 from .numopt import least_squares_line
 
 TICKS_PER_REV = 4096
@@ -16,16 +23,17 @@ CENTER_TICK = 2048  # mid-range zero, standard for 12-bit magnetic encoders
 
 
 def ticks_to_rad(ticks: int) -> float:
-    """Convert a raw encoder reading to radians, 2048 being the zero pose."""
-    if not 0 <= int(ticks) <= TICKS_PER_REV - 1:
-        raise InvalidInputError(f"ticks {ticks} outside 0..{TICKS_PER_REV - 1}")
+    """Convert a raw encoder reading, an integer in 0..4095, to radians.
+
+    2048 is the zero pose.
+    """
+    check_count("ticks", ticks, 0, TICKS_PER_REV - 1)
     return (int(ticks) - CENTER_TICK) * 2.0 * math.pi / TICKS_PER_REV
 
 
 def rad_to_ticks(angle: float) -> int:
     """Inverse of ticks_to_rad; exact on the encoder grid."""
-    if not math.isfinite(angle):
-        raise InvalidInputError(f"angle {angle} rad is not finite")
+    check_finite("angle", angle)
     ticks = int(round(angle * TICKS_PER_REV / (2.0 * math.pi))) + CENTER_TICK
     if not 0 <= ticks <= TICKS_PER_REV - 1:
         raise InvalidInputError(f"angle {angle} rad outside the encoder range")
@@ -41,9 +49,11 @@ class TorqueModel:
 
     def __post_init__(self):
         check_nonnegative("torque constant k_t", self.k_t, positive=True)
+        check_finite("torque offset", self.offset)
 
 
 def current_to_torque(current: float, model: TorqueModel) -> float:
+    check_finite("current", current)
     return model.k_t * current + model.offset
 
 
@@ -76,8 +86,10 @@ class AliasRule:
     def __post_init__(self):
         if self.kind not in _ALIAS_KINDS:
             raise ConfigurationError(f"unknown alias kind {self.kind!r}")
-        if self.kind == "scale" and self.factor is None:
-            raise ConfigurationError(f"scale rule for {self.target!r} needs a factor")
+        if self.kind == "scale":
+            if self.factor is None:
+                raise ConfigurationError(f"scale rule for {self.target!r} needs a factor")
+            check_finite(f"scale factor for {self.target!r}", self.factor)
         if self.kind in ("sum", "subtract") and self.operand is None:
             raise ConfigurationError(f"{self.kind} rule for {self.target!r} needs an operand")
 
@@ -173,8 +185,7 @@ class GearSpec:
     helix_angle: float = 0.0  # rad
 
     def __post_init__(self):
-        if self.teeth < 4:
-            raise InvalidInputError("tooth count must be >= 4")
+        check_count("tooth count", self.teeth, 4)
         check_nonnegative("module", self.module, positive=True)
         if not 0.0 <= self.helix_angle <= math.pi / 4:
             raise InvalidInputError("helix angle must be in [0, pi/4]")

@@ -28,6 +28,7 @@ from .errors import (
     NumericalConditioningError,
     check_count,
     check_nonnegative,
+    check_vector,
 )
 from .feedback import FeedbackGains, FilterParams
 from .plant import (
@@ -54,9 +55,7 @@ class AugmentedPoint:
     delta: str
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        if self.x.ndim != 1 or not np.isfinite(self.x).all():
-            raise InvalidInputError(f"x must be a finite gain vector, got {self.x}")
+        self.x = check_vector("x", self.x, None, "a finite gain vector")
         if self.delta not in (SIM, REAL):
             raise InvalidInputError(f"delta must be '{SIM}' or '{REAL}'")
 
@@ -86,10 +85,8 @@ class EvalRecord:
     cost: tuple[float, float]  # (J_alpha, J_beta)
 
     def __post_init__(self):
-        if np.shape(self.cost) != (2,):  # history.csv writes both
-            raise InvalidInputError(f"cost must be (J_alpha, J_beta), got {self.cost}")
-        if not all(math.isfinite(c) for c in self.cost):
-            raise InvalidInputError("costs must be finite")
+        # history.csv writes both costs
+        check_vector("cost", self.cost, 2, "(J_alpha, J_beta), both finite")
 
 
 # the largest budget counts accepted, so that any call returns in bounded time (docs/formats.md)
@@ -274,6 +271,8 @@ def evaluate_cost(
 
     A fallen trace contributes its partial integral plus the fall penalty.
     """
+    x = check_vector("x", x, None, "a finite gain vector")
+    check_nonnegative("fall_penalty", fall_penalty)
     return _penalized(trace.ep_integrals(), trace.fall, regularization, x, fall_penalty)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import config as cfgmod
 from .actuators import GearSpec, fit_torque_model, gear_pitch_diameter
 from .bayesopt import GainProblem, OptBudget, history_to_csv, optimize, random_search
-from .errors import GaitlabError
+from .errors import GaitlabError, InvalidInputError, check_count, check_vector
 from .heatmap import (
     CameraIntrinsics,
     CameraPose,
@@ -71,17 +71,12 @@ def _sequence_by_name(name: str):
     raise GaitlabError(f"unknown sequence {name!r} (standard, forward, in-place)")
 
 
-def _check_nonnegative_flag(flag: str, value: int) -> None:
-    if value < 0:
-        raise GaitlabError(f"{flag} must be >= 0, got {value}")
-
-
 def _load_config(path: str | None) -> dict[str, float]:
     return cfgmod.load_config(path) if path else cfgmod.default_config()
 
 
 def cmd_gait_run(args) -> int:
-    _check_nonnegative_flag("--seed", args.seed)
+    check_count("--seed", args.seed)
     cfg = _load_config(args.gains)
     seq = _sequence_by_name(args.seq)
     disturbances = [_parse_disturb(s) for s in args.disturb]
@@ -108,7 +103,7 @@ def cmd_gait_run(args) -> int:
 
 
 def cmd_gait_optimize(args) -> int:
-    _check_nonnegative_flag("--seed", args.seed)
+    check_count("--seed", args.seed)
     cfg = _load_config(args.gains)
     budget = OptBudget(
         max_real=args.max_real,
@@ -206,19 +201,17 @@ def cmd_calib_torque(args) -> int:
 
 
 def cmd_calib_camera(args) -> int:
-    if not all(map(math.isfinite, args.guess_pos)):
-        raise GaitlabError(f"--guess-pos must be finite, got {args.guess_pos}")
-    rot = np.array(args.guess_rot)
-    with np.errstate(over="ignore"):
-        angle_sq = rot.dot(rot)  # from_rotvec takes its root
-    if not math.isfinite(angle_sq):
+    position = check_vector("--guess-pos", args.guess_pos, 3, "finite")
+    try:
+        rotation = Quaternion.from_rotvec(args.guess_rot)
+    except InvalidInputError:
         raise GaitlabError(
             "--guess-rot must be a rotation vector whose squared angle is finite, "
             f"got {args.guess_rot}"
-        )
+        ) from None
     data = _read_csv_rows(args.input, 5)
     intr = CameraIntrinsics(focal=args.focal, cx=args.cx, cy=args.cy)
-    guess = CameraPose(np.array(args.guess_pos), Quaternion.from_rotvec(rot), intr)
+    guess = CameraPose(position, rotation, intr)
     result = calibrate_extrinsics([(row[:3], row[3:5]) for row in data], intr, guess)
     px, py, pz = result.pose.position
     q = result.pose.orientation
@@ -232,7 +225,7 @@ def cmd_calib_camera(args) -> int:
 
 
 def cmd_blob(args) -> int:
-    _check_nonnegative_flag("--min-pixels", args.min_pixels)
+    check_count("--min-pixels", args.min_pixels)
     detections = {}
     for channel, path in enumerate(args.input):
         if path.lower().endswith(".pgm"):

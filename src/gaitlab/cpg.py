@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels
-from .errors import InvalidInputError, check_nonnegative
+from .errors import InvalidInputError, check_finite, check_nonnegative
 from .pose import AbstractPose
 
 
@@ -26,9 +26,7 @@ class GaitCommand:
 
     def __post_init__(self):
         for name in ("vx", "vy", "wz"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise InvalidInputError(f"walk command {name} must be finite, got {value!r}")
+            value = check_finite(f"walk command {name}", getattr(self, name))
             setattr(self, name, min(1.0, max(-1.0, value)))
 
 
@@ -75,6 +73,8 @@ class CpgParams:
 
 def step_phase(mu: float, dt: float, frequency: float, timing_factor: float = 1.0) -> float:
     """Advance the gait phase and wrap it into (-pi, pi]."""
+    check_finite("mu", mu)
+    check_finite("frequency", frequency)
     check_nonnegative("dt", dt, positive=True)
     check_nonnegative("timing_factor", timing_factor, positive=True)
     return _kernels.wrap_pi(mu + 2.0 * math.pi * frequency * timing_factor * dt)
@@ -91,6 +91,6 @@ def evaluate_cpg(mu: float, cmd: GaitCommand, params: CpgParams) -> AbstractPose
     """
     cpg = _kernels.float_tuple(params)
     pose = _kernels.cpg_pose(
-        float(mu), cmd.vx, cmd.vy, cmd.wz, cpg, _kernels.swing_window(cpg)
+        check_finite("mu", mu), cmd.vx, cmd.vy, cmd.wz, cpg, _kernels.swing_window(cpg)
     )
     return AbstractPose.from_array(pose)

@@ -1,7 +1,14 @@
-"""Exception types shared across the package, and the range checks that raise them."""
+"""Exception types shared across the package, and the argument checks that raise them.
+
+``check_finite``, ``check_nonnegative``, ``check_count`` and ``check_vector``
+are the argument checks every module shares; each raises InvalidInputError
+naming the argument.
+"""
 
 import math
 import numbers
+
+import numpy as np
 
 
 class GaitlabError(Exception):
@@ -44,6 +51,14 @@ class BudgetExhaustedError(GaitlabError, RuntimeError):
     """The optimizer was asked to select a point with no budget left."""
 
 
+def check_finite(name: str, value) -> float:
+    """``value`` as a float; raises InvalidInputError unless it is finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise InvalidInputError(f"{name} must be finite, got {value}")
+    return value
+
+
 def check_nonnegative(name: str, value: float, positive: bool = False) -> None:
     """Raise InvalidInputError unless value is finite and >= 0 (> 0 if positive)."""
     if not (0.0 < value < math.inf if positive else 0.0 <= value < math.inf):
@@ -60,3 +75,17 @@ def check_count(name: str, value, low: int = 0, ceiling: int | None = None) -> N
         raise InvalidInputError(f"{name} must be >= {low}, got {value}")
     if ceiling is not None and value > ceiling:
         raise InvalidInputError(f"{name} must be <= {ceiling}, got {value}")
+
+
+def check_vector(name: str, v, size: int | None = 3, kind: str | None = None) -> np.ndarray:
+    """``v`` as a 1-D float array; raises InvalidInputError unless its entries
+    are finite and, unless ``size`` is None, number ``size``.
+
+    The message says what ``v`` must be: ``kind``, by default "a finite
+    <size>-vector".
+    """
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or size not in (None, len(v)) or not all(map(math.isfinite, v.tolist())):
+        kind = kind or f"a finite {size}-vector"
+        raise InvalidInputError(f"{name} must be {kind}, got {v.tolist()}")
+    return v

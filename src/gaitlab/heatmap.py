@@ -25,27 +25,26 @@ from .errors import (
     DegenerateComponentError,
     DegenerateDataError,
     InvalidInputError,
+    check_count,
+    check_finite,
     check_nonnegative,
+    check_vector,
 )
 from .numopt import SimplexConfig, SimplexResult, nelder_mead
-from .orientation import Quaternion, _finite_3vector, _matrix, _product, _rotvec
+from .orientation import Quaternion, _matrix, _product, _rotvec
 
 
-def _as_heatmap(h) -> np.ndarray:
+def _as_heatmap(h, t: float | None = None, finite: bool = True) -> np.ndarray:
+    """``h`` as a float array; raises InvalidInputError unless it is non-empty
+    and 2-D, its values are finite (unless ``finite`` is False) and ``t``, if
+    given, is a threshold in [0, 1]."""
     h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] < 1 or h.shape[1] < 1:
+    if h.ndim != 2 or h.size == 0:
         raise InvalidInputError("heatmap must be a non-empty 2-D array")
-    return h
-
-
-def _check_finite(values) -> None:
-    if not np.all(np.isfinite(values)):
+    if finite and not np.isfinite(h).all():
         raise InvalidInputError("heatmap values must be finite")
-
-
-def _check_heatmap(h) -> np.ndarray:
-    h = _as_heatmap(h)
-    _check_finite(h)
+    if t is not None and not 0.0 <= t <= 1.0:
+        raise InvalidInputError("threshold must be in [0, 1]")
     return h
 
 
@@ -59,16 +58,9 @@ def _mask_grid(b) -> np.ndarray:
     return grid
 
 
-def _checked_frame(h, t: float) -> np.ndarray:
-    h = _check_heatmap(h)
-    if not 0.0 <= t <= 1.0:
-        raise InvalidInputError("threshold must be in [0, 1]")
-    return h
-
-
 def threshold(h, t: float) -> np.ndarray:
     """Binarize: 1 where value >= t."""
-    return (_checked_frame(h, t) >= t).astype(np.uint8)
+    return (_as_heatmap(h, t) >= t).astype(np.uint8)
 
 
 def _box3(grid: np.ndarray, rows: np.ndarray, op) -> None:
@@ -196,14 +188,13 @@ def subpixel_centroid(h, component: np.ndarray) -> Detection:
     Only the component's pixels are checked for finiteness, so the cost is
     set by the component, not the frame.
     """
-    h = _as_heatmap(h)
+    h = _as_heatmap(h, finite=False)
     component = np.asarray(component)
     if component.size == 0:
         raise DegenerateComponentError("empty component")
     rows = component[:, 0]
     cols = component[:, 1]
-    weights = h[rows, cols]
-    _check_finite(weights)
+    weights = check_vector("heatmap values", h[rows, cols], None, "finite")
     return _detections(weights, np.zeros(len(weights), np.intp), rows, cols)[0]
 
 
@@ -215,9 +206,8 @@ def detect_blobs(h, t: float = 0.2, min_pixels: int = 1) -> list[Detection]:
     labeled in one bordered bool grid, with one row buffer for both
     morphology passes.
     """
-    if not isinstance(min_pixels, (int, np.integer)) or min_pixels < 0:
-        raise InvalidInputError(f"min_pixels must be an integer >= 0, got {min_pixels!r}")
-    h = _checked_frame(h, t)  # checks the whole frame for finiteness
+    check_count("min_pixels", min_pixels)
+    h = _as_heatmap(h, t)  # checks the whole frame for finiteness
     grid = np.zeros((h.shape[0] + 2, h.shape[1] + 2), bool)
     np.greater_equal(h, t, out=grid[1:-1, 1:-1])
     buf = np.empty((grid.shape[0], h.shape[1]), bool)
@@ -236,10 +226,8 @@ class CameraIntrinsics:
 
     def __post_init__(self):
         check_nonnegative("focal length", self.focal, positive=True)
-        for name in ("cx", "cy"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise InvalidInputError(f"principal point {name} must be finite, got {value}")
+        check_finite("principal point cx", self.cx)
+        check_finite("principal point cy", self.cy)
 
 
 @dataclass
@@ -251,7 +239,7 @@ class CameraPose:
     intrinsics: CameraIntrinsics = field(default_factory=lambda: CameraIntrinsics(500.0, 320.0, 240.0))
 
     def __post_init__(self):
-        self.position = _finite_3vector("camera position", self.position)
+        self.position = check_vector("camera position", self.position)
 
 
 def _to_camera(points, pose: CameraPose) -> np.ndarray:
@@ -268,7 +256,7 @@ def _pinhole(p_cam: np.ndarray, k: CameraIntrinsics):
 
 def project(point, pose: CameraPose) -> np.ndarray:
     """Pinhole projection of a world point to pixels."""
-    p_cam = _to_camera(point, pose)
+    p_cam = _to_camera(check_vector("point", point), pose)
     if p_cam[2] <= 0.0:
         raise BehindCameraError(f"point depth {p_cam[2]:.6f} is not positive")
     return np.array(_pinhole(p_cam, pose.intrinsics))
@@ -440,7 +428,7 @@ def read_pgm(path) -> np.ndarray:
 
 def write_pgm(h, path) -> None:
     """Write a [0, 1] heatmap as a binary PGM with maxval 255."""
-    h = _check_heatmap(h)
+    h = _as_heatmap(h)
     scaled = np.clip(np.round(h * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n255\n" % (h.shape[1], h.shape[0]))
@@ -457,7 +445,7 @@ def read_heatmap_csv(path) -> np.ndarray:
         raise InvalidInputError(f"heatmap CSV {path} holds no values") from None
     except ValueError as exc:  # a non-numeric cell or rows of different lengths
         raise InvalidInputError(f"malformed heatmap CSV {path}: {str(exc).split(';')[0]}") from None
-    return _check_heatmap(np.atleast_2d(h))
+    return _as_heatmap(np.atleast_2d(h))
 
 
 def detections_to_csv(detections_by_channel: dict[int, list[Detection]], path) -> None:

@@ -16,17 +16,21 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._kernels import wrap_pi as wrap_angle  # wraps an angle into (-pi, pi]
-from .errors import InvalidInputError, check_nonnegative
+from .errors import InvalidInputError, check_finite, check_nonnegative, check_vector
 
 
 @dataclass
 class Quaternion:
-    """Unit quaternion (w, x, y, z), body-to-global rotation."""
+    """Unit quaternion (w, x, y, z), body-to-global rotation; the components must be finite."""
 
     w: float = 1.0
     x: float = 0.0
     y: float = 0.0
     z: float = 0.0
+
+    def __post_init__(self):
+        for name in ("w", "x", "y", "z"):
+            check_finite(f"quaternion {name}", getattr(self, name))
 
     def norm(self) -> float:
         return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
@@ -61,14 +65,7 @@ class Quaternion:
         Raises InvalidInputError unless ``v`` is a 3-vector whose squared
         angle is finite, which also makes it finite.
         """
-        v = np.asarray(v, dtype=float)
-        with np.errstate(over="ignore"):
-            angle_sq = v.dot(v) if v.shape == (3,) else math.nan  # _rotvec takes its root
-        if not math.isfinite(angle_sq):
-            raise InvalidInputError(
-                f"rotation vector must be a 3-vector whose squared angle is finite, got {v.tolist()}"
-            )
-        return Quaternion(*_rotvec(v))
+        return Quaternion(*_checked_rotvec("rotation vector", np.asarray(v, dtype=float)))
 
     @staticmethod
     def identity() -> "Quaternion":
@@ -85,6 +82,7 @@ class FusedAngles:
     hemisphere: int = 1
 
     def __post_init__(self):
+        check_finite("fused yaw", self.yaw)
         if self.hemisphere not in (1, -1):
             raise InvalidInputError(f"hemisphere must be +1 or -1, got {self.hemisphere}")
         if not (-math.pi / 2 - 1e-12 <= self.pitch <= math.pi / 2 + 1e-12):
@@ -107,10 +105,9 @@ class ImuSample:
     dt: float
 
     def __post_init__(self):
-        self.gyro = _finite_3vector("gyro", self.gyro)
-        self.accel = _finite_3vector("accel", self.accel)
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise InvalidInputError(f"dt must be finite and positive, got {self.dt}")
+        self.gyro = check_vector("gyro", self.gyro)
+        self.accel = check_vector("accel", self.accel)
+        check_nonnegative("dt", self.dt, positive=True)
 
 
 @dataclass
@@ -122,16 +119,8 @@ class FilterState:
     gyro_bias: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        self.gyro_bias = _finite_3vector("gyro_bias", self.gyro_bias)
+        self.gyro_bias = check_vector("gyro_bias", self.gyro_bias)
         check_nonnegative("correction_gain", self.correction_gain)
-
-
-def _finite_3vector(name: str, v) -> np.ndarray:
-    """``v`` as a float array; raises InvalidInputError unless it is a finite 3-vector."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,) or not all(map(math.isfinite, v.tolist())):
-        raise InvalidInputError(f"{name} must be a finite 3-vector, got {v.tolist()}")
-    return v
 
 
 def quat_to_fused(q: Quaternion) -> FusedAngles:
@@ -219,6 +208,18 @@ def _rotvec(v: np.ndarray) -> tuple:
     return _normalized(math.cos(0.5 * angle), v0 / angle * s, v1 / angle * s, v2 / angle * s)
 
 
+def _checked_rotvec(name: str, v: np.ndarray) -> tuple:
+    """``_rotvec(v)``; raises InvalidInputError naming ``v`` unless it is a
+    3-vector whose squared angle, which _rotvec takes the root of, is finite."""
+    with np.errstate(over="ignore"):
+        angle_sq = v.dot(v) if v.shape == (3,) else math.nan
+    if not math.isfinite(angle_sq):
+        raise InvalidInputError(
+            f"{name} must be a 3-vector whose squared angle is finite, got {v.tolist()}"
+        )
+    return _rotvec(v)
+
+
 def filter_update(s: FilterState, m: ImuSample) -> FilterState:
     """Advance the complementary filter by one IMU sample.
 
@@ -229,9 +230,14 @@ def filter_update(s: FilterState, m: ImuSample) -> FilterState:
 
     The quaternion arithmetic runs on Python floats through the helpers that
     ``Quaternion.normalized``, ``__mul__`` and ``from_rotvec`` call too.
+    Raises InvalidInputError if the gyro increment or the tilt correction
+    is too large a rotation vector for them.
     """
     a = s.attitude
-    w, x, y, z = _product((a.w, a.x, a.y, a.z), _rotvec((m.gyro - s.gyro_bias) * m.dt))
+    with np.errstate(over="ignore"):  # an increment that overflows is named below
+        gyro_step = (m.gyro - s.gyro_bias) * m.dt
+    step = _checked_rotvec("gyro increment (gyro - gyro_bias) * dt", gyro_step)
+    w, x, y, z = _product((a.w, a.x, a.y, a.z), step)
 
     a_norm = math.sqrt(m.accel.dot(m.accel))
     if a_norm >= 1.0:
@@ -242,6 +248,7 @@ def filter_update(s: FilterState, m: ImuSample) -> FilterState:
         p2 = 1 - 2 * (x * x + y * y)
         k = s.correction_gain * m.dt
         corr = np.array((k * (m1 * p2 - m2 * p1), k * (m2 * p0 - m0 * p2), k * (m0 * p1 - m1 * p0)))
-        w, x, y, z = _product((w, x, y, z), _rotvec(corr))
+        step = _checked_rotvec("tilt correction (correction_gain * dt) * (accel x up)", corr)
+        w, x, y, z = _product((w, x, y, z), step)
 
     return replace(s, attitude=Quaternion(*_normalized(w, x, y, z)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidInputError, OutOfReachError, check_nonnegative
+from .errors import InvalidInputError, OutOfReachError, check_nonnegative, check_vector
 
 
 @dataclass
@@ -169,7 +169,7 @@ def foot_ik(target, geom: LegGeometry) -> tuple[float, float, float]:
     chain preceded by a hip roll.  Targets outside the reachable annulus
     raise OutOfReachError naming the violated bound.
     """
-    target = np.asarray(target, dtype=float)
+    target = check_vector("target", target)
     d = float(np.linalg.norm(target))
     reach_max = geom.thigh + geom.shank - 1e-9
     reach_min = abs(geom.thigh - geom.shank) + 1e-9

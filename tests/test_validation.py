@@ -5,7 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from gaitlab.actuators import GearSpec, TorqueModel, rad_to_ticks
+from gaitlab.actuators import (
+    AliasRule,
+    GearSpec,
+    TorqueModel,
+    current_to_torque,
+    gear_pitch_diameter,
+    parse_alias_rules,
+    rad_to_ticks,
+    ticks_to_rad,
+)
 from gaitlab.bayesopt import (
     MAX_TOTAL_CEILING,
     SIM_AVERAGE_CEILING,
@@ -21,14 +30,14 @@ from gaitlab.bayesopt import (
     random_search,
     select_next,
 )
-from gaitlab.cpg import CpgParams, GaitCommand, step_phase
+from gaitlab.cpg import CpgParams, GaitCommand, evaluate_cpg, step_phase
 from gaitlab.errors import InvalidInputError
 from gaitlab.feedback import Activations, DeviationFilters, zero_gains
-from gaitlab.heatmap import CameraIntrinsics, CameraPose
+from gaitlab.heatmap import CameraIntrinsics, CameraPose, project
 from gaitlab.numopt import SimplexConfig
-from gaitlab.orientation import FilterState, ImuSample
+from gaitlab.orientation import FilterState, FusedAngles, ImuSample, Quaternion, filter_update
 from gaitlab.plant import PlantParams, make_real_plant, run_sequence
-from gaitlab.pose import LegGeometry
+from gaitlab.pose import LegGeometry, foot_ik
 
 nan, inf = math.nan, math.inf
 
@@ -73,11 +82,38 @@ CASES = [
     ("step-phase-timing-nan", "timing_factor", lambda: step_phase(0.0, 0.01, 0.7, nan)),
     ("regularization-nan", "regularization", lambda: evaluate_cost(short_trace(), nan, [1.0])),
     ("regularization-inf", "regularization", lambda: evaluate_cost(short_trace(), inf, [1.0])),
+    ("cost-gains-nan", "x must be a finite gain vector",
+     lambda: evaluate_cost(short_trace(), 0.02, [nan])),
+    ("cost-fall-penalty-nan", "fall_penalty",
+     lambda: evaluate_cost(short_trace(), 0.02, [1.0], fall_penalty=nan)),
     ("gp-noise-nan", "noise", lambda: gp_posterior(
         one_record(), CompositeKernel(), nan, AugmentedPoint([0.5, 0.5], "sim"))),
     ("ticks-inf", "angle", lambda: rad_to_ticks(inf)),
     ("ticks-minus-inf", "angle", lambda: rad_to_ticks(-inf)),
     ("ticks-nan", "angle", lambda: rad_to_ticks(nan)),
+    # the squared angle of the gyro increment overflows
+    ("filter-gyro-step-overflow", "gyro increment", lambda: filter_update(
+        FilterState(), ImuSample([0.0, 0.0, 1.0], [0.0, 0.0, 9.81], dt=1e300))),
+    # correction_gain * dt overflows
+    ("filter-correction-overflow", "correction_gain", lambda: filter_update(
+        FilterState(correction_gain=1e300), ImuSample([0.0, 0.0, 0.0], [1.0, 0.0, 9.81], 1e10))),
+    ("filter-attitude-nan", "quaternion w",
+     lambda: FilterState(attitude=Quaternion(nan, 0.0, 0.0, 0.0))),
+    ("quaternion-inf", "quaternion z", lambda: Quaternion(1.0, 0.0, 0.0, inf)),
+    ("gear-teeth-nan", "tooth count", lambda: gear_pitch_diameter(GearSpec(teeth=nan, module=1.0))),
+    ("gear-teeth-float", "tooth count", lambda: GearSpec(teeth=4.5, module=1.0)),
+    ("ticks-float", "ticks", lambda: ticks_to_rad(2048.7)),
+    ("ticks-bool", "ticks", lambda: ticks_to_rad(True)),
+    ("torque-offset-nan", "offset", lambda: TorqueModel(1.0, offset=nan)),
+    ("current-nan", "current", lambda: current_to_torque(nan, TorqueModel(1.0))),
+    ("alias-factor-nan", "factor", lambda: AliasRule("b", "scale", "a", factor=nan)),
+    ("alias-text-factor-nan", "factor", lambda: parse_alias_rules("b = scale(a, nan)")),
+    ("foot-ik-target-nan", "target", lambda: foot_ik([nan, 0.0, -0.5], LegGeometry())),
+    ("project-point-nan", "point", lambda: project([nan, 0.0, 1.0], CameraPose())),
+    ("fused-yaw-nan", "yaw", lambda: FusedAngles(yaw=nan)),
+    ("step-phase-mu-nan", "mu", lambda: step_phase(nan, 0.01, 0.7)),
+    ("step-phase-frequency-nan", "frequency", lambda: step_phase(0.0, 0.01, nan)),
+    ("cpg-mu-inf", "mu", lambda: evaluate_cpg(inf, GaitCommand(), CpgParams())),
 ]
 
 
@@ -106,6 +142,9 @@ def test_infinite_sim_bias_still_means_never_real():
 def test_finite_values_still_pass():
     assert GearSpec(30, 1.5).module == 1.5
     assert rad_to_ticks(0.0) == 2048
+    assert ticks_to_rad(np.int64(2048)) == 0.0
+    assert gear_pitch_diameter(GearSpec(np.int64(30), 1.5)) == 45.0
+    assert Quaternion(1.0, 0.0, 0.0, 0.0).norm() == 1.0
     assert np.isfinite(evaluate_cost(short_trace(), 0.0, [1.0])).all()
     top = OptBudget(max_real=np.int64(2), max_total=MAX_TOTAL_CEILING,
                     sim_average_n=SIM_AVERAGE_CEILING)
