@@ -88,6 +88,7 @@ from dataclasses import fields, is_dataclass
 
 import numpy as np
 
+DT = 0.01  # closed-loop step, 100 Hz servo rate
 POSE_SIZE = 18
 ACT_SIZE = 7  # armX, armY, suppX, contX, comX, comY, timing_factor
 FILTER_STATE_SIZE = 6  # smoothed, d-estimate, integral -- pitch then roll plane
@@ -388,7 +389,7 @@ def plant_step(pitch, roll, pitch_rate, roll_rate, exc_p, exc_r, act, plant, eff
     return (pitch, roll, pitch_rate, roll_rate), fell
 
 
-def run_closed_loop(cmds, noise, pushes, cpg, gains, filt, plant, eff, dt, record=True):
+def run_closed_loop(cmds, noise, pushes, cpg, gains, filt, plant, eff, record=True):
     """Run the closed-loop dynamics: filters -> activations -> plant -> phase.
 
     ``cmds`` (n, 3) and ``noise`` (n, 2) are arrays, ``pushes`` is a sequence
@@ -398,7 +399,7 @@ def run_closed_loop(cmds, noise, pushes, cpg, gains, filt, plant, eff, dt, recor
     one row per executed step; ``fall_idx`` is the index of the last recorded
     sample if the torso fell, else -1, and ``end`` is the unrecorded state
     the last step produced (the one that fell, if any).  Sample i holds the
-    state at t = i*dt and the control computed from it.  The deviations fed
+    state at t = i*DT and the control computed from it.  The deviations fed
     back are the fused angles, so ``dev`` is a view of the first two columns
     of ``state``.
 
@@ -421,6 +422,7 @@ def run_closed_loop(cmds, noise, pushes, cpg, gains, filt, plant, eff, dt, recor
     for step, kick in pushes:
         kicks.setdefault(step, []).append(kick)
 
+    dt = DT  # a local: the body reads it several times a step
     alpha, deadband, decay, gain_i = filter_coeffs(filt, dt)
     (arm_x_kp, arm_x_kd, arm_y_kp, arm_y_kd, supp_x_kp, supp_x_kd,
      cont_x_ki, com_x_ki, com_y_ki, speed_up, slow_down, min_tf) = gains

@@ -43,6 +43,7 @@ from .plant import (
 SIM = "sim"
 REAL = "real"
 _NOISE = 1e-4  # GP observation noise variance
+FALL_PENALTY = 50.0  # added to both costs of a run that falls
 _N_CANDIDATES = 128  # seeded uniform candidates per proposal, plus up to two incumbents
 _N_SAMPLES = 192  # joint posterior draws that score them
 
@@ -261,22 +262,16 @@ def gp_posterior(
     return float(mean[row]), max(float(cov[row, row]), 0.0)
 
 
-def evaluate_cost(
-    trace: RunTrace,
-    regularization: float,
-    x,
-    fall_penalty: float = 50.0,
-) -> tuple[float, float]:
+def evaluate_cost(trace: RunTrace, regularization: float, x) -> tuple[float, float]:
     """Per-plane cost: integrated |e_P| plus the gain regularizer.
 
-    A fallen trace contributes its partial integral plus the fall penalty.
+    A fallen trace contributes its partial integral plus FALL_PENALTY.
     """
     x = check_vector("x", x, None, "a finite gain vector")
-    check_nonnegative("fall_penalty", fall_penalty)
-    return _penalized(trace.ep_integrals(), trace.fall, regularization, x, fall_penalty)
+    return _penalized(trace.ep_integrals(), trace.fall, regularization, x)
 
 
-def _penalized(integrals, fell: bool, regularization: float, x, fall_penalty: float):
+def _penalized(integrals, fell: bool, regularization: float, x):
     """``evaluate_cost`` of a run given its e_P integrals and fall flag."""
     check_nonnegative("regularization", regularization)
     x = np.asarray(x, dtype=float)
@@ -285,8 +280,8 @@ def _penalized(integrals, fell: bool, regularization: float, x, fall_penalty: fl
     nu = regularization * float(np.add.reduce(x * x))
     j_alpha, j_beta = (j + nu for j in integrals)
     if fell:
-        j_alpha += fall_penalty
-        j_beta += fall_penalty
+        j_alpha += FALL_PENALTY
+        j_beta += FALL_PENALTY
     return j_alpha, j_beta
 
 
@@ -317,7 +312,6 @@ class GainProblem:
     sequence: list = field(default_factory=standard_test_sequence)
     disturbances: list = field(default_factory=default_disturbance_schedule)
     regularization: float = 0.02
-    fall_penalty: float = 50.0
 
     def __post_init__(self):
         self.bounds = _checked_bounds(self.bounds)
@@ -332,7 +326,6 @@ class GainProblem:
         for corner in self.bounds.T:  # both ends of every range must be valid gains
             self.gains_with(corner)
         check_nonnegative("regularization", self.regularization)
-        check_nonnegative("fall_penalty", self.fall_penalty)
 
     def default_x(self) -> np.ndarray:
         gains = flatten(self.base_gains)
@@ -358,7 +351,7 @@ class GainProblem:
         """``evaluate_cost`` of ``_run``'s trace, from a run that records only e_P."""
         plant = self.real_plant if delta == REAL else self.sim_plant
         integrals, fell = self._run(x, plant, run_seed, runner=_run_ep_integrals)
-        return _penalized(integrals, fell, self.regularization, x, self.fall_penalty)
+        return _penalized(integrals, fell, self.regularization, x)
 
 
 def _derived_seed(seed: int, iteration: int, k: int) -> int:
@@ -461,13 +454,13 @@ def _eval_sim_averaged(pool: _RunPool, x, n: int, seed: int, iteration: int):
     return tuple(costs.mean(axis=0))
 
 
-def _mutual_information(samples: np.ndarray, argmin_idx: np.ndarray, noise: float) -> np.ndarray:
+def _mutual_information(samples: np.ndarray, argmin_idx: np.ndarray) -> np.ndarray:
     """MI between each column's observable and the minimizer index.
 
-    ``samples`` is (n_samples, n_columns); observation noise enters both the
-    marginal and the per-group conditional Gaussian entropies.
+    ``samples`` is (n_samples, n_columns); the GP noise ``_NOISE`` enters both
+    the marginal and the per-group conditional Gaussian entropies.
     """
-    var_marg = samples.var(axis=0) + noise
+    var_marg = samples.var(axis=0) + _NOISE
     h_marg = 0.5 * np.log(var_marg)
     h_cond = np.zeros(samples.shape[1])
     n = samples.shape[0]
@@ -476,7 +469,7 @@ def _mutual_information(samples: np.ndarray, argmin_idx: np.ndarray, noise: floa
     grouped = samples[order]
     _, starts, counts = np.unique(argmin_idx[order], return_index=True, return_counts=True)
     for start, count in zip(starts, counts):
-        var_g = grouped[start : start + count].var(axis=0) + noise
+        var_g = grouped[start : start + count].var(axis=0) + _NOISE
         h_cond += count / n * 0.5 * np.log(var_g)
     return h_marg - h_cond
 
@@ -537,7 +530,7 @@ def select_next(
     z = mean[None, :] + rng.standard_normal((_N_SAMPLES, 2 * n)) @ chol.T
 
     argmin_idx = np.argmin(z[:, :n], axis=1)
-    mi = _mutual_information(z, argmin_idx, _NOISE)
+    mi = _mutual_information(z, argmin_idx)
     acq_real, acq_sim = mi[:n], mi[n:]
 
     best_real = int(np.argmax(acq_real))

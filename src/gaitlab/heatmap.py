@@ -314,9 +314,9 @@ def calibrate_extrinsics(
 
     Runs Nelder-Mead over a 6-vector (position offset, rotation-vector
     increment composed onto the guess), minimizing mean squared reprojection
-    error.  Needs at least 4 observations of at least 4 distinct world
-    points, not all collinear, within 1e9 m of the guess position; raises
-    DegenerateDataError otherwise.
+    error.  Needs at least 4 observations, each finite (else InvalidInputError
+    names it), of at least 4 distinct world points, not all collinear, within
+    1e9 m of the guess position; raises DegenerateDataError otherwise.
 
     The objective's bits depend on its evaluation order, which is fixed: the
     rotation matrix comes from the Python-float product of the guess
@@ -331,6 +331,8 @@ def calibrate_extrinsics(
     observations = list(observations)
     if len(observations) < 4:
         raise InvalidInputError("need at least 4 observations")
+    for i, (world, pixel) in enumerate(observations):
+        check_vector(f"observation {i}", [*world, *pixel], 5, "a finite (x, y, z, u, v)")
     worlds = np.array([w for w, _ in observations], dtype=float)
     pixels = np.array([px for _, px in observations], dtype=float)
     _check_pose_determined(worlds, guess)

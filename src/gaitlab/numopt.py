@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, InvalidInputError, check_nonnegative
+from .errors import DegenerateDataError, InvalidInputError, check_count, check_nonnegative
 
 
 def least_squares_line(xs, ys) -> tuple[float, float]:
@@ -51,6 +51,7 @@ class SimplexConfig:
     f_tol: float = 1e-18
 
     def __post_init__(self):
+        check_count("max_iter", self.max_iter)
         check_nonnegative("x_tol", self.x_tol)
         check_nonnegative("f_tol", self.f_tol)
 

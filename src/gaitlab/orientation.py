@@ -65,7 +65,7 @@ class Quaternion:
         Raises InvalidInputError unless ``v`` is a 3-vector whose squared
         angle is finite, which also makes it finite.
         """
-        return Quaternion(*_checked_rotvec("rotation vector", np.asarray(v, dtype=float)))
+        return Quaternion(*_rotvec(_finite_square("rotation vector", np.asarray(v, dtype=float))))
 
     @staticmethod
     def identity() -> "Quaternion":
@@ -106,7 +106,8 @@ class ImuSample:
 
     def __post_init__(self):
         self.gyro = check_vector("gyro", self.gyro)
-        self.accel = check_vector("accel", self.accel)
+        # filter_update takes the root of the squared norm
+        self.accel = _finite_square("accel", check_vector("accel", self.accel), "squared norm")
         check_nonnegative("dt", self.dt, positive=True)
 
 
@@ -208,16 +209,15 @@ def _rotvec(v: np.ndarray) -> tuple:
     return _normalized(math.cos(0.5 * angle), v0 / angle * s, v1 / angle * s, v2 / angle * s)
 
 
-def _checked_rotvec(name: str, v: np.ndarray) -> tuple:
-    """``_rotvec(v)``; raises InvalidInputError naming ``v`` unless it is a
-    3-vector whose squared angle, which _rotvec takes the root of, is finite."""
+def _finite_square(name: str, v: np.ndarray, square: str = "squared angle") -> np.ndarray:
+    """``v``, checked to be a 3-vector whose v . v is finite (not NaN, no
+    overflow); the InvalidInputError otherwise names ``v`` and calls v . v ``square``."""
     with np.errstate(over="ignore"):
-        angle_sq = v.dot(v) if v.shape == (3,) else math.nan
-    if not math.isfinite(angle_sq):
+        sq = v.dot(v) if v.shape == (3,) else math.nan
+    if not math.isfinite(sq):
         raise InvalidInputError(
-            f"{name} must be a 3-vector whose squared angle is finite, got {v.tolist()}"
-        )
-    return _rotvec(v)
+            f"{name} must be a 3-vector whose {square} is finite, got {v.tolist()}")
+    return v
 
 
 def filter_update(s: FilterState, m: ImuSample) -> FilterState:
@@ -236,7 +236,7 @@ def filter_update(s: FilterState, m: ImuSample) -> FilterState:
     a = s.attitude
     with np.errstate(over="ignore"):  # an increment that overflows is named below
         gyro_step = (m.gyro - s.gyro_bias) * m.dt
-    step = _checked_rotvec("gyro increment (gyro - gyro_bias) * dt", gyro_step)
+    step = _rotvec(_finite_square("gyro increment (gyro - gyro_bias) * dt", gyro_step))
     w, x, y, z = _product((a.w, a.x, a.y, a.z), step)
 
     a_norm = math.sqrt(m.accel.dot(m.accel))
@@ -248,7 +248,7 @@ def filter_update(s: FilterState, m: ImuSample) -> FilterState:
         p2 = 1 - 2 * (x * x + y * y)
         k = s.correction_gain * m.dt
         corr = np.array((k * (m1 * p2 - m2 * p1), k * (m2 * p0 - m0 * p2), k * (m0 * p1 - m1 * p0)))
-        step = _checked_rotvec("tilt correction (correction_gain * dt) * (accel x up)", corr)
+        step = _rotvec(_finite_square("tilt correction (correction_gain * dt) * (accel x up)", corr))
         w, x, y, z = _product((w, x, y, z), step)
 
     return replace(s, attitude=Quaternion(*_normalized(w, x, y, z)))

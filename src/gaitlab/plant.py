@@ -17,12 +17,12 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
+from ._kernels import DT
 from .cpg import CpgParams, GaitCommand
 from .errors import InvalidInputError, NonFiniteStateError, check_count, check_nonnegative
 from .feedback import Activations, FeedbackGains, FilterParams
 from .pose import LegGeometry
 
-DT = 0.01  # closed-loop step, 100 Hz servo rate
 FALL_THRESHOLD = 0.7  # rad
 # the most steps one sequence segment may take (10^4 s at DT); a longer segment
 # is rejected before any array is built, so a huge duration cannot exhaust memory
@@ -268,19 +268,19 @@ def standard_test_sequence() -> list[tuple[GaitCommand, float]]:
     ]
 
 
-def _segment_commands(seq, dt: float) -> np.ndarray:
+def _segment_commands(seq) -> np.ndarray:
     total = sum(d for _, d in seq)
     if total <= 0:
         raise InvalidInputError("total sequence duration must be > 0")
     steps = []
     for i, (_, duration) in enumerate(seq):
         check_nonnegative(f"segment {i} duration", duration, positive=True)
-        n = int(round(duration / dt))
+        n = int(round(duration / DT))
         if n == 0:
-            raise InvalidInputError(f"segment {i} duration {duration} s rounds to 0 steps of {dt} s")
+            raise InvalidInputError(f"segment {i} duration {duration} s rounds to 0 steps of {DT} s")
         if n > MAX_SEGMENT_STEPS:
             raise InvalidInputError(
-                f"segment {i} duration {duration} s exceeds {MAX_SEGMENT_STEPS} steps of {dt} s"
+                f"segment {i} duration {duration} s exceeds {MAX_SEGMENT_STEPS} steps of {DT} s"
             )
         steps.append(n)
     return np.concatenate(
@@ -295,7 +295,7 @@ def _loop_args(gains, cpg, seq, p, disturbances, filter_params) -> tuple:
     the parameters as float tuples.
     """
     filter_params = filter_params or FilterParams()
-    cmds = _segment_commands(seq, DT)
+    cmds = _segment_commands(seq)
     n = cmds.shape[0]
 
     rng = np.random.default_rng(p.seed)
@@ -305,7 +305,7 @@ def _loop_args(gains, cpg, seq, p, disturbances, filter_params) -> tuple:
 
     floats = _kernels.float_tuple
     return (cmds, noise, pushes, floats(cpg), floats(gains), floats(filter_params), floats(p),
-            tuple(p.action_effectiveness.ravel().tolist()), DT)
+            tuple(p.action_effectiveness.ravel().tolist()))
 
 
 def run_sequence(

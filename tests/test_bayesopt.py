@@ -282,7 +282,7 @@ def test_cost_resampling_refinement_invariance():
 def test_cost_fall_penalty():
     n = 101
     trace = quiet_trace(np.full(n, 0.1), np.zeros(n), fall=True)
-    j_alpha, j_beta = evaluate_cost(trace, 0.0, [0.0], fall_penalty=50.0)
+    j_alpha, j_beta = evaluate_cost(trace, 0.0, [0.0])
     assert abs(j_alpha - (0.1 * 1.0 + 50.0)) < 1e-12
     assert abs(j_beta - 50.0) < 1e-12
 
@@ -418,8 +418,8 @@ def test_mutual_information_matches_a_mask_per_group(groups):
         "all_distinct": rng.permutation(64),
         "unsorted": rng.integers(0, 7, 64),
     }[groups]
-    want = oracle_mutual_information(samples, argmin_idx, 1e-4)
-    assert np.array_equal(bayesopt._mutual_information(samples, argmin_idx, 1e-4), want)
+    want = oracle_mutual_information(samples, argmin_idx, bayesopt._NOISE)
+    assert np.array_equal(bayesopt._mutual_information(samples, argmin_idx), want)
 
 
 def test_select_next_explores_away_from_single_record():
@@ -543,7 +543,7 @@ def test_evaluate_is_the_cost_of_the_recorded_trace_bit_for_bit(delta, kwargs, f
     for x, fell in ((prob.default_x(), falls), (np.array([5.5, 0.25]), False)):
         trace = prob._run(x, plant, 17)
         assert trace.fall == fell
-        expected = evaluate_cost(trace, prob.regularization, x, prob.fall_penalty)
+        expected = evaluate_cost(trace, prob.regularization, x)
         got = prob.evaluate(x, delta, 17)
         assert np.array(got).tobytes() == np.array(expected).tobytes()
 
@@ -605,7 +605,7 @@ def test_random_search_history_is_the_same_on_any_cpu_count(monkeypatch):
         result = random_search(prob, budget, seed=3)
         histories.append(history_bytes(result))
         assert multiprocessing.active_children() == []
-    falls = [r.cost[0] >= prob.fall_penalty for r in result.history]
+    falls = [r.cost[0] >= bayesopt.FALL_PENALTY for r in result.history]
     assert any(falls) and not all(falls)
     assert histories[1] == histories[0] and histories[2] == histories[0]
 
@@ -746,7 +746,6 @@ def test_a_killed_optimize_leaves_no_helper_behind(tmp_path, sig):
 
 @pytest.mark.parametrize("field, value", [
     ("regularization", math.nan), ("regularization", -0.01), ("regularization", math.inf),
-    ("fall_penalty", math.nan), ("fall_penalty", -1.0),
 ])
 def test_gain_problem_rejects_bad_cost_weights(field, value):
     with pytest.raises(InvalidInputError, match=f"{field} must be finite and >= 0"):

@@ -81,7 +81,7 @@ def test_bad_segment_duration_rejected(duration):
 
 
 def test_segment_at_the_step_bound_is_accepted():
-    cmds = _segment_commands([(GaitCommand(vx=0.5), MAX_SEGMENT_STEPS * DT)], DT)
+    cmds = _segment_commands([(GaitCommand(vx=0.5), MAX_SEGMENT_STEPS * DT)])
     assert cmds.shape == (MAX_SEGMENT_STEPS, 3)
 
 

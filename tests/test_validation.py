@@ -33,8 +33,8 @@ from gaitlab.bayesopt import (
 from gaitlab.cpg import CpgParams, GaitCommand, evaluate_cpg, step_phase
 from gaitlab.errors import InvalidInputError
 from gaitlab.feedback import Activations, DeviationFilters, zero_gains
-from gaitlab.heatmap import CameraIntrinsics, CameraPose, project
-from gaitlab.numopt import SimplexConfig
+from gaitlab.heatmap import CameraIntrinsics, CameraPose, calibrate_extrinsics, project
+from gaitlab.numopt import SimplexConfig, nelder_mead
 from gaitlab.orientation import FilterState, FusedAngles, ImuSample, Quaternion, filter_update
 from gaitlab.plant import PlantParams, make_real_plant, run_sequence
 from gaitlab.pose import LegGeometry, foot_ik
@@ -48,6 +48,20 @@ def short_trace():
 
 def one_record():
     return [EvalRecord(AugmentedPoint([0.5, 0.5], "sim"), (1.0, 1.0))]
+
+
+def simplex_on_square(max_iter):
+    return nelder_mead(lambda x: float(x @ x), [1.0], SimplexConfig(max_iter=max_iter))
+
+
+def calibrate_with_nan(row, col):
+    """Calibrate the default camera from eight exact observations, value ``col``
+    of observation ``row`` (world x, y, z, then pixel u, v) set to NaN."""
+    pose = CameraPose()
+    worlds = np.random.default_rng(8).uniform(-1.0, 1.0, (8, 3)) + [0.0, 0.0, 4.0]
+    rows = np.array([[*w, *project(w, pose)] for w in worlds])
+    rows[row, col] = nan
+    return calibrate_extrinsics([(r[:3], r[3:]) for r in rows], pose.intrinsics, pose)
 
 
 CASES = [
@@ -76,6 +90,18 @@ CASES = [
     ("timing-factor-inf", "timing_factor", lambda: Activations(timing_factor=inf)),
     ("simplex-x-tol-nan", "x_tol", lambda: SimplexConfig(x_tol=nan)),
     ("simplex-f-tol-nan", "f_tol", lambda: SimplexConfig(f_tol=nan)),
+    # nelder_mead ran 0 iterations for nan and -1, and 3 for 2.5
+    ("simplex-max-iter-nan", "max_iter must be an integer", lambda: simplex_on_square(nan)),
+    ("simplex-max-iter-negative", "max_iter must be >= 0", lambda: simplex_on_square(-1)),
+    ("simplex-max-iter-float", "max_iter must be an integer", lambda: simplex_on_square(2.5)),
+    # a NaN world point read as one far from the guess, a NaN pixel as an overflow
+    ("calib-world-nan", r"observation 2 must be a finite \(x, y, z, u, v\), got \[[^,]+, nan,",
+     lambda: calibrate_with_nan(2, 1)),
+    ("calib-pixel-nan", r"observation 5 must be a finite \(x, y, z, u, v\), got \[([^,]+, ){3}nan,",
+     lambda: calibrate_with_nan(5, 3)),
+    # the squared norm overflows in filter_update's a . a
+    ("imu-accel-overflow", "accel must be a 3-vector whose squared norm is finite",
+     lambda: filter_update(FilterState(), ImuSample([0.0, 0.0, 0.0], [1e200, 0.0, 0.0], 0.01))),
     ("filters-dt-nan", "dt", lambda: DeviationFilters().update(0.0, 0.0, nan)),
     ("filters-dt-inf", "dt", lambda: DeviationFilters().update(0.0, 0.0, inf)),
     ("step-phase-dt-nan", "dt", lambda: step_phase(0.0, nan, 0.7)),
@@ -84,8 +110,6 @@ CASES = [
     ("regularization-inf", "regularization", lambda: evaluate_cost(short_trace(), inf, [1.0])),
     ("cost-gains-nan", "x must be a finite gain vector",
      lambda: evaluate_cost(short_trace(), 0.02, [nan])),
-    ("cost-fall-penalty-nan", "fall_penalty",
-     lambda: evaluate_cost(short_trace(), 0.02, [1.0], fall_penalty=nan)),
     ("gp-noise-nan", "noise", lambda: gp_posterior(
         one_record(), CompositeKernel(), nan, AugmentedPoint([0.5, 0.5], "sim"))),
     ("ticks-inf", "angle", lambda: rad_to_ticks(inf)),
