@@ -36,7 +36,7 @@ the loop and the readouts derive everything that is fixed for a run once
 before their first step:
 
     swing_window(cpg)          -> (swing_start, swing_len) of cpg_pose
-    filter_coeffs(filt, dt)    -> (alpha, deadband, decay, gain_i) of filters_step
+    filter_coeffs(filt)        -> (alpha, deadband, decay, gain_i) of filters_step
     com_shift_reference(leg)   -> halt-pose leg reference of apply_actions_flat
 
 A Python call costs as much as several lines of float arithmetic, so the
@@ -78,8 +78,8 @@ Tuples, each ``float_tuple`` of its dataclass unless stated:
     geom  (2)   ``LegGeometry``: thigh length, shank length;
                 com_shift_reference's leg (3) is (thigh, shank, halt eta)
 
-Divisors in a step are the step dt, the swing-window length and the leg
-link product; ``FilterParams``, ``CpgParams`` and ``LegGeometry`` keep the
+Divisors in a step are ``DT``, the swing-window length and the leg link
+product; ``FilterParams``, ``CpgParams`` and ``LegGeometry`` keep the
 parameters they come from positive, so Python floats never divide by zero.
 """
 
@@ -207,20 +207,20 @@ def cpg_pose(mu, vx, vy, wz, cpg, window):
     )
 
 
-def filter_coeffs(filt, dt):
-    """(alpha, deadband, decay, gain_i) of filters_step at sample period dt."""
+def filter_coeffs(filt):
+    """(alpha, deadband, decay, gain_i) of filters_step."""
     tau = filt[0]
     leak = filt[2]
-    alpha = 1.0 - math.exp(-dt / tau)
-    decay = math.exp(-leak * dt)
+    alpha = 1.0 - math.exp(-DT / tau)
+    decay = math.exp(-leak * DT)
     gain_i = (1.0 - decay) / leak
     return alpha, filt[1], decay, gain_i
 
 
-def _filter_plane(y_old, dv_old, i_old, d, dt, coeffs):
+def _filter_plane(y_old, dv_old, i_old, d, coeffs):
     alpha, deadband, decay, gain_i = coeffs
     y = y_old + (d - y_old) * alpha
-    raw_d = (y - y_old) / dt
+    raw_d = (y - y_old) / DT
     dv = dv_old + (raw_d - dv_old) * alpha
     if y > deadband:
         p = y - deadband
@@ -231,11 +231,11 @@ def _filter_plane(y_old, dv_old, i_old, d, dt, coeffs):
     return y, p, dv, i_old * decay + p * gain_i
 
 
-def filters_step(fs, d_theta, d_phi, dt, coeffs):
+def filters_step(fs, d_theta, d_phi, coeffs):
     """Advance both deviation filters by one sample.
 
     ``fs`` is the 6-tuple state (smoothed, d-estimate, integral) of the
-    pitch then the roll plane and ``coeffs`` is ``filter_coeffs(filt, dt)``.
+    pitch then the roll plane and ``coeffs`` is ``filter_coeffs(filt)``.
     Returns the new state and the 6-tuple (P, D, I) of each plane.
 
     Smoothing is a first-order low-pass, the derivative is the additionally
@@ -243,8 +243,8 @@ def filters_step(fs, d_theta, d_phi, dt, coeffs):
     the exact one-step solution of di/dt = -leak*i + P, which keeps
     |I| <= sup|P|/leak for all time.
     """
-    y_t, p_t, dv_t, i_t = _filter_plane(fs[0], fs[1], fs[2], d_theta, dt, coeffs)
-    y_p, p_p, dv_p, i_p = _filter_plane(fs[3], fs[4], fs[5], d_phi, dt, coeffs)
+    y_t, p_t, dv_t, i_t = _filter_plane(fs[0], fs[1], fs[2], d_theta, coeffs)
+    y_p, p_p, dv_p, i_p = _filter_plane(fs[3], fs[4], fs[5], d_phi, coeffs)
     return (y_t, dv_t, i_t, y_p, dv_p, i_p), (p_t, dv_t, i_t, p_p, dv_p, i_p)
 
 
@@ -372,8 +372,8 @@ def gait_excitation(mu, vx, vy, wz, coupling):
 
 
 def plant_step(pitch, roll, pitch_rate, roll_rate, exc_p, exc_r, act, plant, eff,
-               noise_p, noise_r, dt):
-    """One semi-implicit Euler step of the torso, the rates already kicked.
+               noise_p, noise_r):
+    """One semi-implicit Euler step of the torso over DT, the rates already kicked.
 
     Returns the new (pitch, roll, pitch_rate, roll_rate) and whether either
     angle exceeds the fall threshold.
@@ -381,10 +381,10 @@ def plant_step(pitch, roll, pitch_rate, roll_rate, exc_p, exc_r, act, plant, eff
     acc_p, acc_r = plant_accels(
         pitch, roll, pitch_rate, roll_rate, exc_p, exc_r, act, plant, eff
     )
-    pitch_rate += dt * (acc_p + noise_p)
-    pitch += dt * pitch_rate
-    roll_rate += dt * (acc_r + noise_r)
-    roll += dt * roll_rate
+    pitch_rate += DT * (acc_p + noise_p)
+    pitch += DT * pitch_rate
+    roll_rate += DT * (acc_r + noise_r)
+    roll += DT * roll_rate
     fell = abs(pitch) > plant[6] or abs(roll) > plant[6]
     return (pitch, roll, pitch_rate, roll_rate), fell
 
@@ -423,7 +423,7 @@ def run_closed_loop(cmds, noise, pushes, cpg, gains, filt, plant, eff, record=Tr
         kicks.setdefault(step, []).append(kick)
 
     dt = DT  # a local: the body reads it several times a step
-    alpha, deadband, decay, gain_i = filter_coeffs(filt, dt)
+    alpha, deadband, decay, gain_i = filter_coeffs(filt)
     (arm_x_kp, arm_x_kd, arm_y_kp, arm_y_kd, supp_x_kp, supp_x_kd,
      cont_x_ki, com_x_ki, com_y_ki, speed_up, slow_down, min_tf) = gains
     wn_p, wn_r, damping, coupling, _, _, fall_threshold = plant

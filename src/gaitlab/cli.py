@@ -40,6 +40,7 @@ from .heatmap import (
 from .cpg import GaitCommand
 from .orientation import Quaternion
 from .plant import (
+    DT,
     Disturbance,
     make_real_plant,
     phase_plot_to_csv,
@@ -93,7 +94,7 @@ def cmd_gait_run(args) -> int:
     phase_path = os.path.join(args.out, "phase.csv")
     trace_to_csv(trace, trace_path)
     phase_plot_to_csv(trace, phase_path)
-    print(f"wrote {trace_path} and {phase_path} ({len(trace)} samples at dt={trace.dt} s)")
+    print(f"wrote {trace_path} and {phase_path} ({len(trace)} samples at dt={DT} s)")
     print("integral |e_P|: alpha=%.6f beta=%.6f" % trace.ep_integrals())
     print(f"retraction saturations: {trace.saturations} steps")
     if trace.fall:

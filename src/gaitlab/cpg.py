@@ -71,13 +71,12 @@ class CpgParams:
                 )
 
 
-def step_phase(mu: float, dt: float, frequency: float, timing_factor: float = 1.0) -> float:
-    """Advance the gait phase and wrap it into (-pi, pi]."""
+def step_phase(mu: float, frequency: float, *, timing_factor: float = 1.0) -> float:
+    """Advance the gait phase by one step of ``DT`` and wrap it into (-pi, pi]."""
     check_finite("mu", mu)
     check_finite("frequency", frequency)
-    check_nonnegative("dt", dt, positive=True)
     check_nonnegative("timing_factor", timing_factor, positive=True)
-    return _kernels.wrap_pi(mu + 2.0 * math.pi * frequency * timing_factor * dt)
+    return _kernels.wrap_pi(mu + 2.0 * math.pi * frequency * timing_factor * _kernels.DT)
 
 
 def evaluate_cpg(mu: float, cmd: GaitCommand, params: CpgParams) -> AbstractPose:

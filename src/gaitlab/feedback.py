@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidInputError, check_nonnegative
+from .errors import InvalidInputError, check_finite, check_nonnegative, check_vector
 from .pose import AbstractPose, LegGeometry
 
 
@@ -106,13 +106,11 @@ class DeviationFilters:
         self.params = params or FilterParams()
         self.reset()
 
-    def update(self, d_theta: float, d_phi: float, dt: float) -> tuple[PdiTerms, PdiTerms]:
-        """Advance both filters by one sample; returns (pitch, roll) terms."""
-        check_nonnegative("dt", dt, positive=True)
-        dt = float(dt)
-        coeffs = _kernels.filter_coeffs(_kernels.float_tuple(self.params), dt)
+    def update(self, d_theta: float, d_phi: float) -> tuple[PdiTerms, PdiTerms]:
+        """Advance both filters by one step of ``DT``; returns (pitch, roll) terms."""
+        coeffs = _kernels.filter_coeffs(_kernels.float_tuple(self.params))
         self.state, pdi = _kernels.filters_step(
-            self.state, float(d_theta), float(d_phi), dt, coeffs
+            self.state, check_finite("d_theta", d_theta), check_finite("d_phi", d_phi), coeffs
         )
         return PdiTerms(pdi[0], pdi[1], pdi[2]), PdiTerms(pdi[3], pdi[4], pdi[5])
 
@@ -155,9 +153,10 @@ def compute_activations(
     if support_leg_sign not in (1, -1):
         raise InvalidInputError("support_leg_sign must be +1 or -1")
     floats = _kernels.float_tuple
-    act = _kernels.activations_from(
-        floats(pitch_terms) + floats(roll_terms), floats(gains), float(support_leg_sign)
-    )
+    kind = "finite (p, d, i) terms"
+    pdi = (check_vector("pitch_terms", floats(pitch_terms), kind=kind).tolist()
+           + check_vector("roll_terms", floats(roll_terms), kind=kind).tolist())
+    act = _kernels.activations_from(pdi, floats(gains), float(support_leg_sign))
     return Activations(*act)
 
 
@@ -184,8 +183,8 @@ def apply_actions(
     geom = geom or LegGeometry()
     floats = _kernels.float_tuple
     pose, saturated = _kernels.apply_actions_flat(
-        floats(open_loop),
-        floats(act),
+        check_vector("open_loop", floats(open_loop), _kernels.POSE_SIZE).tolist(),
+        check_vector("act", floats(act), _kernels.ACT_SIZE).tolist(),
         float(support_leg_sign),
         _kernels.com_shift_reference((*floats(geom), float(halt_eta))),
     )

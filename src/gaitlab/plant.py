@@ -19,7 +19,13 @@ import numpy as np
 from . import _kernels
 from ._kernels import DT
 from .cpg import CpgParams, GaitCommand
-from .errors import InvalidInputError, NonFiniteStateError, check_count, check_nonnegative
+from .errors import (
+    InvalidInputError,
+    NonFiniteStateError,
+    check_count,
+    check_nonnegative,
+    check_vector,
+)
 from .feedback import Activations, FeedbackGains, FilterParams
 from .pose import LegGeometry
 
@@ -148,38 +154,39 @@ def step_plant(
     activations: Activations,
     disturbance: Disturbance | None,
     p: PlantParams,
-    dt: float,
     noise: tuple[float, float] = (0.0, 0.0),
 ) -> TorsoState:
-    """Advance the torso one step with semi-implicit Euler.
+    """Advance the torso one step of ``DT`` with semi-implicit Euler.
 
-    Fallen states are frozen.  ``noise`` is the per-plane acceleration noise
+    Fallen states are frozen, whatever they hold; for any other state each
+    argument must be finite.  ``noise`` is the per-plane acceleration noise
     sample for this step; run_sequence supplies the seeded stream.
     """
-    if not 0.0 < dt <= 0.02:
-        raise InvalidInputError("dt must be in (0, 0.02]")
     if s.fallen:
         return replace(s)
 
-    pitch_rate = s.pitch_rate
-    roll_rate = s.roll_rate
+    floats = _kernels.float_tuple
+    pitch, roll, pitch_rate, roll_rate = check_vector(
+        "state", floats(s), 4, "a finite (fused_pitch, fused_roll, pitch_rate, roll_rate)"
+    ).tolist()
+    excitation = check_vector("excitation", excitation, 2).tolist()
+    act = check_vector("activations", floats(activations), _kernels.ACT_SIZE).tolist()
+    noise = check_vector("noise", noise, 2).tolist()
     if disturbance is not None:
         kp, kr = disturbance.rate_kick(p.effective_inertia)
         pitch_rate += kp
         roll_rate += kr
 
-    floats = _kernels.float_tuple
     state, fallen = _kernels.plant_step(
-        s.fused_pitch, s.fused_roll, pitch_rate, roll_rate, *map(float, excitation),
-        floats(activations), floats(p), tuple(p.action_effectiveness.ravel().tolist()),
-        *map(float, noise), dt,
+        pitch, roll, pitch_rate, roll_rate, *excitation, act, floats(p),
+        tuple(p.action_effectiveness.ravel().tolist()), *noise,
     )
     return TorsoState(*state, fallen)
 
 
 @dataclass
 class RunTrace:
-    """Closed-loop time series at uniform spacing dt.
+    """Closed-loop time series, one row per control step of ``DT``.
 
     All arrays share the first dimension.  If the torso fell, the trace is
     truncated at the fall sample and ``fall`` is True.  The deviations fed
@@ -193,7 +200,6 @@ class RunTrace:
     builds the pose.  A cost that reads neither never pays for them.
     """
 
-    dt: float
     t: np.ndarray
     mu: np.ndarray
     pitch: np.ndarray
@@ -245,11 +251,11 @@ class RunTrace:
 
     def ep_integrals(self) -> tuple[float, float]:
         """Trapezoidal integral of |e_P| over the run, (alpha, beta) plane."""
-        return _ep_integrals(self.e_p_alpha, self.e_p_beta, self.dt)
+        return _ep_integrals(self.e_p_alpha, self.e_p_beta)
 
 
-def _ep_integrals(e_p_alpha, e_p_beta, dt: float) -> tuple[float, float]:
-    return tuple(float(np.trapezoid(np.abs(e), dx=dt)) for e in (e_p_alpha, e_p_beta))
+def _ep_integrals(e_p_alpha, e_p_beta) -> tuple[float, float]:
+    return tuple(float(np.trapezoid(np.abs(e), dx=DT)) for e in (e_p_alpha, e_p_beta))
 
 
 def standard_test_sequence() -> list[tuple[GaitCommand, float]]:
@@ -316,7 +322,7 @@ def run_sequence(
     disturbances: list[Disturbance] = (),
     filter_params: FilterParams | None = None,
 ) -> RunTrace:
-    """Run the closed loop (CPG + corrective actions + plant) at dt = 0.01 s.
+    """Run the closed loop (CPG + corrective actions + plant) at ``DT`` = 0.01 s.
 
     Deterministic: identical arguments and seed give bit-identical traces.
     A segment may last at most MAX_SEGMENT_STEPS steps.
@@ -340,7 +346,6 @@ def run_sequence(
         )
     t = np.arange(end) * DT
     return RunTrace(
-        dt=DT,
         t=t,
         mu=mu_out[:end],
         pitch=state[:end, 0],
@@ -381,7 +386,7 @@ def _run_ep_integrals(
         run_sequence(gains, cpg, seq, p, disturbances, filter_params)
     fell = fall_idx >= 0
     end = fall_idx + 1 if fell else ep.shape[0]
-    return _ep_integrals(ep[:end, 0], ep[:end, 1], DT), fell
+    return _ep_integrals(ep[:end, 0], ep[:end, 1]), fell
 
 
 def phase_plot_series(trace: RunTrace) -> np.ndarray:

@@ -44,6 +44,7 @@ from gaitlab.orientation import (
     wrap_angle,
 )
 from gaitlab.plant import (
+    DT,
     Disturbance,
     PlantParams,
     make_real_plant,
@@ -200,8 +201,8 @@ def test_closed_loop_benefit(tmp_path_factory):
         plant = PlantParams(seed=seed)
         with_fb = run_sequence(FeedbackGains(), CpgParams(), seq, plant, push)
         without = run_sequence(zero_gains(), CpgParams(), seq, plant, push)
-        int_with = np.trapezoid(np.abs(with_fb.e_p_alpha), dx=with_fb.dt)
-        int_without = np.trapezoid(np.abs(without.e_p_alpha), dx=without.dt)
+        int_with = np.trapezoid(np.abs(with_fb.e_p_alpha), dx=DT)
+        int_without = np.trapezoid(np.abs(without.e_p_alpha), dx=DT)
         assert int_with < int_without
         assert not with_fb.fall
         path = out / f"phase_{seed}.csv"

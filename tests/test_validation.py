@@ -32,12 +32,20 @@ from gaitlab.bayesopt import (
 )
 from gaitlab.cpg import CpgParams, GaitCommand, evaluate_cpg, step_phase
 from gaitlab.errors import InvalidInputError
-from gaitlab.feedback import Activations, DeviationFilters, zero_gains
+from gaitlab.feedback import (
+    Activations,
+    DeviationFilters,
+    FeedbackGains,
+    PdiTerms,
+    apply_actions,
+    compute_activations,
+    zero_gains,
+)
 from gaitlab.heatmap import CameraIntrinsics, CameraPose, calibrate_extrinsics, project
 from gaitlab.numopt import SimplexConfig, nelder_mead
 from gaitlab.orientation import FilterState, FusedAngles, ImuSample, Quaternion, filter_update
-from gaitlab.plant import PlantParams, make_real_plant, run_sequence
-from gaitlab.pose import LegGeometry, foot_ik
+from gaitlab.plant import PlantParams, TorsoState, make_real_plant, run_sequence, step_plant
+from gaitlab.pose import AbstractLimb, AbstractPose, LegGeometry, foot_ik
 
 nan, inf = math.nan, math.inf
 
@@ -52,6 +60,11 @@ def one_record():
 
 def simplex_on_square(max_iter):
     return nelder_mead(lambda x: float(x @ x), [1.0], SimplexConfig(max_iter=max_iter))
+
+
+def plant_step_with(s=TorsoState(), excitation=(0.0, 0.0), activations=Activations(),
+                    noise=(0.0, 0.0)):
+    return step_plant(s, excitation, activations, None, PlantParams(), noise)
 
 
 def calibrate_with_nan(row, col):
@@ -102,10 +115,7 @@ CASES = [
     # the squared norm overflows in filter_update's a . a
     ("imu-accel-overflow", "accel must be a 3-vector whose squared norm is finite",
      lambda: filter_update(FilterState(), ImuSample([0.0, 0.0, 0.0], [1e200, 0.0, 0.0], 0.01))),
-    ("filters-dt-nan", "dt", lambda: DeviationFilters().update(0.0, 0.0, nan)),
-    ("filters-dt-inf", "dt", lambda: DeviationFilters().update(0.0, 0.0, inf)),
-    ("step-phase-dt-nan", "dt", lambda: step_phase(0.0, nan, 0.7)),
-    ("step-phase-timing-nan", "timing_factor", lambda: step_phase(0.0, 0.01, 0.7, nan)),
+    ("step-phase-timing-nan", "timing_factor", lambda: step_phase(0.0, 0.7, timing_factor=nan)),
     ("regularization-nan", "regularization", lambda: evaluate_cost(short_trace(), nan, [1.0])),
     ("regularization-inf", "regularization", lambda: evaluate_cost(short_trace(), inf, [1.0])),
     ("cost-gains-nan", "x must be a finite gain vector",
@@ -135,9 +145,27 @@ CASES = [
     ("foot-ik-target-nan", "target", lambda: foot_ik([nan, 0.0, -0.5], LegGeometry())),
     ("project-point-nan", "point", lambda: project([nan, 0.0, 1.0], CameraPose())),
     ("fused-yaw-nan", "yaw", lambda: FusedAngles(yaw=nan)),
-    ("step-phase-mu-nan", "mu", lambda: step_phase(nan, 0.01, 0.7)),
-    ("step-phase-frequency-nan", "frequency", lambda: step_phase(0.0, 0.01, nan)),
+    ("step-phase-mu-nan", "mu", lambda: step_phase(nan, 0.7)),
+    ("step-phase-frequency-nan", "frequency", lambda: step_phase(0.0, nan)),
     ("cpg-mu-inf", "mu", lambda: evaluate_cpg(inf, GaitCommand(), CpgParams())),
+    # the public step helpers returned NaN state, terms, activations or pose
+    ("plant-state-nan", r"state must be a finite \(fused_pitch, fused_roll, pitch_rate, roll_rate\)",
+     lambda: plant_step_with(s=TorsoState(nan, 0.0, 0.0, 0.0))),
+    ("plant-excitation-inf", "excitation must be a finite 2-vector",
+     lambda: plant_step_with(excitation=(inf, 0.0))),
+    ("plant-activations-nan", "activations must be a finite 7-vector",
+     lambda: plant_step_with(activations=Activations(com_shift_y=nan))),
+    ("plant-noise-nan", "noise must be a finite 2-vector", lambda: plant_step_with(noise=(0.0, nan))),
+    ("filters-d-theta-nan", "d_theta must be finite", lambda: DeviationFilters().update(nan, 0.0)),
+    ("filters-d-phi-inf", "d_phi must be finite", lambda: DeviationFilters().update(0.0, inf)),
+    ("activations-pitch-terms-nan", r"pitch_terms must be finite \(p, d, i\) terms",
+     lambda: compute_activations(PdiTerms(p=nan), PdiTerms(), FeedbackGains(), 1)),
+    ("activations-roll-terms-inf", r"roll_terms must be finite \(p, d, i\) terms",
+     lambda: compute_activations(PdiTerms(), PdiTerms(d=inf), FeedbackGains(), 1)),
+    ("apply-pose-nan", "open_loop must be a finite 18-vector",
+     lambda: apply_actions(AbstractPose(left_leg=AbstractLimb(ly=nan)), Activations())),
+    ("apply-activations-nan", "act must be a finite 7-vector",
+     lambda: apply_actions(AbstractPose(), Activations(com_shift_x=nan))),
 ]
 
 
